@@ -25,6 +25,8 @@ L2_RESIDUAL = 1e-11         # ||A g - u|| / ||u|| for exact L2           [1e-13]
 FIELD_RTOL = 1e-11          # fields against the reference solve          [1e-13]
 EIG_RTOL = 1e-12             # matched eigenvalues / max |lambda|          [1e-15]
 MASS_RTOL = 1e-12            # Parseval identity of the alpha coefficients [1e-14]
+SCHUR_RTOL = 1e-12           # alpha/beta structure, relative to the max   [5e-16]
+GRAM_ATOL = 1e-10            # unit diagonal of the mode Gram matrix       [7e-15]
 HK_RATIO = (0.24, 0.26)     # residual ratio of a radius doubling, 1/R^2 decay
 
 
@@ -140,6 +142,14 @@ def check_sweep(out, cfg):
     return fails
 
 
+def _matched(values, want):
+    """Largest distance between two multisets of complex numbers under their
+    optimal matching, relative to max |want|."""
+    cost = np.abs(values[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max() / np.abs(want).max())
+
+
 def check_spectrum(out, cfg):
     pts, w, h, n, M = _op(cfg)
     re, im = _columns(out / "spectrum.csv", "re", "im")
@@ -147,27 +157,65 @@ def check_spectrum(out, cfg):
     want = np.linalg.eigvals(M)
     if lam.size != want.size:
         return [f"spectrum: {lam.size} eigenvalues, expected {want.size}"]
-    cost = np.abs(lam[:, None] - want[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    err = float(cost[rows, cols].max() / np.abs(want).max())
+    err = _matched(lam, want)
     return [f"spectrum: eigenvalues differ from the reference by {err:.3g}"] if err > EIG_RTOL else []
+
+
+def _coefficients(path, size):
+    """size x size matrix from (gamma_row, gamma_col, re, im) rows, which must
+    name every index pair exactly once and hold finite values."""
+    i, j, re, im = _columns(path, "gamma_row", "gamma_col", "re", "im")
+    flat = i * size + j
+    if (re.size != size**2 or not np.all(np.isfinite(re + im))
+            or not np.array_equal(np.sort(flat), np.arange(size**2))):
+        raise ValueError(f"{path.name}: not every ({size} x {size}) index pair once "
+                         "with a finite value")
+    C = np.empty((size, size), dtype=complex)
+    C[i.astype(int), j.astype(int)] = re + 1j * im
+    return C
 
 
 def check_expand(out, cfg):
     fails = []
     pts, w, h, n, M = _op(cfg)
+    N = len(pts)
     tau = float(cfg["contrast"]["tau"])
-    # W^1/2 E is unitary, so sum |alpha|^2 = ||W^1/2 (G - G0) diag(n) W^1/2||_F^2
-    # in any basis
-    D = (ref.green_columns(M, n, w, tau) - ref.free_green(M, n, w)) * n[None, :]
+    # X = W^1/2 (G - G0) diag(n) W^1/2 = Q alpha Q^H with Q = W^1/2 E unitary,
+    # and E comes from a QR in the eigenvalue order, so alpha is a Schur form
+    # of X: upper triangular, with the eigenvalues of X on its diagonal and
+    # sum |alpha|^2 = ||X||_F^2, however E spans a degenerate eigenspace.
     s = np.sqrt(w)
-    want = float(np.sum(np.abs(s[:, None] * D * s[None, :]) ** 2))
-    re, im = _columns(out / "alpha.csv", "re", "im")
-    if re.size != len(pts) ** 2:
-        fails.append(f"alpha: {re.size} entries, expected {len(pts) ** 2}")
-    mass = float(np.sum(re**2 + im**2))
+    X = s[:, None] * (ref.green_columns(M, n, w, tau) - ref.free_green(M, n, w)) \
+        * (n * s)[None, :]
+    alpha = _coefficients(out / "alpha.csv", N)
+    scale = float(np.max(np.abs(alpha)))
+    lower = float(np.max(np.abs(np.tril(alpha, -1)))) / scale
+    if lower > SCHUR_RTOL:
+        fails.append(f"alpha: not upper triangular (|lower| up to {lower:.3g} max |alpha|)")
+    err = _matched(np.diag(alpha), np.linalg.eigvals(X))
+    if err > EIG_RTOL:
+        fails.append(f"alpha: diagonal differs from the eigenvalues of X by {err:.3g}")
+    mass, want = float(np.sum(np.abs(alpha) ** 2)), float(np.sum(np.abs(X) ** 2))
     if abs(mass - want) > MASS_RTOL * want:
         fails.append(f"alpha: sum |alpha|^2 = {mass!r}, reference {want!r}")
+    # beta = A alpha A^H with alpha = B diag(alpha) B^-1 and B^H B = U^H W U,
+    # the Gram matrix of the unit-norm modes: diag(alpha)^-1 beta is its
+    # inverse (Hermitian, unit diagonal once inverted), and the Cholesky
+    # factor B of that Gram matrix takes beta back to alpha.
+    beta = _coefficients(out / "beta.csv", N)
+    P = beta / np.diag(alpha)[:, None]
+    herm = float(np.max(np.abs(P - P.conj().T)) / np.max(np.abs(P)))
+    if herm > SCHUR_RTOL:
+        fails.append(f"beta: diag(alpha)^-1 beta is not Hermitian ({herm:.3g})")
+    else:
+        gram = np.linalg.inv(P)
+        gram = 0.5 * (gram + gram.conj().T)
+        unit = float(np.max(np.abs(np.diag(gram) - 1.0)))
+        B = np.linalg.cholesky(gram).conj().T
+        back = float(np.max(np.abs(B @ beta @ B.conj().T - alpha))) / scale
+        if unit > GRAM_ATOL or back > SCHUR_RTOL:
+            fails.append(f"beta: mode Gram diagonal off 1 by {unit:.3g}, "
+                         f"B beta B^H differs from alpha by {back:.3g}")
     man = json.loads((out / "manifest.json").read_text())
     if not man["oracle_rel_error_alpha"] <= 1e-7:
         fails.append(f"manifest: alpha oracle error {man['oracle_rel_error_alpha']}")
@@ -176,7 +224,7 @@ def check_expand(out, cfg):
     rank, err = _columns(out / "truncation_curve.csv", "rank", "rel_error")
     if rank[0] != 0 or abs(err[0] - 1.0) > 1e-12:
         fails.append(f"truncation curve starts at rank {rank[0]} with {err[0]!r}")
-    if rank[-1] != len(pts) or not err[-1] <= 1e-7:
+    if rank[-1] != N or not err[-1] <= 1e-7:
         fails.append(f"truncation curve ends at rank {rank[-1]} with {err[-1]!r}")
     return fails
 

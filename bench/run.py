@@ -7,7 +7,8 @@ Run from the root of a source checkout; resonat is imported from ./src. The
 process pins BLAS threads, writes the workload's scenario files, times the
 set-up (a fresh interpreter importing resonat.cli), runs passes over the
 workload's commands in-process through resonat.cli.main until --seconds have
-gone, and checks every output. The last line of stdout is one JSON object:
+gone, at least two so that outputs can be compared between passes, and checks
+every output. The last line of stdout is one JSON object:
 correct, attempted, failed and metrics. --trace 0 reports the end-to-end
 metrics (setup_s, pass_s, peak_rss_mb); --trace 1 wraps the library's layers
 and reports the per-layer metrics instead.
@@ -41,7 +42,7 @@ from workloads import WORKLOADS  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import resonat.cli; "
                 "print(time.perf_counter() - t)")
 
@@ -134,8 +135,8 @@ def run(workload, seed, seconds, trace, work):
         hashes.append({op.label: digest(pass_dir / op.label) for op in ops})
         if len(pass_times) > 1:
             shutil.rmtree(pass_dir)
-        if time.perf_counter() - start >= seconds:
-            break
+            if time.perf_counter() - start >= seconds:
+                break
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     if tracer:
         tracer.uninstall()
@@ -165,7 +166,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 

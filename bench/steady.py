@@ -3,11 +3,11 @@ fresh process with its own seed, and print the median and quartiles of every
 metric, with the spread (q3 - q1) / median that the bounds in BENCHMARK.json
 are set from.
 
-    python3 bench/steady.py [--runs 10] [--first-seed 0] [--trace 0]
-                            [--workloads imaging,expansion,psf_large]
+    python3 bench/steady.py [--runs 10] [--trace 0] [--seconds 20]
 
-With --runs 1 it is the one command that runs every workload once and prints
-each metric by name and unit, with the operations attempted and failed.
+Run r of every workload of BENCHMARK.json uses seed r. With --runs 1 it is
+the one command that runs every workload once and prints each metric by name
+and unit, with the operations attempted and failed.
 """
 
 import argparse
@@ -27,16 +27,14 @@ def main(argv=None):
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     args = parser.parse_args(argv)
 
     ok = True
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         results = []
-        for seed in range(args.first_seed, args.first_seed + args.runs):
+        for seed in range(args.runs):
             cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
                    "--seconds", str(args.seconds), "--trace", str(args.trace)]
             start = time.perf_counter()

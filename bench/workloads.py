@@ -16,7 +16,11 @@ IMAGING_WAVE = {"k": 6.0, "dim": 2}
 IMAGING_DOMAIN = {"shape": "disk", "radius": 1.0, "cells": 20}
 IMAGING_SURFACE = {"radius": 100.0, "points": 256}
 IMAGING_PAIR = ((-0.15, 0.05), (0.15, 0.05))
-SWEEP_SEPARATIONS = [0.3, 0.5, 0.8]
+# The largest of the shipped separations (0.3, 0.5, 0.8) only: every run makes
+# two passes, so that outputs can be compared between them, and the three
+# take the sweep 22 s a pass against 6 s. The quarter-wavelength pair (0.3)
+# is imaged and checked by `image`.
+SWEEP_SEPARATIONS = [0.8]
 # Two of the three contrasts of acceptance criterion 01, all away from the
 # spectrum. tau = -2 is left out: its alpha entries take the .17g writer about
 # 30% longer (7.6 s against 5.8 s for the same 58 MB), which would make the
