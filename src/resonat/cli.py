@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 numeric/runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -55,7 +54,7 @@ from .imaging import (
 from .io import config_hash, fmt, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import eigendecompose
-from .volume import assemble_kd, g0_matrix, green_matrix
+from .volume import assemble_kd, g0_column, solve_green_direct
 
 
 class ConfigError(Exception):
@@ -244,7 +243,7 @@ def cmd_psf(cfg, out: Path):
     x0 = p.get("x0", [0.0] * ctx.dim)
     direction = p.get("direction", [1.0] + [0.0] * (ctx.dim - 1))
     x0_index = grid.nearest_index(x0)
-    hom = GreenField(values=g0_matrix(op), tau=0.0, includes_free_part=True)
+    hom = GreenField(values=g0_column(op, x0_index), tau=0.0, includes_free_part=True)
     prof_h = psf_profile(hom, grid, x0_index, direction)
     oracle = im_g0_from_distance(np.abs(prof_h.radii), ctx)
     write_csv(out / "psf_homogeneous.csv", ["r", "value", "oracle_value"],
@@ -252,8 +251,8 @@ def cmd_psf(cfg, out: Path):
     tau = float(cfg.get("contrast", {}).get("tau", 0.0))
     report = {"fwhm_homogeneous": prof_h.fwhm, "tau": tau}
     if tau != 0.0:
-        G = green_matrix(op, tau)
-        prof_c = psf_profile(GreenField(values=G, tau=tau, includes_free_part=True),
+        col = solve_green_direct(op, tau, x0_index)
+        prof_c = psf_profile(GreenField(values=col, tau=tau, includes_free_part=True),
                              grid, x0_index, direction)
         oracle_c = im_g0_from_distance(np.abs(prof_c.radii), ctx)
         write_csv(out / "psf_high_contrast.csv", ["r", "value", "oracle_value"],
@@ -391,10 +390,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("RESONAT_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = argparse.ArgumentParser(prog="resonat",
                                      description="high-contrast resonance experiments")
     parser.add_argument("command", choices=sorted(_COMMANDS))

@@ -38,7 +38,7 @@ class ExpansionCoefficients:
 
 @dataclass(frozen=True)
 class GreenField:
-    values: np.ndarray
+    values: np.ndarray             # N x N grid matrix, or one column of it
     tau: float
     includes_free_part: bool
 
@@ -181,7 +181,10 @@ def psf_from_samples(radii, values, source_point=(0.0, 0.0)) -> PsfProfile:
 
 def psf_profile(field: GreenField, grid: DomainGrid, x0_index: int,
                 direction) -> PsfProfile:
-    """Im G(x, x0) sampled along the grid line through x0 in the given direction."""
+    """Im G(x, x0) sampled along the grid line through x0 in the given direction.
+
+    field.values is either the whole grid matrix or just its column x0.
+    """
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     x0 = grid.points[x0_index]
@@ -190,7 +193,8 @@ def psf_profile(field: GreenField, grid: DomainGrid, x0_index: int,
     perp = np.linalg.norm(rel - np.outer(t, d), axis=1)
     on_line = perp < 0.51 * grid.cell_size
     radii = t[on_line]
-    values = np.imag(field.values[on_line, x0_index])
+    column = field.values if field.values.ndim == 1 else field.values[:, x0_index]
+    values = np.imag(column[on_line])
     prof = psf_from_samples(radii, values, source_point=x0)
     return prof
 

@@ -13,15 +13,20 @@ direct solver and by the expansion module.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.special import hankel1
 
 from .errors import InvalidArgumentError, ResonanceProximityError
 from .grids import DomainGrid, RefractiveProfile, WaveContext
 from .kernels import g0_from_distance
+
+# Arnoldi steps of the resonance check; the nearest eigenvalues converge first
+ARNOLDI_STEPS = 20
 
 
 @dataclass
@@ -121,10 +126,66 @@ def g0_matrix(op: DiscreteOperator) -> np.ndarray:
     return -op.matrix / (op.n * op.weights)[None, :]
 
 
-def check_resonance_proximity(op: DiscreteOperator, z: complex, tol: Optional[float] = None):
-    """Raise if z lies within tolerance of the spectrum of the matrix."""
-    lam = op.eigenvalues()
+def _factor(op: DiscreteOperator, tau: float):
+    """LU factorization of I - tau M (scipy.linalg.lu_factor form).
+
+    An exactly zero pivot is left for check_resonance_proximity to report, so
+    LAPACK's singular-matrix warning is silenced here. The matrix is built in
+    Fortran order so that LAPACK factors it in place, without a copy.
+    """
+    A = np.multiply(op.matrix, -tau, order="F")
+    A[np.diag_indices_from(A)] += 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return lu_factor(A, overwrite_a=True, check_finite=False)
+
+
+def _dominant_ritz_values(lu) -> np.ndarray:
+    """Ritz values of S^{-1} from ARNOLDI_STEPS Arnoldi steps, S given by its LU.
+
+    The start vector is fixed, so reruns are byte-identical. It is
+    pseudo-random rather than constant because a constant vector is invariant
+    under the grid's symmetries, and its Krylov space would miss every mode of
+    another symmetry class.
+    """
+    N = lu[0].shape[0]
+    m = min(ARNOLDI_STEPS, N)
+    V = np.zeros((N, m + 1), dtype=complex)
+    H = np.zeros((m + 1, m), dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(N)
+    V[:, 0] = v0 / np.linalg.norm(v0)
+    for j in range(m):
+        w = lu_solve(lu, V[:, j], check_finite=False)
+        scale = np.linalg.norm(w)
+        for _ in range(2):  # classical Gram-Schmidt, repeated to keep V orthonormal
+            h = V[:, : j + 1].conj().T @ w
+            w -= V[:, : j + 1] @ h
+            H[: j + 1, j] += h
+        H[j + 1, j] = np.linalg.norm(w)
+        if H[j + 1, j].real <= 1e-14 * scale:
+            m = j + 1  # the Krylov space is invariant: its Ritz values are exact
+            break
+        V[:, j + 1] = w / H[j + 1, j]
+    return np.linalg.eigvals(H[:m, :m])
+
+
+def check_resonance_proximity(op: DiscreteOperator, z: complex, tol: Optional[float] = None,
+                              lu=None):
+    """Raise if z lies within tolerance of the spectrum of the matrix.
+
+    The eigenvalues of M nearest z are the dominant eigenvalues of
+    (I - M/z)^{-1} (shift-invert), so a short Arnoldi iteration on the LU of
+    I - M/z finds them: lambda = z (1 - 1/nu) for each Ritz value nu. `lu` is
+    that factorization as returned by scipy.linalg.lu_factor, passed when the
+    caller has already built it for a solve; z must be nonzero.
+    """
+    if z == 0:
+        raise InvalidArgumentError("resonance check needs a nonzero z = 1/tau")
     tol = tol if tol is not None else 1e-8
+    lu = _factor(op, 1.0 / z) if lu is None else lu
+    if not np.all(np.diagonal(lu[0])):  # I - M/z is singular: z itself is an eigenvalue
+        raise ResonanceProximityError(z, z)
+    lam = z * (1.0 - 1.0 / _dominant_ritz_values(lu))
     d = np.abs(z - lam)
     bad = d < tol * (1.0 + np.abs(lam))
     if np.any(bad):
@@ -132,31 +193,30 @@ def check_resonance_proximity(op: DiscreteOperator, z: complex, tol: Optional[fl
         raise ResonanceProximityError(z, lam[idx])
 
 
+def _solve_green(op: DiscreteOperator, tau: float, G0: np.ndarray) -> np.ndarray:
+    """G0 + v for free-kernel columns G0, where (I - tau M) v = tau M G0.
+
+    I - tau M is factored once; the resonance check reuses the factorization.
+    """
+    if tau == 0:
+        return G0
+    lu = _factor(op, tau)
+    check_resonance_proximity(op, 1.0 / tau, lu=lu)
+    rhs = tau * (op.matrix @ G0)
+    return G0 + lu_solve(lu, rhs, check_finite=False)
+
+
 def solve_green_direct(op: DiscreteOperator, tau: float, source_index: int) -> np.ndarray:
     """Column G(., x_j) of the high-contrast Green function by dense solve.
 
     Solves (I - tau M) v = tau M g0col and returns g0col + v.
     """
-    g0col = g0_column(op, source_index)
-    if tau == 0:
-        return g0col
-    check_resonance_proximity(op, 1.0 / tau)
-    N = op.matrix.shape[0]
-    rhs = tau * (op.matrix @ g0col)
-    v = np.linalg.solve(np.eye(N) - tau * op.matrix, rhs)
-    return g0col + v
+    return _solve_green(op, tau, g0_column(op, source_index))
 
 
 def green_matrix(op: DiscreteOperator, tau: float) -> np.ndarray:
     """All columns of the high-contrast Green function, G[i, j] = G(x_i, x_j)."""
-    G0 = g0_matrix(op)
-    if tau == 0:
-        return G0
-    check_resonance_proximity(op, 1.0 / tau)
-    N = op.matrix.shape[0]
-    rhs = tau * (op.matrix @ G0)
-    V = np.linalg.solve(np.eye(N) - tau * op.matrix, rhs)
-    return G0 + V
+    return _solve_green(op, tau, g0_matrix(op))
 
 
 def radiate(op: DiscreteOperator, interior_column: np.ndarray, x_ext, tau: float,

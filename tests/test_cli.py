@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from scipy.linalg import LinAlgWarning
 
+import resonat
 from resonat.cli import main
 
 BASE = {
@@ -116,6 +122,24 @@ class TestPsf:
         assert header == ["r", "value", "oracle_value"]
         assert (out / "psf_high_contrast.csv").exists()
 
+    def test_resonant_tau_exit_1(self, tmp_path, disk16, capsys):
+        _, _, op = disk16
+        lam = op.eigenvalues()
+        near_real = [l for l in lam
+                     if abs(l.imag) < 1e-8 * (1.0 + abs(l)) and l.real != 0]
+        assert near_real, "fixture spectrum lost its near-real eigenvalue"
+        tau = 1.0 / near_real[0].real
+        cfg = dict(BASE, domain={"shape": "disk", "radius": 1.0, "cells": 16},
+                   contrast={"tau": float(tau)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("psf", write_cfg(tmp_path, cfg), tmp_path / "o") == 1
+        assert not [w for w in caught if issubclass(w.category, LinAlgWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("resonat: ") and err.count("\n") == 1
+        assert "within tolerance of eigenvalue" in err
+        assert "Traceback" not in err
+
 
 class TestImage:
     CFG = dict(
@@ -185,3 +209,35 @@ class TestSweepSeparation:
         header, rows = read_rows(out / "sweep.csv")
         assert header == ["separation", "medium_tag", "localization_error", "success_flag"]
         assert rows[0][3] == "true"
+
+
+class TestThreads:
+    PROBE = """
+import ctypes, glob, os, pathlib
+import resonat
+import numpy
+print(os.environ["OPENBLAS_NUM_THREADS"])
+libs = pathlib.Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+count = -1
+for path in glob.glob(str(libs / "libscipy_openblas64_*.so")):
+    fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+    if fn is not None:
+        fn.restype = ctypes.c_int
+        count = fn()
+print(count)
+"""
+
+    def test_resonat_threads_caps_blas(self):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS", "GOTO_NUM_THREADS")}
+        env["RESONAT_THREADS"] = "1"
+        src = str(Path(resonat.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", self.PROBE], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        variable, count = res.stdout.split()
+        assert variable == "1"
+        if count != "-1":  # numpy's bundled OpenBLAS was reachable
+            assert count == "1"

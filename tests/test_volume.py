@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 from resonat import (
     ConstantProfile,
@@ -17,7 +20,13 @@ from resonat import (
 )
 from resonat.errors import InvalidArgumentError, ResonanceProximityError
 from resonat.grids import RefractiveProfile
-from resonat.volume import assemble_kd, g0_column, g0_matrix, radiate_matrix
+from resonat.volume import (
+    assemble_kd,
+    check_resonance_proximity,
+    g0_column,
+    g0_matrix,
+    radiate_matrix,
+)
 
 CTX2 = WaveContext(k=1.0, dim=2)
 
@@ -154,6 +163,91 @@ class TestDirectSolve:
         assert np.linalg.norm(col - alt) <= 1e-9 * np.linalg.norm(col)
 
 
+def dense_rule(M, z, tol=1e-8):
+    """The proximity rule on the full dense spectrum: (raises, nearest eigenvalue)."""
+    lam = np.linalg.eigvals(M)
+    d = np.abs(z - lam)
+    return bool(np.any(d < tol * (1.0 + np.abs(lam)))), lam[np.argmin(d)]
+
+
+def shift_invert_rule(op, z):
+    """(raises, reported eigenvalue) of check_resonance_proximity."""
+    try:
+        check_resonance_proximity(op, z)
+    except ResonanceProximityError as exc:
+        return True, exc.eigenvalue
+    return False, None
+
+
+def random_nonnormal(N, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    return X / np.sqrt(2 * N)
+
+
+class TestResonanceCheck:
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("which", ["outer", "inner"])
+    @pytest.mark.parametrize("N,seed", [(30, 1), (90, 2), (200, 3)])
+    def test_matches_dense_rule_random(self, N, seed, which, factor):
+        M = random_nonnormal(N, seed)
+        self._compare(operator_from_matrix(M), M, which, factor)
+
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("which", ["outer", "inner"])
+    def test_matches_dense_rule_disk(self, disk16, which, factor):
+        _, _, op = disk16
+        self._compare(op, op.matrix, which, factor)
+
+    @staticmethod
+    def _compare(op, M, which, factor):
+        lam = np.linalg.eigvals(M)
+        order = np.argsort(-np.abs(lam))
+        target = lam[order[0] if which == "outer" else order[len(order) // 3]]
+        z = target + factor * 1e-8 * (1.0 + abs(target)) * np.exp(0.7j)
+        expect, nearest = dense_rule(M, z)
+        got, reported = shift_invert_rule(op, z)
+        assert got == expect
+        if got:
+            assert abs(reported - nearest) <= 1e-10 * abs(nearest)
+
+    @pytest.mark.parametrize("M", [
+        np.array([[0.3]]),
+        np.array([[0.5, 1.0], [0.0, 0.25]]),
+        np.array([[0.2, -0.7j], [0.4, 0.1 + 0.3j]]),
+    ])
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 2.0])
+    def test_matches_dense_rule_tiny(self, M, factor):
+        op = operator_from_matrix(M)
+        for target in np.linalg.eigvals(M):
+            z = target + factor * 1e-8 * (1.0 + abs(target))
+            expect, nearest = dense_rule(M, z)
+            got, reported = shift_invert_rule(op, z)
+            assert got == expect
+            if got:
+                assert abs(reported - nearest) <= 1e-10 * abs(nearest)
+
+    def test_far_from_spectrum_passes(self):
+        op = operator_from_matrix(random_nonnormal(50, 4))
+        check_resonance_proximity(op, 3.0 + 1.0j)
+
+    def test_exactly_singular_raises_without_warning(self):
+        # I - 2 diag(0.5, 0.25) has an exactly zero pivot
+        op = operator_from_matrix(np.diag([0.5, 0.25]).astype(complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            with pytest.raises(ResonanceProximityError) as info:
+                check_resonance_proximity(op, 0.5)
+            with pytest.raises(ResonanceProximityError):
+                green_matrix(op, 2.0)
+        assert info.value.eigenvalue == 0.5
+
+    def test_zero_shift_rejected(self):
+        op = operator_from_matrix(np.diag([0.5, 0.25]).astype(complex))
+        with pytest.raises(InvalidArgumentError):
+            check_resonance_proximity(op, 0.0)
+
+
 class TestGreenMatrix:
     def test_tau_zero(self):
         _, _, op = small_op()
@@ -163,6 +257,18 @@ class TestGreenMatrix:
         _, _, op = small_op(cells=10)
         G = green_matrix(op, 3.0)
         assert np.linalg.norm(G - G.T) <= 1e-8 * np.linalg.norm(G)
+
+    def test_columns_are_slices_of_matrix(self):
+        _, _, op = small_op(cells=10)
+        tau = 3.0
+        G = green_matrix(op, tau)
+        N = op.matrix.shape[0]
+        for j in (0, 17, 40, N - 1):
+            col = solve_green_direct(op, tau, j)
+            assert np.linalg.norm(col - G[:, j]) <= 1e-13 * np.linalg.norm(G[:, j])
+        G0 = g0_matrix(op)
+        ref = G0 + np.linalg.solve(np.eye(N) - tau * op.matrix, tau * op.matrix @ G0)
+        assert np.linalg.norm(G - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_born_expansion_order(self):
         _, _, op = small_op(cells=10)
