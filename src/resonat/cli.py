@@ -1,9 +1,10 @@
 """Configuration-driven command line front end.
 
-Commands read a YAML scenario file, validate it (unknown keys rejected, module
-preconditions checked before any computation), run the pipeline, and write
-plot-ready CSV files plus a manifest.json that pins the config hash, library
-version, seed, and every tolerance used. Reruns with the same config are
+Commands read a YAML scenario file and turn it into a typed, default-filled
+config with read_config, which rejects unknown keys and malformed values
+before anything is computed. They then run the pipeline and write plot-ready
+CSV files plus a manifest.json that pins the config hash, library version,
+seed, and every tolerance used. Reruns with the same config are
 byte-identical.
 
 Exit codes: 0 success, 1 numeric/runtime failure, 2 configuration error.
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 numeric/runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -54,37 +56,91 @@ from .imaging import (
 from .io import config_hash, fmt, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import eigendecompose
-from .volume import assemble_kd, g0_column, solve_green_direct
+from .volume import RESONANCE_TOL, assemble_kd, g0_column, solve_green_direct
 
 
 class ConfigError(Exception):
     pass
 
 
-# allowed keys per section; nested dict means sub-schema
-_SCHEMA = {
-    "wave": {"k", "dim"},
-    "domain": {"shape", "radius", "cells"},
-    "profile": {"kind", "value", "center", "width", "peak"},
-    "contrast": {"tau", "sweep"},
-    "surface": {"radius", "points"},
-    "sources": None,                      # list, validated separately
-    "methods": {"time_reversal", "l2", "l1"},
-    "psf": {"x0", "direction"},
-    "hk": {"radii", "x", "y", "points"},
-    "separation": {"values", "media", "mu_rel", "axis_offset", "max_iters", "tol"},
-    "noise": {"level"},
-    "seed": None,
-}
-_METHOD_SCHEMA = {
-    "time_reversal": set(),
-    "l2": {"mode", "alpha", "delta", "delta_rel"},
-    "l1": {"mode", "mu", "mu_rel", "max_iters", "tol"},
-}
+REQUIRED = object()   # default of a key that must be given
+OPTIONAL = object()   # default of a sub-table that is left out when not given
 
-RESONANCE_TOL = 1e-8
-L1_DEFAULT_TOL = 1e-12
-L1_DEFAULT_MAX_ITERS = 30000
+
+def _float(value):
+    """a finite number"""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(out)
+    return out
+
+
+def _int(value):
+    """an integer"""
+    out = int(value)
+    if out != float(value):
+        raise ValueError(value)
+    return out
+
+
+def _vector(value):
+    """a list of wave.dim numbers"""
+    return tuple(_float(v) for v in value)
+
+
+def _complex(value):
+    """a [re, im] pair of numbers"""
+    re, im = value
+    return complex(_float(re), _float(im))
+
+
+def _zeros(cfg):
+    return (0.0,) * cfg["wave"]["dim"]
+
+
+# The config format. Each table maps key -> (kind, default). A kind is a
+# converter, a tuple of allowed names, a sub-table (dict), or [kind] for a
+# non-empty list of that kind. A key that is not given takes its default: a
+# function of the config read so far (sections are read in table order), None,
+# REQUIRED, OPTIONAL, or a value read as if it had been given.
+_L1_SOLVE = {"mu_rel": (_float, 0.02), "max_iters": (_int, 30000), "tol": (_float, 1e-12)}
+_TABLE = {
+    "wave": ({"k": (_float, 1.0), "dim": (_int, 2)}, {}),
+    "domain": ({"shape": (("disk", "ball"), lambda c: "disk" if c["wave"]["dim"] == 2 else "ball"),
+                "radius": (_float, 1.0),
+                "cells": (_int, 16)}, {}),
+    "profile": ({"kind": (("constant", "radial_bump"), "constant"),
+                 "value": (_float, 1.0),
+                 "center": (_vector, _zeros),
+                 "width": (_float, 0.5),
+                 "peak": (_float, 2.0)}, {}),
+    "contrast": ({"tau": (_float, 0.0)}, {}),
+    "surface": ({"radius": (_float, 100.0), "points": (_int, 64)}, {}),
+    "sources": ([{"location": (_vector, REQUIRED),
+                  "amplitude": (_complex, [1.0, 0.0])}], OPTIONAL),
+    "methods": ({"time_reversal": ({}, OPTIONAL),
+                 "l2": ({"mode": (str, "exact"),
+                         "alpha": (_float, None),
+                         "delta": (_float, None),
+                         "delta_rel": (_float, None)}, OPTIONAL),
+                 "l1": ({"mode": (str, "penalized"),
+                         "mu": (_float, None),
+                         **_L1_SOLVE}, OPTIONAL)}, {"time_reversal": {}}),
+    "psf": ({"x0": (_vector, _zeros),
+             "direction": (_vector, lambda c: (1.0,) + _zeros(c)[1:])}, {}),
+    "hk": ({"radii": ([_float], REQUIRED),
+            "x": (_vector, _zeros),
+            "y": (_vector, _zeros),
+            "points": (_int, 2000)}, OPTIONAL),
+    # the default axis offset is half a cell; cells < 2 is refused by the grid
+    "separation": ({"values": ([_float], REQUIRED),
+                    "media": ([("homogeneous", "high_contrast")], ["homogeneous", "high_contrast"]),
+                    "axis_offset": (_float, lambda c: c["domain"]["radius"]
+                                    / max(c["domain"]["cells"], 1)),
+                    **_L1_SOLVE}, OPTIONAL),
+    "noise": ({"level": (_float, 0.0)}, {}),
+    "seed": (_int, 0),
+}
 
 
 def load_config(path) -> dict:
@@ -100,105 +156,75 @@ def load_config(path) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict, required=()):
-    for key in cfg:
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key '{key}'")
-        sub = _SCHEMA[key]
-        if sub is not None and isinstance(cfg[key], dict):
-            for k2 in cfg[key]:
-                if k2 not in sub:
-                    raise ConfigError(f"unknown config key '{key}.{k2}'")
-    for key in required:
-        if key not in cfg:
-            raise ConfigError(f"missing required config section '{key}'")
-    if "methods" in cfg:
-        for name, params in (cfg["methods"] or {}).items():
-            if name not in _METHOD_SCHEMA:
-                raise ConfigError(f"unknown method '{name}'")
-            for k2 in (params or {}):
-                if k2 not in _METHOD_SCHEMA[name]:
-                    raise ConfigError(f"unknown config key 'methods.{name}.{k2}'")
-    if "sources" in cfg:
-        if not isinstance(cfg["sources"], list):
-            raise ConfigError("'sources' must be a list")
-        for i, s in enumerate(cfg["sources"]):
-            for k2 in s:
-                if k2 not in {"location", "amplitude"}:
-                    raise ConfigError(f"unknown config key 'sources[{i}].{k2}'")
-            if "location" not in s:
-                raise ConfigError(f"sources[{i}] needs a location")
+def _read(kind, value, path, cfg):
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{path}' must be a mapping, got {value!r}")
+        return _read_table(kind, value, path + ".", cfg, {})
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"'{path}' must be a non-empty list, got {value!r}")
+        return [_read(kind[0], v, f"{path}[{i}]", cfg) for i, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"'{path}' must be one of {', '.join(kind)}, got {value!r}")
+        return value
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{path}' must be {kind.__doc__}, got {value!r}") from None
+    if kind is _vector and len(out) != cfg["wave"]["dim"]:
+        raise ConfigError(f"'{path}' must have wave.dim = {cfg['wave']['dim']} components, "
+                          f"got {value!r}")
+    return out
 
 
-def _ctx(cfg) -> WaveContext:
-    w = cfg.get("wave", {})
-    return WaveContext(k=float(w.get("k", 1.0)), dim=int(w.get("dim", 2)))
+def _read_table(table, raw, prefix, cfg, out):
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+    for key, (kind, default) in table.items():
+        if key in raw:
+            out[key] = _read(kind, raw[key], prefix + key, cfg)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required config key '{prefix}{key}'")
+        elif default is not OPTIONAL:
+            value = default(cfg) if callable(default) else default
+            out[key] = None if value is None else _read(kind, value, prefix + key, cfg)
+    return out
 
 
-def _grid(cfg, ctx):
-    d = cfg["domain"]
-    shape = d.get("shape", "disk" if ctx.dim == 2 else "ball")
-    radius = float(d.get("radius", 1.0))
-    cells = int(d.get("cells", 16))
-    if shape == "disk":
-        return build_disk_grid(radius, cells, ctx)
-    if shape == "ball":
-        return build_ball_grid(radius, cells, ctx)
-    raise ConfigError(f"unknown domain shape '{shape}'")
+def read_config(raw: dict, required=()) -> dict:
+    """The typed, default-filled config of a YAML mapping; raises ConfigError.
+
+    `required` names the sections a command needs. A section that is not
+    given reads as empty, except hk, separation and sources, which are then
+    left out.
+    """
+    for name in required:
+        if name not in raw:
+            raise ConfigError(f"missing required config section '{name}'")
+    cfg = {}
+    return _read_table(_TABLE, raw, "", cfg, cfg)
 
 
-def _profile_spec(cfg):
-    p = cfg.get("profile", {"kind": "constant", "value": 1.0})
-    kind = p.get("kind", "constant")
-    if kind == "constant":
-        return ConstantProfile(float(p.get("value", 1.0)))
-    if kind == "radial_bump":
-        return RadialBumpProfile(center=tuple(p.get("center", (0.0, 0.0))),
-                                 width=float(p.get("width", 0.5)),
-                                 peak=float(p.get("peak", 2.0)))
-    raise ConfigError(f"unknown profile kind '{kind}'")
+def _operator(cfg):
+    ctx = WaveContext(**cfg["wave"])
+    d, p = cfg["domain"], cfg["profile"]
+    build_grid = build_disk_grid if d["shape"] == "disk" else build_ball_grid
+    grid = build_grid(d["radius"], d["cells"], ctx)
+    spec = (ConstantProfile(p["value"]) if p["kind"] == "constant" else
+            RadialBumpProfile(center=p["center"], width=p["width"], peak=p["peak"]))
+    return ctx, grid, assemble_kd(grid, sample_profile(grid, spec), ctx)
 
 
-def _surface(cfg, ctx):
-    s = cfg.get("surface", {})
-    return build_measurement_surface(float(s.get("radius", 100.0)),
-                                     int(s.get("points", 64)), ctx)
-
-
-def _operator(cfg, ctx):
-    grid = _grid(cfg, ctx)
-    profile = sample_profile(grid, _profile_spec(cfg))
-    return grid, profile, assemble_kd(grid, profile, ctx)
-
-
-def _sources(cfg) -> PointSources:
-    out = []
-    for s in cfg.get("sources", []):
-        loc = tuple(float(v) for v in s["location"])
-        amp = s.get("amplitude", [1.0, 0.0])
-        out.append((loc, complex(float(amp[0]), float(amp[1]))))
-    return PointSources(tuple(out))
-
-
-def _manifest(cfg, command, extra=None):
-    man = {
-        "command": command,
-        "config_hash": config_hash(cfg),
-        "version": __version__,
-        "seed": int(cfg.get("seed", 0)),
-        "tolerances": {
-            "resonance_proximity": RESONANCE_TOL,
-            "l1_tol": L1_DEFAULT_TOL,
-        },
-    }
-    if extra:
-        man.update(extra)
-    return man
+def _relative_mu(mu_rel, fmap, data):
+    """The L1 weight mu_rel * max|A^H u|; at mu_rel = 1 the solution is zero."""
+    return mu_rel * float(np.max(np.abs(fmap.matrix.conj().T @ data.values)))
 
 
 def cmd_spectrum(cfg, out: Path):
-    ctx = _ctx(cfg)
-    _, _, op = _operator(cfg, ctx)
+    _, _, op = _operator(cfg)
     sys_ = eigendecompose(op)
     rows = []
     for pos, idx in enumerate(sys_.indices):
@@ -207,16 +233,12 @@ def cmd_spectrum(cfg, out: Path):
         rows.append((idx.j, idx.l, idx.k, float(lam.real), float(lam.imag), length))
     write_csv(out / "spectrum.csv",
               ["j", "l", "k", "re", "im", "chain_len"], rows)
-    write_json(out / "manifest.json",
-               _manifest(cfg, "spectrum", {"n_modes": sys_.size,
-                                           "cluster_tol": sys_.cluster_tol,
-                                           "warnings": sys_.warnings}))
+    return {"n_modes": sys_.size, "cluster_tol": sys_.cluster_tol, "warnings": sys_.warnings}
 
 
 def cmd_expand(cfg, out: Path):
-    ctx = _ctx(cfg)
-    _, _, op = _operator(cfg, ctx)
-    tau = float(cfg.get("contrast", {}).get("tau", 0.0))
+    _, _, op = _operator(cfg)
+    tau = cfg["contrast"]["tau"]
     sys_ = eigendecompose(op)
     co = beta_expansion(sys_, op, tau)
     for name, mat in (("alpha", co.alpha), ("beta", co.beta)):
@@ -227,28 +249,24 @@ def cmd_expand(cfg, out: Path):
         write_csv(out / f"{name}.csv", ["gamma_row", "gamma_col", "re", "im"], rows)
     curve = truncation_error_curve(co, sys_, op, tau, basis="alpha")
     write_csv(out / "truncation_curve.csv", ["rank", "rel_error"], curve)
-    extra = {
+    return {
         "tau": tau,
         "coefficient_mass": float(np.sum(np.abs(co.alpha) ** 2)),
         "oracle_rel_error_alpha": expansion_oracle_error(co, sys_, op, tau, "alpha"),
         "oracle_rel_error_beta": expansion_oracle_error(co, sys_, op, tau, "beta"),
     }
-    write_json(out / "manifest.json", _manifest(cfg, "expand", extra))
 
 
 def cmd_psf(cfg, out: Path):
-    ctx = _ctx(cfg)
-    grid, _, op = _operator(cfg, ctx)
-    p = cfg.get("psf", {})
-    x0 = p.get("x0", [0.0] * ctx.dim)
-    direction = p.get("direction", [1.0] + [0.0] * (ctx.dim - 1))
-    x0_index = grid.nearest_index(x0)
+    ctx, grid, op = _operator(cfg)
+    direction = cfg["psf"]["direction"]
+    x0_index = grid.nearest_index(cfg["psf"]["x0"])
     hom = GreenField(values=g0_column(op, x0_index), tau=0.0, includes_free_part=True)
     prof_h = psf_profile(hom, grid, x0_index, direction)
     oracle = im_g0_from_distance(np.abs(prof_h.radii), ctx)
     write_csv(out / "psf_homogeneous.csv", ["r", "value", "oracle_value"],
               list(zip(prof_h.radii, prof_h.values, np.atleast_1d(oracle))))
-    tau = float(cfg.get("contrast", {}).get("tau", 0.0))
+    tau = cfg["contrast"]["tau"]
     report = {"fwhm_homogeneous": prof_h.fwhm, "tau": tau}
     if tau != 0.0:
         col = solve_green_direct(op, tau, x0_index)
@@ -261,7 +279,7 @@ def cmd_psf(cfg, out: Path):
         if prof_c.fwhm is not None and prof_h.fwhm:
             report["ratio"] = prof_c.fwhm / prof_h.fwhm
     write_json(out / "fwhm_report.json", report)
-    write_json(out / "manifest.json", _manifest(cfg, "psf", {"x0_index": x0_index}))
+    return {"x0_index": x0_index}
 
 
 def _result_rows(values):
@@ -270,42 +288,26 @@ def _result_rows(values):
 
 
 def cmd_image(cfg, out: Path):
-    ctx = _ctx(cfg)
-    grid, _, op = _operator(cfg, ctx)
-    surface = _surface(cfg, ctx)
-    tau = float(cfg.get("contrast", {}).get("tau", 0.0))
+    ctx, grid, op = _operator(cfg)
+    surface = build_measurement_surface(cfg["surface"]["radius"], cfg["surface"]["points"], ctx)
+    tau, seed, noise = cfg["contrast"]["tau"], cfg["seed"], cfg["noise"]["level"]
     fmap = build_forward_map(grid, surface, ctx, tau=tau, op=op if tau else None)
-    sources = _sources(cfg)
-    if not sources.sources:
-        raise ConfigError("'image' needs at least one source")
-    seed = int(cfg.get("seed", 0))
-    noise = float(cfg.get("noise", {}).get("level", 0.0))
+    sources = PointSources(tuple((s["location"], s["amplitude"]) for s in cfg["sources"]))
     data = synthesize_data(fmap, sources, noise, seed)
-    methods = cfg.get("methods", {"time_reversal": {}})
     metrics = {"noise_level": noise, "seed": seed, "tau": tau,
                "noise_norm": data.noise_norm, "methods": {}}
-    for name, params in methods.items():
-        params = params or {}
+    for name, p in cfg["methods"].items():
         if name == "time_reversal":
             res = time_reversal(data, fmap)
         elif name == "l2":
-            mode = params.get("mode", "exact")
-            delta = params.get("delta")
-            if delta is None and "delta_rel" in params:
-                delta = float(params["delta_rel"]) * float(np.linalg.norm(data.values) ** 2)
-            res = l2_minimum_norm(fmap, data, mode=mode,
-                                  alpha=params.get("alpha"), delta=delta)
-        elif name == "l1":
-            mu = params.get("mu")
-            if mu is None:
-                mu_rel = float(params.get("mu_rel", 0.02))
-                mu = mu_rel * float(np.max(np.abs(fmap.matrix.conj().T @ data.values)))
-            res = l1_reconstruct(fmap, data, mu=float(mu),
-                                 mode=params.get("mode", "penalized"),
-                                 max_iters=int(params.get("max_iters", L1_DEFAULT_MAX_ITERS)),
-                                 tol=float(params.get("tol", L1_DEFAULT_TOL)))
-        else:  # pragma: no cover - schema rejects this earlier
-            raise ConfigError(f"unknown method '{name}'")
+            delta = p["delta"]
+            if delta is None and p["delta_rel"] is not None:
+                delta = p["delta_rel"] * float(np.linalg.norm(data.values) ** 2)
+            res = l2_minimum_norm(fmap, data, mode=p["mode"], alpha=p["alpha"], delta=delta)
+        else:
+            mu = p["mu"] if p["mu"] is not None else _relative_mu(p["mu_rel"], fmap, data)
+            res = l1_reconstruct(fmap, data, mu=mu, mode=p["mode"],
+                                 max_iters=p["max_iters"], tol=p["tol"])
         write_csv(out / f"result_{name}.csv", ["index", "re", "im", "magnitude"],
                   _result_rows(res.values))
         met = resolution_metrics(res, sources, grid)
@@ -316,67 +318,50 @@ def cmd_image(cfg, out: Path):
         entry["separation"] = met.separation if np.isfinite(met.separation) else None
         metrics["methods"][name] = entry
     write_json(out / "metrics.json", metrics)
-    write_json(out / "manifest.json", _manifest(cfg, "image"))
+    if "l1" in cfg["methods"]:
+        return {"tolerances": {"l1_tol": cfg["methods"]["l1"]["tol"]}}
+    return {}
 
 
 def cmd_hk_check(cfg, out: Path):
-    ctx = _ctx(cfg)
-    hk = cfg.get("hk", {})
-    radii = hk.get("radii")
-    if not radii:
-        raise ConfigError("'hk.radii' must be a non-empty list")
-    x = np.asarray(hk.get("x", [0.0] * ctx.dim), dtype=float)
-    y = np.asarray(hk.get("y", [0.0] * ctx.dim), dtype=float)
-    m = int(hk.get("points", 2000))
+    ctx = WaveContext(**cfg["wave"])
+    hk = cfg["hk"]
     rows = []
     prev = None
-    for R in radii:
-        surf = build_measurement_surface(float(R), m, ctx)
-        resid = homogeneous_hk_residual(surf, x, y, ctx)
+    for R in hk["radii"]:
+        surf = build_measurement_surface(R, hk["points"], ctx)
+        resid = homogeneous_hk_residual(surf, hk["x"], hk["y"], ctx)
         ratio = "" if prev is None else fmt(resid / prev)
-        rows.append((float(R), resid, ratio))
+        rows.append((R, resid, ratio))
         prev = resid
     write_csv(out / "hk.csv", ["R", "residual", "ratio"], rows)
-    write_json(out / "manifest.json", _manifest(cfg, "hk-check", {"m": m}))
+    return {"m": hk["points"]}
 
 
 def cmd_sweep_separation(cfg, out: Path):
-    ctx = _ctx(cfg)
-    grid, _, op = _operator(cfg, ctx)
-    surface = _surface(cfg, ctx)
-    sep_cfg = cfg.get("separation", {})
-    values = sep_cfg.get("values")
-    if not values:
-        raise ConfigError("'separation.values' must be a non-empty list")
-    media = sep_cfg.get("media", ["homogeneous", "high_contrast"])
-    tau = float(cfg.get("contrast", {}).get("tau", 0.0))
-    mu_rel = float(sep_cfg.get("mu_rel", 0.02))
-    max_iters = int(sep_cfg.get("max_iters", L1_DEFAULT_MAX_ITERS))
-    tol = float(sep_cfg.get("tol", L1_DEFAULT_TOL))
-    offset = float(sep_cfg.get("axis_offset", grid.cell_size / 2))
-    seed = int(cfg.get("seed", 0))
-    noise = float(cfg.get("noise", {}).get("level", 0.0))
+    ctx, grid, op = _operator(cfg)
+    surface = build_measurement_surface(cfg["surface"]["radius"], cfg["surface"]["points"], ctx)
+    sep = cfg["separation"]
+    tau, seed, noise = cfg["contrast"]["tau"], cfg["seed"], cfg["noise"]["level"]
+    offset = sep["axis_offset"]
     rows = []
-    for medium in media:
+    for medium in sep["media"]:
         t = 0.0 if medium == "homogeneous" else tau
-        if medium not in ("homogeneous", "high_contrast"):
-            raise ConfigError(f"unknown medium '{medium}'")
         fmap = build_forward_map(grid, surface, ctx, tau=t, op=op if t else None)
-        for sep in values:
-            sep = float(sep)
-            a = grid.points[grid.nearest_index([-sep / 2, offset][: ctx.dim])]
-            b = grid.points[grid.nearest_index([+sep / 2, offset][: ctx.dim])]
+        for s in sep["values"]:
+            a = grid.points[grid.nearest_index([-s / 2, offset][: ctx.dim])]
+            b = grid.points[grid.nearest_index([+s / 2, offset][: ctx.dim])]
             src = PointSources(((tuple(a), 1.0 + 0.0j), (tuple(b), 1.0 + 0.0j)))
             data = synthesize_data(fmap, src, noise, seed)
-            mu = mu_rel * float(np.max(np.abs(fmap.matrix.conj().T @ data.values)))
-            res = l1_reconstruct(fmap, data, mu=mu, max_iters=max_iters, tol=tol)
+            res = l1_reconstruct(fmap, data, mu=_relative_mu(sep["mu_rel"], fmap, data),
+                                 max_iters=sep["max_iters"], tol=sep["tol"])
             met = resolution_metrics(res, src, grid)
             err = max(met.localization_errors) if met.localization_errors else float("inf")
             success = (not met.empty) and err <= grid.cell_size * (1 + 1e-9)
-            rows.append((sep, medium, err, success))
+            rows.append((s, medium, err, success))
     write_csv(out / "sweep.csv",
               ["separation", "medium_tag", "localization_error", "success_flag"], rows)
-    write_json(out / "manifest.json", _manifest(cfg, "sweep-separation"))
+    return {"tolerances": {"l1_tol": sep["tol"]}}
 
 
 _COMMANDS = {
@@ -398,11 +383,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     func, required = _COMMANDS[args.command]
     try:
-        cfg = load_config(args.config)
-        validate_config(cfg, required)
+        raw = load_config(args.config)
+        cfg = read_config(raw, required)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        func(cfg, out)
+        # each command returns its own manifest fields, tolerances included
+        extra = func(cfg, out)
+        tolerances = {"resonance_proximity": RESONANCE_TOL, **extra.pop("tolerances", {})}
+        write_json(out / "manifest.json",
+                   {"command": args.command, "config_hash": config_hash(raw),
+                    "version": __version__, "seed": cfg["seed"], "tolerances": tolerances,
+                    **extra})
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"resonat: config error: {exc}", file=sys.stderr)
         return 2

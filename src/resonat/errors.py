@@ -28,4 +28,5 @@ class DiscrepancyInfeasibleError(RuntimeError):
 
 
 class NumericFailureError(RuntimeError):
-    """A dense linear-algebra routine failed to converge."""
+    """A dense linear-algebra routine failed to converge, or its matrices
+    cannot fit in memory."""

@@ -209,18 +209,12 @@ def synthetic_jordan_system(chain_spec: Sequence[Tuple[complex, int]],
             indices.append(ChainIndex(j=j, l=l, k=k))
             pos += 1
 
-    T = np.zeros((total, total), dtype=complex)
-    for pos, idx in enumerate(indices):
-        T[pos, pos] = lambdas[pos]
-        if idx.k > 1:
-            T[pos - 1, pos] = 1.0
-    M = V @ T @ np.linalg.inv(V)
-    op = operator_from_matrix(M, weights=w)
     E, A, B = _weighted_qr(V, w)
     sys = SpectralSystem(lambdas=lambdas, indices=indices, chains=chains, U=V,
                          E=E, A=A, B=B, weights=w, cluster_tol=1e-12,
                          warnings=[])
-    return op, sys
+    M = V @ sys.chain_matrix() @ np.linalg.inv(V)
+    return operator_from_matrix(M, weights=w), sys
 
 
 def verify_resonant_mode(sys: SpectralSystem, op: DiscreteOperator,
@@ -260,13 +254,7 @@ def dominant_spatial_frequency(op: DiscreteOperator, values: np.ndarray):
 def build_h_matrix(sys: SpectralSystem) -> CoefficientMatrix:
     """Representation of the operator in the mode basis:
     h = lambda on the chain diagonal, 1 on the (k, k-1) chain subentry."""
-    N = sys.size
-    H = np.zeros((N, N), dtype=complex)
-    for pos, idx in enumerate(sys.indices):
-        H[pos, pos] = sys.lambdas[pos]
-        if idx.k > 1:
-            H[pos, pos - 1] = 1.0
-    return CoefficientMatrix(entries=H, kind="H")
+    return CoefficientMatrix(entries=sys.chain_matrix().T, kind="H")
 
 
 def resolvent_chain_coefficients(lam: complex, chain_len: int, z: complex) -> np.ndarray:

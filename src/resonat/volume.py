@@ -13,20 +13,23 @@ direct solver and by the expansion module.
 
 from __future__ import annotations
 
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.special import hankel1
 
-from .errors import InvalidArgumentError, ResonanceProximityError
+from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
 from .grids import DomainGrid, RefractiveProfile, WaveContext
 from .kernels import g0_from_distance
 
 # Arnoldi steps of the resonance check; the nearest eigenvalues converge first
 ARNOLDI_STEPS = 20
+# relative distance from 1/tau to an eigenvalue below which a solve is refused
+RESONANCE_TOL = 1e-8
 
 
 @dataclass
@@ -38,7 +41,6 @@ class DiscreteOperator:
     profile: RefractiveProfile
     ctx: WaveContext
     diagonal_rule: str = "equal_measure"
-    _eigenvalues: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n(self) -> np.ndarray:
@@ -47,11 +49,6 @@ class DiscreteOperator:
     @property
     def weights(self) -> np.ndarray:
         return self.grid.weights
-
-    def eigenvalues(self) -> np.ndarray:
-        if self._eigenvalues is None:
-            self._eigenvalues = np.linalg.eigvals(self.matrix)
-        return self._eigenvalues
 
 
 def _diag_kernel_integral(w: float, ctx: WaveContext) -> complex:
@@ -67,9 +64,20 @@ def _diag_kernel_integral(w: float, ctx: WaveContext) -> complex:
 
 
 def assemble_kd(grid: DomainGrid, profile: RefractiveProfile, ctx: WaveContext) -> DiscreteOperator:
-    """Assemble the dense N x N matrix of the volume operator."""
+    """Assemble the dense N x N matrix of the volume operator.
+
+    Refuses an N whose working set, the N x N x dim difference array plus the
+    complex matrix, is larger than physical memory.
+    """
     if profile.values.shape[0] != grid.n_points:
         raise InvalidArgumentError("grid and profile sizes do not match")
+    N = grid.n_points
+    need = (8 * grid.dim + 16) * N**2
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise NumericFailureError(f"dense operator of size N={N} needs at least "
+                                  f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB "
+                                  "of physical memory")
     pts = grid.points
     diff = pts[:, None, :] - pts[None, :, :]
     r = np.linalg.norm(diff, axis=2)
@@ -169,7 +177,7 @@ def _dominant_ritz_values(lu) -> np.ndarray:
     return np.linalg.eigvals(H[:m, :m])
 
 
-def check_resonance_proximity(op: DiscreteOperator, z: complex, tol: Optional[float] = None,
+def check_resonance_proximity(op: DiscreteOperator, z: complex, tol: float = RESONANCE_TOL,
                               lu=None):
     """Raise if z lies within tolerance of the spectrum of the matrix.
 
@@ -181,7 +189,6 @@ def check_resonance_proximity(op: DiscreteOperator, z: complex, tol: Optional[fl
     """
     if z == 0:
         raise InvalidArgumentError("resonance check needs a nonzero z = 1/tau")
-    tol = tol if tol is not None else 1e-8
     lu = _factor(op, 1.0 / z) if lu is None else lu
     if not np.all(np.diagonal(lu[0])):  # I - M/z is singular: z itself is an eigenvalue
         raise ResonanceProximityError(z, z)

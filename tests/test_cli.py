@@ -11,7 +11,7 @@ import yaml
 from scipy.linalg import LinAlgWarning
 
 import resonat
-from resonat.cli import main
+from resonat.cli import _COMMANDS, main, read_config
 
 BASE = {
     "wave": {"k": 1.0, "dim": 2},
@@ -30,6 +30,26 @@ def write_cfg(tmp_path, cfg, name="cfg.yaml"):
 
 def run(command, cfg_path, out):
     return main([command, "--config", cfg_path, "--out", str(out)])
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# (command, sections replacing those of its base config); each must exit 2
+MALFORMED = {
+    "cells_not_int": ("spectrum", {"domain": {"shape": "disk", "radius": 1.0, "cells": "abc"}}),
+    "domain_list": ("spectrum", {"domain": [1, 2]}),
+    "empty_wave": ("spectrum", {"wave": None}),
+    "empty_methods": ("image", {"methods": None}),
+    "seed_not_int": ("spectrum", {"seed": "abc"}),
+    "center_scalar": ("spectrum", {"profile": {"kind": "radial_bump", "center": 3}}),
+    "max_iters_not_int": ("image", {"methods": {"l1": {"max_iters": "lots"}}}),
+    "source_3d_in_2d": ("image", {"sources": [{"location": [0.2, -0.1, 0.0]}]}),
+    "tau_nan": ("expand", {"contrast": {"tau": float("nan")}}),
+    "tau_inf": ("expand", {"contrast": {"tau": float("inf")}}),
+    "contrast_sweep": ("spectrum", {"contrast": {"tau": 3.0, "sweep": [1.0, 2.0]}}),
+    "vacuum_medium": ("sweep-separation",
+                      {"separation": {"values": [0.5], "media": ["homogeneous", "vacuum"]}}),
+}
 
 
 def read_rows(path):
@@ -57,6 +77,26 @@ class TestConfigValidation:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("spectrum", str(tmp_path / "nope.yaml"), tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_exit_2_before_output(self, tmp_path, capsys, case):
+        command, sections = MALFORMED[case]
+        base = BASE if command in ("spectrum", "expand") else TestImage.CFG
+        out = tmp_path / "o"
+        assert run(command, write_cfg(tmp_path, dict(base, **sections)), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resonat: config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_shipped_scenarios_read(self):
+        for path in sorted(SCENARIOS.glob("*.yaml")):
+            raw = yaml.safe_load(path.read_text())
+            readers = [required for _, required in _COMMANDS.values()
+                       if set(required) <= set(raw)]
+            assert readers, path.name
+            for required in readers:
+                read_config(raw, required)
+
 
 class TestSpectrum:
     def test_outputs(self, tmp_path):
@@ -68,6 +108,21 @@ class TestSpectrum:
         assert len(rows) == man["n_modes"]
         mods = [abs(complex(float(r[3]), float(r[4]))) for r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(mods, mods[1:]))
+
+    def test_radial_bump_3d_default_center(self, tmp_path):
+        cfg = {"wave": {"k": 1.0, "dim": 3},
+               "domain": {"shape": "ball", "radius": 1.0, "cells": 6},
+               "profile": {"kind": "radial_bump", "width": 0.5, "peak": 2.0}}
+        assert run("spectrum", write_cfg(tmp_path, cfg), tmp_path / "out") == 0
+
+    def test_dense_size_beyond_memory_exit_1(self, tmp_path, capsys):
+        # N ~ 268 k: the dense working set is at least 40 N^2 bytes, about 2.9 TB
+        cfg = {"wave": {"k": 1.0, "dim": 3},
+               "domain": {"shape": "ball", "radius": 1.0, "cells": 80}}
+        assert run("spectrum", write_cfg(tmp_path, cfg), tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("resonat: ") and err.count("\n") == 1
+        assert "N=268" in err and "GB" in err
 
     def test_tau_independent(self, tmp_path):
         cfg = {k: v for k, v in BASE.items() if k != "contrast"}
@@ -98,7 +153,7 @@ class TestExpand:
 
     def test_resonant_tau_exit_1(self, tmp_path, disk16):
         _, _, op = disk16
-        lam = op.eigenvalues()
+        lam = np.linalg.eigvals(op.matrix)
         near_real = [l for l in lam
                      if abs(l.imag) < 1e-8 * (1.0 + abs(l)) and l.real != 0]
         assert near_real, "fixture spectrum lost its near-real eigenvalue"
@@ -124,7 +179,7 @@ class TestPsf:
 
     def test_resonant_tau_exit_1(self, tmp_path, disk16, capsys):
         _, _, op = disk16
-        lam = op.eigenvalues()
+        lam = np.linalg.eigvals(op.matrix)
         near_real = [l for l in lam
                      if abs(l.imag) < 1e-8 * (1.0 + abs(l)) and l.real != 0]
         assert near_real, "fixture spectrum lost its near-real eigenvalue"
@@ -162,6 +217,15 @@ class TestImage:
     def test_morozov_infeasible_exit_1(self, tmp_path):
         cfg = dict(self.CFG, methods={"l2": {"mode": "morozov", "delta": 1e9}})
         assert run("image", write_cfg(tmp_path, cfg), tmp_path / "o") == 1
+
+    def test_manifest_records_l1_tol_used(self, tmp_path):
+        cfg = dict(self.CFG, methods={"l1": {"tol": 1e-9, "max_iters": 500}})
+        assert run("image", write_cfg(tmp_path, cfg), tmp_path / "l1") == 0
+        man = json.loads((tmp_path / "l1" / "manifest.json").read_text())
+        assert man["tolerances"]["l1_tol"] == 1e-9
+        assert run("image", write_cfg(tmp_path, self.CFG), tmp_path / "tr") == 0
+        man = json.loads((tmp_path / "tr" / "manifest.json").read_text())
+        assert "l1_tol" not in man["tolerances"]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = dict(self.CFG, noise={"level": 0.05}, seed=5)
