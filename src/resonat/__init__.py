@@ -31,7 +31,6 @@ from .volume import (
     assemble_kd,
     green_matrix,
     operator_from_matrix,
-    radiate,
     singular_values,
     solve_green_direct,
 )

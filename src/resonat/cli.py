@@ -56,7 +56,7 @@ from .imaging import (
 from .io import config_hash, fmt, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import eigendecompose
-from .volume import RESONANCE_TOL, assemble_kd, g0_column, solve_green_direct
+from .volume import RESONANCE_TOL, assemble_kd, g0_matrix, green_matrix, solve_green_direct
 
 
 class ConfigError(Exception):
@@ -150,7 +150,11 @@ def load_config(path) -> dict:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}")
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        # PyYAML's own message spans several lines; a config error is one line
+        detail = (f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
+                  if mark and problem else " ".join(str(exc).split()))
+        raise ConfigError(f"config is not valid YAML: {detail}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     return cfg
@@ -247,13 +251,15 @@ def cmd_expand(cfg, out: Path):
         rows = [(i, j, float(mat[i, j].real), float(mat[i, j].imag))
                 for i in range(mat.shape[0]) for j in range(mat.shape[1])]
         write_csv(out / f"{name}.csv", ["gamma_row", "gamma_col", "re", "im"], rows)
-    curve = truncation_error_curve(co, sys_, op, tau, basis="alpha")
+    # solved after the writers, so that the N x N result is not alive at their peak
+    direct = green_matrix(op, tau)
+    curve = truncation_error_curve(co, sys_, op, direct, basis="alpha")
     write_csv(out / "truncation_curve.csv", ["rank", "rel_error"], curve)
     return {
         "tau": tau,
         "coefficient_mass": float(np.sum(np.abs(co.alpha) ** 2)),
-        "oracle_rel_error_alpha": expansion_oracle_error(co, sys_, op, tau, "alpha"),
-        "oracle_rel_error_beta": expansion_oracle_error(co, sys_, op, tau, "beta"),
+        "oracle_rel_error_alpha": expansion_oracle_error(co, sys_, op, direct, "alpha"),
+        "oracle_rel_error_beta": expansion_oracle_error(co, sys_, op, direct, "beta"),
     }
 
 
@@ -261,7 +267,7 @@ def cmd_psf(cfg, out: Path):
     ctx, grid, op = _operator(cfg)
     direction = cfg["psf"]["direction"]
     x0_index = grid.nearest_index(cfg["psf"]["x0"])
-    hom = GreenField(values=g0_column(op, x0_index), tau=0.0, includes_free_part=True)
+    hom = GreenField(values=g0_matrix(op, x0_index), tau=0.0, includes_free_part=True)
     prof_h = psf_profile(hom, grid, x0_index, direction)
     oracle = im_g0_from_distance(np.abs(prof_h.radii), ctx)
     write_csv(out / "psf_homogeneous.csv", ["r", "value", "oracle_value"],
@@ -344,7 +350,7 @@ def cmd_sweep_separation(cfg, out: Path):
     sep = cfg["separation"]
     tau, seed, noise = cfg["contrast"]["tau"], cfg["seed"], cfg["noise"]["level"]
     offset = sep["axis_offset"]
-    rows = []
+    rows, solves = [], []
     for medium in sep["media"]:
         t = 0.0 if medium == "homogeneous" else tau
         fmap = build_forward_map(grid, surface, ctx, tau=t, op=op if t else None)
@@ -359,9 +365,12 @@ def cmd_sweep_separation(cfg, out: Path):
             err = max(met.localization_errors) if met.localization_errors else float("inf")
             success = (not met.empty) and err <= grid.cell_size * (1 + 1e-9)
             rows.append((s, medium, err, success))
+            solves.append({"separation": s, "medium": medium,
+                           "iterations": res.metadata["iterations"],
+                           "converged": res.metadata["converged"]})
     write_csv(out / "sweep.csv",
               ["separation", "medium_tag", "localization_error", "success_flag"], rows)
-    return {"tolerances": {"l1_tol": sep["tol"]}}
+    return {"tolerances": {"l1_tol": sep["tol"]}, "l1_solves": solves}
 
 
 _COMMANDS = {

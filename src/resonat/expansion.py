@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .grids import DomainGrid
 from .spectral import SpectralSystem, build_d_matrix, build_h_matrix, build_r_matrix
-from .volume import DiscreteOperator, g0_matrix, green_matrix
+from .volume import DiscreteOperator, g0_matrix
 
 
 @dataclass(frozen=True)
@@ -119,25 +119,23 @@ def reconstruct_green(coeffs: ExpansionCoefficients, sys: SpectralSystem,
 
 
 def expansion_oracle_error(coeffs: ExpansionCoefficients, sys: SpectralSystem,
-                           op: DiscreteOperator, tau: float, basis: str = "alpha") -> float:
+                           op: DiscreteOperator, direct: np.ndarray,
+                           basis: str = "alpha") -> float:
     """Relative weighted-Frobenius error of the full-rank reconstruction
-    against the dense direct solve."""
+    against the field it expands: the dense direct solve green_matrix(op, tau),
+    or g0_matrix(op) for the homogeneous expansion."""
     w = op.weights
-    if coeffs.includes_free_part:
-        target = g0_matrix(op)
-    else:
-        target = green_matrix(op, tau)
     rec = reconstruct_green(coeffs, sys, op, sys.size, basis=basis)
-    return weighted_frobenius(rec.values - target, w) / weighted_frobenius(target, w)
+    return weighted_frobenius(rec.values - direct, w) / weighted_frobenius(direct, w)
 
 
 def truncation_error_curve(coeffs: ExpansionCoefficients, sys: SpectralSystem,
-                           op: DiscreteOperator, tau: float,
+                           op: DiscreteOperator, direct: np.ndarray,
                            ranks: Optional[Sequence[int]] = None,
                            basis: str = "alpha") -> List[Tuple[int, float]]:
-    """Relative L2(D x D) error of the partial sums against the direct solve."""
+    """Relative L2(D x D) error of the partial sums against the direct solve
+    `direct` = green_matrix(op, tau)."""
     w = op.weights
-    direct = green_matrix(op, tau)
     diff = direct - g0_matrix(op)
     denom = weighted_frobenius(diff, w)
     N = sys.size

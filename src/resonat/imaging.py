@@ -34,11 +34,11 @@ class PointSources:
 class ForwardMap:
     """Discretized map from grid densities to far-field samples.
 
-    ``kernel`` holds G(z_m, x_j); ``matrix`` folds in the domain quadrature
-    weights so that u = matrix @ f approximates the volume integral.
+    ``kernel`` holds G(z_m, x_j); ``matrix``, formed from it on each access,
+    folds in the domain quadrature weights so that u = matrix @ f approximates
+    the volume integral.
     """
 
-    matrix: np.ndarray
     kernel: np.ndarray
     grid: DomainGrid
     surface: MeasurementSurface
@@ -46,6 +46,10 @@ class ForwardMap:
     medium_tag: str
     tau: float = 0.0
     interior_green: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.kernel * self.grid.weights[None, :]
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,8 @@ def build_forward_map(grid: DomainGrid, surface: MeasurementSurface,
         interior = green_matrix(op, tau)
         K = radiate_matrix(op, surface.points, tau, interior)
         tag = f"high_contrast(tau={tau})"
-    return ForwardMap(matrix=K * grid.weights[None, :], kernel=K, grid=grid,
-                      surface=surface, ctx=ctx, medium_tag=tag, tau=tau,
-                      interior_green=interior)
+    return ForwardMap(kernel=K, grid=grid, surface=surface, ctx=ctx, medium_tag=tag,
+                      tau=tau, interior_green=interior)
 
 
 def synthesize_data(fmap: ForwardMap, source, noise_level: float = 0.0,
@@ -249,12 +252,13 @@ def l1_reconstruct(fmap: ForwardMap, data: MeasurementData, mu: float,
     ("penalized") or its normal-equation form A^H A ("normal_equation")."""
     if mu <= 0:
         raise InvalidArgumentError("mu must be positive")
+    W = fmap.matrix
     if mode == "penalized":
-        A = fmap.matrix
+        A = W
         u = data.values
     elif mode == "normal_equation":
-        A = fmap.matrix.conj().T @ fmap.matrix
-        u = fmap.matrix.conj().T @ data.values
+        A = W.conj().T @ W
+        u = W.conj().T @ data.values
     else:
         raise InvalidArgumentError(f"unknown l1 mode {mode!r}")
     L = float(np.linalg.norm(A, 2) ** 2)
@@ -279,7 +283,7 @@ def l1_reconstruct(fmap: ForwardMap, data: MeasurementData, mu: float,
             converged = True
             break
         obj_prev = obj
-    final_resid = float(np.linalg.norm(fmap.matrix @ g - data.values))
+    final_resid = float(np.linalg.norm(W @ g - data.values))
     support = np.nonzero(np.abs(g) > 0)[0]
     return ImagingResult(values=g, method=f"l1_min({mode}, mu={mu})",
                          metadata={"mu": float(mu), "iterations": iters,

@@ -119,19 +119,14 @@ def apply_kd(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     return op.matrix @ f
 
 
-def g0_column(op: DiscreteOperator, source_index: int) -> np.ndarray:
-    """Samples of g0(., x_j) on the grid, diagonal entry cell-averaged.
+def g0_matrix(op: DiscreteOperator, columns=slice(None)) -> np.ndarray:
+    """Columns of G0[i, j] = g0(x_i, x_j), diagonal entry cell-averaged.
 
-    Defined through the operator column so that the singular-cell rule is
-    applied consistently: g0col = -M[:, j] / (n_j w_j).
+    Defined through the operator columns so that the singular-cell rule is
+    applied consistently: G0[:, j] = -M[:, j] / (n_j w_j). `columns` indexes
+    the grid nodes; an integer gives one column as a vector.
     """
-    j = int(source_index)
-    return -op.matrix[:, j] / (op.n[j] * op.weights[j])
-
-
-def g0_matrix(op: DiscreteOperator) -> np.ndarray:
-    """All g0 columns at once: G0[i, j] = g0(x_i, x_j) with averaged diagonal."""
-    return -op.matrix / (op.n * op.weights)[None, :]
+    return -op.matrix[:, columns] / (op.n * op.weights)[columns]
 
 
 def _factor(op: DiscreteOperator, tau: float):
@@ -218,7 +213,7 @@ def solve_green_direct(op: DiscreteOperator, tau: float, source_index: int) -> n
 
     Solves (I - tau M) v = tau M g0col and returns g0col + v.
     """
-    return _solve_green(op, tau, g0_column(op, source_index))
+    return _solve_green(op, tau, g0_matrix(op, int(source_index)))
 
 
 def green_matrix(op: DiscreteOperator, tau: float) -> np.ndarray:
@@ -226,33 +221,21 @@ def green_matrix(op: DiscreteOperator, tau: float) -> np.ndarray:
     return _solve_green(op, tau, g0_matrix(op))
 
 
-def radiate(op: DiscreteOperator, interior_column: np.ndarray, x_ext, tau: float,
-            source_point) -> complex:
-    """Evaluate the high-contrast Green function at an exterior point.
-
-    G(x, x0) = g0(x, x0) - tau * sum_j g0(x, x_j) n_j w_j G(x_j, x0), where the
-    interior column holds G(x_j, x0) on the grid.
-    """
-    x_ext = np.asarray(x_ext, dtype=float)
-    if op.grid.contains(x_ext):
-        raise InvalidArgumentError("exterior evaluation point lies inside the domain")
-    r0 = float(np.linalg.norm(x_ext - np.asarray(source_point, dtype=float)))
-    free = complex(g0_from_distance(r0, op.ctx))
-    r = np.linalg.norm(op.grid.points - x_ext, axis=1)
-    kcol = g0_from_distance(r, op.ctx)
-    scat = -tau * np.sum(kcol * op.n * op.weights * interior_column)
-    return free + complex(scat)
-
-
 def radiate_matrix(op: DiscreteOperator, exterior_points: np.ndarray, tau: float,
-                   interior_green: np.ndarray) -> np.ndarray:
-    """Vectorized radiation: G(z_m, x_j) for exterior rows z_m and all grid columns."""
+                   interior_green: np.ndarray, columns=slice(None)) -> np.ndarray:
+    """G(z_m, x_j) at exterior rows z_m for the grid columns x_j in `columns`.
+
+    G(z, x_j) = g0(z, x_j) - tau * sum_i g0(z, x_i) n_i w_i G(x_i, x_j), where
+    interior_green holds those columns G(x_i, x_j) on the grid.
+    """
     exterior_points = np.asarray(exterior_points, dtype=float)
+    if any(op.grid.contains(z) for z in exterior_points):
+        raise InvalidArgumentError("exterior evaluation point lies inside the domain")
     r = np.linalg.norm(exterior_points[:, None, :] - op.grid.points[None, :, :], axis=2)
     K = g0_from_distance(r, op.ctx)           # (m, N) free kernel
     if tau == 0:
-        return K
-    return K - tau * (K * (op.n * op.weights)[None, :]) @ interior_green
+        return K[:, columns]
+    return K[:, columns] - tau * (K * (op.n * op.weights)[None, :]) @ interior_green
 
 
 def singular_values(op: DiscreteOperator) -> np.ndarray:

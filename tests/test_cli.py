@@ -77,6 +77,16 @@ class TestConfigValidation:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("spectrum", str(tmp_path / "nope.yaml"), tmp_path / "o") == 2
 
+    def test_yaml_syntax_error_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("domain: [1, 2\nb: 3\n")
+        out = tmp_path / "o"
+        assert run("spectrum", str(path), out) == 2
+        err = capsys.readouterr().err
+        assert err == ("resonat: config error: config is not valid YAML: "
+                       "line 2, column 2: expected ',' or ']', but got ':'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_exit_2_before_output(self, tmp_path, capsys, case):
         command, sections = MALFORMED[case]
@@ -150,6 +160,18 @@ class TestExpand:
         assert man["coefficient_mass"] == 0.0
         _, rows = read_rows(out / "truncation_curve.csv")
         assert all(float(r[1]) == 0.0 for r in rows)
+
+    def test_factors_once(self, tmp_path, monkeypatch):
+        calls = []
+        factor = resonat.volume._factor
+
+        def counted(op, tau):
+            calls.append(tau)
+            return factor(op, tau)
+
+        monkeypatch.setattr(resonat.volume, "_factor", counted)
+        assert run("expand", write_cfg(tmp_path, BASE), tmp_path / "out") == 0
+        assert calls == [BASE["contrast"]["tau"]]
 
     def test_resonant_tau_exit_1(self, tmp_path, disk16):
         _, _, op = disk16
@@ -273,6 +295,20 @@ class TestSweepSeparation:
         header, rows = read_rows(out / "sweep.csv")
         assert header == ["separation", "medium_tag", "localization_error", "success_flag"]
         assert rows[0][3] == "true"
+
+    @pytest.mark.parametrize("max_iters", [None, 1])
+    def test_l1_convergence_in_manifest(self, tmp_path, max_iters):
+        # the shipped quarter-wavelength pair, in the medium where it solves fast
+        cfg = yaml.safe_load((SCENARIOS / "separation_sweep.yaml").read_text())
+        cfg["separation"].update(values=[0.3], media=["homogeneous"])
+        if max_iters:
+            cfg["separation"]["max_iters"] = max_iters
+        out = tmp_path / "out"
+        assert run("sweep-separation", write_cfg(tmp_path, cfg), out) == 0
+        [solve] = json.loads((out / "manifest.json").read_text())["l1_solves"]
+        assert solve["separation"] == 0.3 and solve["medium"] == "homogeneous"
+        assert solve["converged"] is (max_iters is None)
+        assert (solve["iterations"] == 1) is (max_iters == 1)
 
 
 class TestThreads:

@@ -44,7 +44,7 @@ class TestAlpha:
     def test_oracle_identity(self, disk16, disk16_sys):
         _, _, op = disk16
         co = alpha_expansion(disk16_sys, op, TAU)
-        assert expansion_oracle_error(co, disk16_sys, op, TAU, "alpha") <= 1e-8
+        assert expansion_oracle_error(co, disk16_sys, op, green_matrix(op, TAU), "alpha") <= 1e-8
 
     def test_parseval_mass(self, disk16, disk16_sys):
         # sum |alpha|^2 equals the squared weighted Frobenius norm of
@@ -73,7 +73,7 @@ class TestBeta:
         op, sys = synthetic_jordan_system([(0.6, 2), (0.3, 1), (0.1 + 0.05j, 2)], rng=rng)
         tau = 1.2
         co = beta_expansion(sys, op, tau)
-        assert expansion_oracle_error(co, sys, op, tau, "beta") <= 1e-9
+        assert expansion_oracle_error(co, sys, op, green_matrix(op, tau), "beta") <= 1e-9
 
     def test_round_trip_to_alpha(self, disk16, disk16_sys):
         _, _, op = disk16
@@ -84,14 +84,14 @@ class TestBeta:
     def test_disk_oracle(self, disk16, disk16_sys):
         _, _, op = disk16
         co = beta_expansion(disk16_sys, op, TAU)
-        assert expansion_oracle_error(co, disk16_sys, op, TAU, "beta") <= 1e-7
+        assert expansion_oracle_error(co, disk16_sys, op, green_matrix(op, TAU), "beta") <= 1e-7
 
 
 class TestHomogeneousExpansion:
     def test_full_rank_matches_g0(self, disk16, disk16_sys):
         _, _, op = disk16
         co = homogeneous_expansion(disk16_sys, op)
-        assert expansion_oracle_error(co, disk16_sys, op, 0.0, "alpha") <= 1e-8
+        assert expansion_oracle_error(co, disk16_sys, op, g0_matrix(op), "alpha") <= 1e-8
 
     def test_truncation_worse_than_full(self, disk16, disk16_sys):
         _, _, op = disk16
@@ -128,7 +128,7 @@ class TestReconstruct:
     def test_alpha_curve_monotone(self, disk16, disk16_sys):
         _, _, op = disk16
         co = alpha_expansion(disk16_sys, op, TAU)
-        curve = truncation_error_curve(co, disk16_sys, op, TAU)
+        curve = truncation_error_curve(co, disk16_sys, op, green_matrix(op, TAU))
         errs = [e for _, e in curve]
         assert errs[0] == pytest.approx(1.0, abs=1e-12)
         assert errs[-1] <= 1e-8

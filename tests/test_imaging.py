@@ -27,7 +27,7 @@ from resonat.imaging import (
     contrast_hk_residual,
     find_peaks,
 )
-from resonat.volume import assemble_kd
+from resonat.volume import assemble_kd, operator_from_matrix
 
 CTX2 = WaveContext(k=6.0, dim=2)
 CTX3 = WaveContext(k=1.0, dim=3)
@@ -41,15 +41,17 @@ def homog_setup():
     return grid, surface, fmap
 
 
-def diag_map(values):
-    """Minimal ForwardMap wrapper around a small explicit matrix."""
+def matrix_map(A):
+    """Minimal ForwardMap around an explicit matrix, over a unit-weight grid."""
     ctx = WaveContext(k=1.0, dim=2)
-    n = len(values)
-    grid = build_disk_grid(1.0, max(2, int(np.ceil(np.sqrt(n)))), ctx)
-    surface = build_measurement_surface(10.0, max(4, n), ctx)
-    A = np.diag(np.asarray(values, dtype=complex))
-    return ForwardMap(matrix=A, kernel=A, grid=grid, surface=surface, ctx=ctx,
-                      medium_tag="synthetic")
+    A = np.asarray(A, dtype=complex)
+    grid = operator_from_matrix(np.zeros((A.shape[1],) * 2)).grid
+    surface = build_measurement_surface(10.0, max(4, A.shape[0]), ctx)
+    return ForwardMap(kernel=A, grid=grid, surface=surface, ctx=ctx, medium_tag="synthetic")
+
+
+def diag_map(values):
+    return matrix_map(np.diag(values))
 
 
 def plain_data(values):
@@ -190,8 +192,7 @@ class TestL2:
 
     def test_exact_equals_pseudoinverse(self, rng):
         A = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-        fmap = diag_map([1.0] * 4)
-        fmap.matrix = A
+        fmap = matrix_map(A)
         u = rng.normal(size=6) + 1j * rng.normal(size=6)
         res = l2_minimum_norm(fmap, plain_data(u), mode="exact")
         assert np.allclose(res.values, np.linalg.pinv(A) @ u, atol=1e-10)
@@ -233,8 +234,7 @@ class TestL1:
 
     def test_threshold_above_data_gives_zero(self, rng):
         A = rng.normal(size=(8, 5))
-        fmap = diag_map([1.0] * 5)
-        fmap.matrix = A
+        fmap = matrix_map(A)
         u = rng.normal(size=8)
         mu = 1.001 * np.max(np.abs(A.conj().T @ u))
         res = l1_reconstruct(fmap, plain_data(u), mu=mu)
@@ -242,8 +242,7 @@ class TestL1:
 
     def test_subgradient_optimality(self, rng):
         A = rng.normal(size=(50, 120)) + 1j * rng.normal(size=(50, 120))
-        fmap = diag_map([1.0] * 4)
-        fmap.matrix = A
+        fmap = matrix_map(A)
         u = rng.normal(size=50) + 1j * rng.normal(size=50)
         mu = 0.3 * np.max(np.abs(A.conj().T @ u))
         res = l1_reconstruct(fmap, plain_data(u), mu=mu, max_iters=20000, tol=1e-14)
@@ -257,8 +256,7 @@ class TestL1:
 
     def test_normal_equation_mode_same_minimizer(self, rng):
         A = rng.normal(size=(20, 12))
-        fmap = diag_map([1.0] * 4)
-        fmap.matrix = A
+        fmap = matrix_map(A)
         u = rng.normal(size=20)
         mu = 0.2 * np.max(np.abs(A.T @ u))
         r1 = l1_reconstruct(fmap, plain_data(u), mu=mu, mode="penalized",

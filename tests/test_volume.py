@@ -13,7 +13,6 @@ from resonat import (
     g0,
     green_matrix,
     operator_from_matrix,
-    radiate,
     sample_profile,
     singular_values,
     solve_green_direct,
@@ -23,7 +22,6 @@ from resonat.grids import RefractiveProfile
 from resonat.volume import (
     assemble_kd,
     check_resonance_proximity,
-    g0_column,
     g0_matrix,
     radiate_matrix,
 )
@@ -123,12 +121,12 @@ class TestApply:
 class TestDirectSolve:
     def test_tau_zero_returns_g0(self):
         _, _, op = small_op()
-        assert np.allclose(solve_green_direct(op, 0.0, 5), g0_column(op, 5))
+        assert np.allclose(solve_green_direct(op, 0.0, 5), g0_matrix(op, 5))
 
     def test_scalar_toy_system(self):
         mu, tau = 0.3, 2.0
         op = operator_from_matrix(np.array([[mu]], dtype=complex))
-        g0c = g0_column(op, 0)
+        g0c = g0_matrix(op, 0)
         got = solve_green_direct(op, tau, 0)
         expect = g0c * (1.0 + tau * mu / (1.0 - tau * mu))
         assert np.allclose(got, expect, rtol=1e-12)
@@ -142,7 +140,7 @@ class TestDirectSolve:
         _, _, op = small_op(cells=10)
         tau = 3.0
         col = solve_green_direct(op, tau, 7)
-        g0c = g0_column(op, 7)
+        g0c = g0_matrix(op, 7)
         v = col - g0c
         N = op.matrix.shape[0]
         rhs = tau * op.matrix @ g0c
@@ -159,7 +157,7 @@ class TestDirectSolve:
         delta = np.zeros(N)
         delta[j] = 1.0 / (op.n[j] * op.weights[j])
         M = op.matrix
-        alt = g0_column(op, j) - np.linalg.solve(np.eye(N) / tau - M, M @ (M @ delta))
+        alt = g0_matrix(op, j) - np.linalg.solve(np.eye(N) / tau - M, M @ (M @ delta))
         assert np.linalg.norm(col - alt) <= 1e-9 * np.linalg.norm(col)
 
 
@@ -270,6 +268,14 @@ class TestGreenMatrix:
         ref = G0 + np.linalg.solve(np.eye(N) - tau * op.matrix, tau * op.matrix @ G0)
         assert np.linalg.norm(G - ref) <= 1e-13 * np.linalg.norm(ref)
 
+    def test_g0_columns_are_slices_of_matrix(self):
+        _, _, op = small_op(cells=10)
+        G0 = g0_matrix(op)
+        N = op.matrix.shape[0]
+        for j in (0, 17, 40, N - 1):
+            assert np.array_equal(g0_matrix(op, j), G0[:, j])
+        assert np.array_equal(g0_matrix(op, [3, 17]), G0[:, [3, 17]])
+
     def test_born_expansion_order(self):
         _, _, op = small_op(cells=10)
         G0 = g0_matrix(op)
@@ -285,34 +291,35 @@ class TestRadiate:
     def test_tau_zero_free_field(self):
         ctx, grid, op = small_op()
         x0 = grid.points[4]
-        col = g0_column(op, 4)
         x_ext = np.array([3.0, 1.0])
-        assert radiate(op, col, x_ext, 0.0, x0) == pytest.approx(g0(x_ext, x0, ctx), rel=1e-12)
+        K = radiate_matrix(op, x_ext[None, :], 0.0, g0_matrix(op, [4]), columns=[4])
+        assert complex(K[0, 0]) == pytest.approx(g0(x_ext, x0, ctx), rel=1e-12)
 
     def test_interior_point_rejected(self):
-        _, grid, op = small_op()
+        _, _, op = small_op()
         with pytest.raises(InvalidArgumentError):
-            radiate(op, g0_column(op, 0), [0.1, 0.1], 1.0, grid.points[0])
+            radiate_matrix(op, np.array([[3.0, 1.0], [0.1, 0.1]]), 1.0, g0_matrix(op, [0]),
+                           columns=[0])
 
-    def test_reciprocity_of_radiated_field(self):
-        # G(x_ext, x_a) evaluated by radiation from two interior sources is
-        # consistent with kernel symmetry on the grid: swap-role comparison
-        ctx, grid, op = small_op(cells=10)
+    def test_columns_are_slices_of_matrix(self):
+        # the free term of a column is the column of the full call; the
+        # scattered term agrees to rounding, since BLAS sums a matrix-vector
+        # product in another order than a matrix-matrix one
+        _, _, op = small_op(cells=10)
         tau = 3.0
         G = green_matrix(op, tau)
-        a, b = 5, 40
-        x_ext = np.array([2.5, -1.0])
-        va = radiate(op, G[:, a], x_ext, tau, grid.points[a])
-        # reciprocity proxy: radiate the b-column and compare the symmetric pair
-        vb = radiate(op, G[:, b], x_ext, tau, grid.points[b])
-        K = radiate_matrix(op, x_ext[None, :], tau, G)
-        assert va == pytest.approx(complex(K[0, a]), rel=1e-6)
-        assert vb == pytest.approx(complex(K[0, b]), rel=1e-6)
+        x_ext = np.array([[2.5, -1.0], [0.0, 3.0]])
+        K0 = radiate_matrix(op, x_ext, 0.0, None)
+        K = radiate_matrix(op, x_ext, tau, G)
+        for a in (5, 40):
+            assert np.array_equal(radiate_matrix(op, x_ext, 0.0, None, columns=[a]), K0[:, [a]])
+            col = radiate_matrix(op, x_ext, tau, G[:, [a]], columns=[a])
+            assert np.linalg.norm(col[:, 0] - K[:, a]) <= 1e-13 * np.linalg.norm(K[:, a])
 
     def test_refined_grid_oracle(self):
         # radiated exterior value converges as the interior grid is refined
         ctx = WaveContext(k=1.0, dim=2)
-        x_ext = np.array([2.0, 0.5])
+        x_ext = np.array([[2.0, 0.5]])
         tau = 3.0
         vals = []
         for cells in (8, 16, 32):
@@ -320,7 +327,7 @@ class TestRadiate:
             op = assemble_kd(grid, sample_profile(grid, ConstantProfile(1.0)), ctx)
             j = grid.nearest_index([0.15, 0.05])
             col = solve_green_direct(op, tau, j)
-            vals.append(radiate(op, col, x_ext, tau, grid.points[j]))
+            vals.append(radiate_matrix(op, x_ext, tau, col[:, None], columns=[j])[0, 0])
         assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1])
 
 
