@@ -36,7 +36,6 @@ from .volume import (
 )
 from .spectral import (
     ChainIndex,
-    CoefficientMatrix,
     SpectralSystem,
     build_d_matrix,
     build_h_matrix,
@@ -48,7 +47,6 @@ from .spectral import (
 )
 from .expansion import (
     ExpansionCoefficients,
-    GreenField,
     PsfProfile,
     alpha_expansion,
     beta_expansion,

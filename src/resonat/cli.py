@@ -27,13 +27,7 @@ from .errors import (
     NumericFailureError,
     ResonanceProximityError,
 )
-from .expansion import (
-    GreenField,
-    beta_expansion,
-    expansion_oracle_error,
-    psf_profile,
-    truncation_error_curve,
-)
+from .expansion import beta_expansion, expansion_oracle_error, psf_profile, truncation_error_curve
 from .grids import (
     ConstantProfile,
     RadialBumpProfile,
@@ -67,9 +61,16 @@ REQUIRED = object()   # default of a key that must be given
 OPTIONAL = object()   # default of a sub-table that is left out when not given
 
 
+def _of_type(value, types):
+    """The value itself if its YAML type is one of `types`; a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(value)
+    return value
+
+
 def _float(value):
     """a finite number"""
-    out = float(value)
+    out = float(_of_type(value, (int, float)))
     if not math.isfinite(out):
         raise ValueError(out)
     return out
@@ -77,25 +78,25 @@ def _float(value):
 
 def _int(value):
     """an integer"""
-    out = int(value)
-    if out != float(value):
+    out = int(_of_type(value, (int, float)))
+    if out != value:
         raise ValueError(value)
     return out
 
 
 def _vector(value):
     """a list of wave.dim numbers"""
-    return tuple(_float(v) for v in value)
+    return tuple(_float(v) for v in _of_type(value, list))
 
 
 def _complex(value):
     """a [re, im] pair of numbers"""
-    re, im = value
+    re, im = _of_type(value, list)
     return complex(_float(re), _float(im))
 
 
 def _zeros(cfg):
-    return (0.0,) * cfg["wave"]["dim"]
+    return [0.0] * cfg["wave"]["dim"]
 
 
 # The config format. Each table maps key -> (kind, default). A kind is a
@@ -119,15 +120,15 @@ _TABLE = {
     "sources": ([{"location": (_vector, REQUIRED),
                   "amplitude": (_complex, [1.0, 0.0])}], OPTIONAL),
     "methods": ({"time_reversal": ({}, OPTIONAL),
-                 "l2": ({"mode": (str, "exact"),
+                 "l2": ({"mode": (("exact", "tikhonov", "morozov"), "exact"),
                          "alpha": (_float, None),
                          "delta": (_float, None),
                          "delta_rel": (_float, None)}, OPTIONAL),
-                 "l1": ({"mode": (str, "penalized"),
+                 "l1": ({"mode": (("penalized", "normal_equation"), "penalized"),
                          "mu": (_float, None),
                          **_L1_SOLVE}, OPTIONAL)}, {"time_reversal": {}}),
     "psf": ({"x0": (_vector, _zeros),
-             "direction": (_vector, lambda c: (1.0,) + _zeros(c)[1:])}, {}),
+             "direction": (_vector, lambda c: [1.0] + _zeros(c)[1:])}, {}),
     "hk": ({"radii": ([_float], REQUIRED),
             "x": (_vector, _zeros),
             "y": (_vector, _zeros),
@@ -267,17 +268,14 @@ def cmd_psf(cfg, out: Path):
     ctx, grid, op = _operator(cfg)
     direction = cfg["psf"]["direction"]
     x0_index = grid.nearest_index(cfg["psf"]["x0"])
-    hom = GreenField(values=g0_matrix(op, x0_index), tau=0.0, includes_free_part=True)
-    prof_h = psf_profile(hom, grid, x0_index, direction)
+    prof_h = psf_profile(g0_matrix(op, x0_index), grid, x0_index, direction)
     oracle = im_g0_from_distance(np.abs(prof_h.radii), ctx)
     write_csv(out / "psf_homogeneous.csv", ["r", "value", "oracle_value"],
               list(zip(prof_h.radii, prof_h.values, np.atleast_1d(oracle))))
     tau = cfg["contrast"]["tau"]
     report = {"fwhm_homogeneous": prof_h.fwhm, "tau": tau}
     if tau != 0.0:
-        col = solve_green_direct(op, tau, x0_index)
-        prof_c = psf_profile(GreenField(values=col, tau=tau, includes_free_part=True),
-                             grid, x0_index, direction)
+        prof_c = psf_profile(solve_green_direct(op, tau, x0_index), grid, x0_index, direction)
         oracle_c = im_g0_from_distance(np.abs(prof_c.radii), ctx)
         write_csv(out / "psf_high_contrast.csv", ["r", "value", "oracle_value"],
                   list(zip(prof_c.radii, prof_c.values, np.atleast_1d(oracle_c))))

@@ -32,15 +32,7 @@ class ExpansionCoefficients:
 
     alpha: Optional[np.ndarray]    # orthonormal-basis coefficients
     beta: Optional[np.ndarray]     # mode-basis coefficients
-    z: Optional[complex]           # 1/tau (None for the homogeneous expansion)
     includes_free_part: bool = False   # True when the target field is G0 itself
-
-
-@dataclass(frozen=True)
-class GreenField:
-    values: np.ndarray             # N x N grid matrix, or one column of it
-    tau: float
-    includes_free_part: bool
 
 
 @dataclass(frozen=True)
@@ -60,18 +52,15 @@ def alpha_expansion(sys: SpectralSystem, op: DiscreteOperator, tau: float) -> Ex
     """Orthonormal-basis coefficients of G - G0 at contrast tau."""
     if tau == 0:
         N = sys.size
-        return ExpansionCoefficients(alpha=np.zeros((N, N), dtype=complex),
-                                     beta=None, z=None)
-    z = 1.0 / tau
-    D = build_d_matrix(sys, z)
-    return ExpansionCoefficients(alpha=-D.entries.T, beta=None, z=complex(z))
+        return ExpansionCoefficients(alpha=np.zeros((N, N), dtype=complex), beta=None)
+    return ExpansionCoefficients(alpha=-build_d_matrix(sys, 1.0 / tau).T, beta=None)
 
 
 def beta_expansion(sys: SpectralSystem, op: DiscreteOperator, tau: float) -> ExpansionCoefficients:
     """Mode-basis coefficients; carries alpha as well (it is needed anyway)."""
     al = alpha_expansion(sys, op, tau)
     beta = sys.A @ al.alpha @ sys.A.conj().T
-    return ExpansionCoefficients(alpha=al.alpha, beta=beta, z=al.z)
+    return ExpansionCoefficients(alpha=al.alpha, beta=beta)
 
 
 def beta_to_alpha(sys: SpectralSystem, beta: np.ndarray) -> np.ndarray:
@@ -80,10 +69,9 @@ def beta_to_alpha(sys: SpectralSystem, beta: np.ndarray) -> np.ndarray:
 
 def homogeneous_expansion(sys: SpectralSystem, op: DiscreteOperator) -> ExpansionCoefficients:
     """Coefficients of the free kernel G0 itself, built from H instead of R(z)."""
-    H = build_h_matrix(sys)
-    alpha = -(sys.B @ H.entries.T @ sys.A)
+    alpha = -(sys.B @ build_h_matrix(sys).T @ sys.A)
     beta = sys.A @ alpha @ sys.A.conj().T
-    return ExpansionCoefficients(alpha=alpha, beta=beta, z=None, includes_free_part=True)
+    return ExpansionCoefficients(alpha=alpha, beta=beta, includes_free_part=True)
 
 
 def _synthesize(basis: np.ndarray, coeff: np.ndarray, n_values: np.ndarray,
@@ -94,8 +82,9 @@ def _synthesize(basis: np.ndarray, coeff: np.ndarray, n_values: np.ndarray,
 
 
 def reconstruct_green(coeffs: ExpansionCoefficients, sys: SpectralSystem,
-                      op: DiscreteOperator, rank: int, basis: str = "alpha") -> GreenField:
-    """Partial-sum reconstruction over the first `rank` total-order indices."""
+                      op: DiscreteOperator, rank: int, basis: str = "alpha") -> np.ndarray:
+    """Partial-sum reconstruction of the N x N grid field over the first
+    `rank` total-order indices."""
     N = sys.size
     if not (0 <= rank <= N):
         raise InvalidArgumentError(f"rank must lie in [0, {N}], got {rank}")
@@ -108,14 +97,8 @@ def reconstruct_green(coeffs: ExpansionCoefficients, sys: SpectralSystem,
     if C is None:
         raise InvalidArgumentError(f"coefficients carry no {basis} matrix")
     part = _synthesize(Bmat, C, op.n, rank) if rank > 0 else np.zeros((N, N), dtype=complex)
-    if coeffs.includes_free_part:
-        # target field is G0 itself; no free part to add back
-        values = part
-        tau = 0.0
-    else:
-        values = g0_matrix(op) + part
-        tau = 0.0 if coeffs.z is None else float(np.real(1.0 / coeffs.z))
-    return GreenField(values=values, tau=tau, includes_free_part=True)
+    # when the target field is G0 itself there is no free part to add back
+    return part if coeffs.includes_free_part else g0_matrix(op) + part
 
 
 def expansion_oracle_error(coeffs: ExpansionCoefficients, sys: SpectralSystem,
@@ -126,7 +109,7 @@ def expansion_oracle_error(coeffs: ExpansionCoefficients, sys: SpectralSystem,
     or g0_matrix(op) for the homogeneous expansion."""
     w = op.weights
     rec = reconstruct_green(coeffs, sys, op, sys.size, basis=basis)
-    return weighted_frobenius(rec.values - direct, w) / weighted_frobenius(direct, w)
+    return weighted_frobenius(rec - direct, w) / weighted_frobenius(direct, w)
 
 
 def truncation_error_curve(coeffs: ExpansionCoefficients, sys: SpectralSystem,
@@ -144,7 +127,7 @@ def truncation_error_curve(coeffs: ExpansionCoefficients, sys: SpectralSystem,
     out = []
     for rank in ranks:
         rec = reconstruct_green(coeffs, sys, op, rank, basis=basis)
-        err = weighted_frobenius(rec.values - direct, w)
+        err = weighted_frobenius(rec - direct, w)
         out.append((int(rank), float(err / denom) if denom > 0 else 0.0))
     return out
 
@@ -177,11 +160,11 @@ def psf_from_samples(radii, values, source_point=(0.0, 0.0)) -> PsfProfile:
                       source_point=np.asarray(source_point, dtype=float))
 
 
-def psf_profile(field: GreenField, grid: DomainGrid, x0_index: int,
+def psf_profile(green: np.ndarray, grid: DomainGrid, x0_index: int,
                 direction) -> PsfProfile:
     """Im G(x, x0) sampled along the grid line through x0 in the given direction.
 
-    field.values is either the whole grid matrix or just its column x0.
+    `green` is either the whole grid matrix G or just its column x0.
     """
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
@@ -191,7 +174,7 @@ def psf_profile(field: GreenField, grid: DomainGrid, x0_index: int,
     perp = np.linalg.norm(rel - np.outer(t, d), axis=1)
     on_line = perp < 0.51 * grid.cell_size
     radii = t[on_line]
-    column = field.values if field.values.ndim == 1 else field.values[:, x0_index]
+    column = green if green.ndim == 1 else green[:, x0_index]
     values = np.imag(column[on_line])
     prof = psf_from_samples(radii, values, source_point=x0)
     return prof

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DiscrepancyInfeasibleError, InvalidArgumentError
 from .grids import DomainGrid, MeasurementSurface, WaveContext
 from .kernels import g0_from_distance, im_g0
-from .volume import DiscreteOperator, green_matrix, radiate_matrix
+from .volume import DiscreteOperator, radiate_matrix, solve_green_direct
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class ForwardMap:
     ctx: WaveContext
     medium_tag: str
     tau: float = 0.0
-    interior_green: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -76,16 +75,13 @@ def build_forward_map(grid: DomainGrid, surface: MeasurementSurface,
     if tau == 0.0:
         r = np.linalg.norm(surface.points[:, None, :] - grid.points[None, :, :], axis=2)
         K = g0_from_distance(r, ctx)
-        interior = None
         tag = "homogeneous"
     else:
         if op is None:
             raise InvalidArgumentError("high-contrast forward map needs the volume operator")
-        interior = green_matrix(op, tau)
-        K = radiate_matrix(op, surface.points, tau, interior)
+        K = radiate_matrix(op, surface.points, tau)
         tag = f"high_contrast(tau={tau})"
-    return ForwardMap(kernel=K, grid=grid, surface=surface, ctx=ctx, medium_tag=tag,
-                      tau=tau, interior_green=interior)
+    return ForwardMap(kernel=K, grid=grid, surface=surface, ctx=ctx, medium_tag=tag, tau=tau)
 
 
 def synthesize_data(fmap: ForwardMap, source, noise_level: float = 0.0,
@@ -162,13 +158,12 @@ def homogeneous_hk_residual(surface: MeasurementSurface, x, y, ctx: WaveContext)
     return helmholtz_kirchhoff_residual(Gx, Gy, surface.weights, im_g0(x, y, ctx), ctx.k)
 
 
-def contrast_hk_residual(fmap: ForwardMap, i: int, j: int) -> float:
-    """High-contrast variant between two grid nodes, kernel via radiation."""
-    if fmap.interior_green is None:
-        raise InvalidArgumentError("forward map carries no interior Green matrix")
+def contrast_hk_residual(fmap: ForwardMap, op: DiscreteOperator, i: int, j: int) -> float:
+    """High-contrast variant between two grid nodes of the map's medium: the
+    radiated kernel, and Im G(x_i, x_j) from the direct solve of column j."""
     Gx = fmap.kernel[:, i]
     Gy = fmap.kernel[:, j]
-    im_g = float(np.imag(fmap.interior_green[i, j]))
+    im_g = float(np.imag(solve_green_direct(op, fmap.tau, j)[i]))
     return helmholtz_kirchhoff_residual(Gx, Gy, fmap.surface.weights, im_g, fmap.ctx.k)
 
 

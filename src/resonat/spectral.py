@@ -11,9 +11,9 @@ both upper-triangular with positive-real diagonal on B. In index notation
 e_gamma = sum_{gamma' <= gamma} a_{gamma,gamma'} u_{gamma'} with
 a_{gamma,gamma'} = A[gamma', gamma].
 
-Coefficient matrices (H, R(z), D(z)) are stored with entries[gamma, gamma']
-equal to the coefficient of basis element gamma' in the image of basis element
-gamma, so e.g. the operator acts on the grid as M @ U = U @ H.entries.T.
+Coefficient matrices (H, R(z), D(z)) are arrays C with C[gamma, gamma'] equal
+to the coefficient of basis element gamma' in the image of basis element gamma,
+so e.g. the operator acts on the grid as M @ U = U @ H.T.
 
 Numerical Jordan detection is ill-posed: the default eigendecomposition path
 treats every eigenvector as a chain of length one and only flags suspicious
@@ -77,13 +77,6 @@ class SpectralSystem:
             if idx.k > 1:
                 T[pos - 1, pos] = 1.0
         return T
-
-
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    entries: np.ndarray
-    kind: str                  # "H" | "R" | "D"
-    z: Optional[complex] = None
 
 
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
@@ -251,10 +244,10 @@ def dominant_spatial_frequency(op: DiscreteOperator, values: np.ndarray):
     return float(radial[peak])
 
 
-def build_h_matrix(sys: SpectralSystem) -> CoefficientMatrix:
+def build_h_matrix(sys: SpectralSystem) -> np.ndarray:
     """Representation of the operator in the mode basis:
     h = lambda on the chain diagonal, 1 on the (k, k-1) chain subentry."""
-    return CoefficientMatrix(entries=sys.chain_matrix().T, kind="H")
+    return sys.chain_matrix().T
 
 
 def resolvent_chain_coefficients(lam: complex, chain_len: int, z: complex) -> np.ndarray:
@@ -287,8 +280,8 @@ def _check_pole(sys: SpectralSystem, z: complex):
         raise ResonanceProximityError(z, sys.lambdas[idx])
 
 
-def build_r_matrix(sys: SpectralSystem, z: complex) -> CoefficientMatrix:
-    """(z - K)^{-1} K^2 in the mode basis; acts on the grid as U @ R.entries.T."""
+def build_r_matrix(sys: SpectralSystem, z: complex) -> np.ndarray:
+    """(z - K)^{-1} K^2 in the mode basis; acts on the grid as U @ R.T."""
     _check_pole(sys, z)
     N = sys.size
     R = np.zeros((N, N), dtype=complex)
@@ -300,14 +293,12 @@ def build_r_matrix(sys: SpectralSystem, z: complex) -> CoefficientMatrix:
             for m in range(k + 1):
                 R[pos + k, pos + k - m] = c[m]
         pos += length
-    return CoefficientMatrix(entries=R, kind="R", z=complex(z))
+    return R
 
 
-def build_d_matrix(sys: SpectralSystem, z: complex) -> CoefficientMatrix:
+def build_d_matrix(sys: SpectralSystem, z: complex) -> np.ndarray:
     """Same operator expressed against the orthonormal basis E.
 
-    Satisfies E @ D.entries.T @ (E^H W) = (z I - M)^{-1} M^2 on the grid.
+    Satisfies E @ D.T @ (E^H W) = (z I - M)^{-1} M^2 on the grid.
     """
-    R = build_r_matrix(sys, z)
-    D = sys.A.T @ R.entries @ sys.B.T
-    return CoefficientMatrix(entries=D, kind="D", z=complex(z))
+    return sys.A.T @ build_r_matrix(sys, z) @ sys.B.T

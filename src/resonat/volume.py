@@ -195,17 +195,22 @@ def check_resonance_proximity(op: DiscreteOperator, z: complex, tol: float = RES
         raise ResonanceProximityError(z, lam[idx])
 
 
-def _solve_green(op: DiscreteOperator, tau: float, G0: np.ndarray) -> np.ndarray:
-    """G0 + v for free-kernel columns G0, where (I - tau M) v = tau M G0.
+def _checked_factor(op: DiscreteOperator, tau: float):
+    """LU of I - tau M, refused when 1/tau is within tolerance of the spectrum.
 
-    I - tau M is factored once; the resonance check reuses the factorization.
+    The resonance check reuses the factorization; tau must be nonzero.
     """
-    if tau == 0:
-        return G0
     lu = _factor(op, tau)
     check_resonance_proximity(op, 1.0 / tau, lu=lu)
+    return lu
+
+
+def _solve_green(op: DiscreteOperator, tau: float, G0: np.ndarray) -> np.ndarray:
+    """G0 + v for free-kernel columns G0, where (I - tau M) v = tau M G0."""
+    if tau == 0:
+        return G0
     rhs = tau * (op.matrix @ G0)
-    return G0 + lu_solve(lu, rhs, check_finite=False)
+    return G0 + lu_solve(_checked_factor(op, tau), rhs, check_finite=False)
 
 
 def solve_green_direct(op: DiscreteOperator, tau: float, source_index: int) -> np.ndarray:
@@ -222,11 +227,13 @@ def green_matrix(op: DiscreteOperator, tau: float) -> np.ndarray:
 
 
 def radiate_matrix(op: DiscreteOperator, exterior_points: np.ndarray, tau: float,
-                   interior_green: np.ndarray, columns=slice(None)) -> np.ndarray:
+                   columns=slice(None)) -> np.ndarray:
     """G(z_m, x_j) at exterior rows z_m for the grid columns x_j in `columns`.
 
-    G(z, x_j) = g0(z, x_j) - tau * sum_i g0(z, x_i) n_i w_i G(x_i, x_j), where
-    interior_green holds those columns G(x_i, x_j) on the grid.
+    G(z, x_j) = g0(z, x_j) - tau * sum_i g0(z, x_i) n_i w_i G(x_i, x_j). On the
+    grid G = (I - tau M)^{-1} G0, so the sum is X G0 with
+    X = (K diag(n w)) (I - tau M)^{-1}: one transposed solve, with a right-hand
+    side per exterior point, on the LU that the Green solves use.
     """
     exterior_points = np.asarray(exterior_points, dtype=float)
     if any(op.grid.contains(z) for z in exterior_points):
@@ -235,7 +242,9 @@ def radiate_matrix(op: DiscreteOperator, exterior_points: np.ndarray, tau: float
     K = g0_from_distance(r, op.ctx)           # (m, N) free kernel
     if tau == 0:
         return K[:, columns]
-    return K[:, columns] - tau * (K * (op.n * op.weights)[None, :]) @ interior_green
+    KW = K * (op.n * op.weights)[None, :]
+    X = lu_solve(_checked_factor(op, tau), KW.T, trans=1, check_finite=False).T
+    return K[:, columns] - tau * X @ g0_matrix(op, columns)
 
 
 def singular_values(op: DiscreteOperator) -> np.ndarray:

@@ -49,6 +49,15 @@ MALFORMED = {
     "contrast_sweep": ("spectrum", {"contrast": {"tau": 3.0, "sweep": [1.0, 2.0]}}),
     "vacuum_medium": ("sweep-separation",
                       {"separation": {"values": [0.5], "media": ["homogeneous", "vacuum"]}}),
+    "x0_string": ("psf", {"psf": {"x0": "00"}}),
+    "direction_string": ("psf", {"psf": {"direction": "10"}}),
+    "amplitude_string": ("image", {"sources": [{"location": [0.2, -0.1], "amplitude": "12"}]}),
+    "k_bool": ("spectrum", {"wave": {"k": True, "dim": 2}}),
+    "seed_bool": ("spectrum", {"seed": True}),
+    "tau_string": ("expand", {"contrast": {"tau": "3.0"}}),
+    "cells_string": ("spectrum", {"domain": {"shape": "disk", "radius": 1.0, "cells": "12"}}),
+    "l2_mode_bogus": ("image", {"methods": {"time_reversal": {}, "l2": {"mode": "bogus"}}}),
+    "l1_mode_bogus": ("image", {"methods": {"l1": {"mode": "bogus"}}}),
 }
 
 

@@ -17,12 +17,7 @@ from resonat import (
     truncation_error_curve,
 )
 from resonat.errors import InvalidArgumentError
-from resonat.expansion import (
-    GreenField,
-    beta_to_alpha,
-    expansion_oracle_error,
-    weighted_frobenius,
-)
+from resonat.expansion import beta_to_alpha, expansion_oracle_error, weighted_frobenius
 from resonat.kernels import im_g0_from_distance
 from resonat.volume import g0_matrix
 
@@ -39,7 +34,7 @@ class TestAlpha:
     def test_tau_zero_is_zero(self, disk16, disk16_sys):
         _, _, op = disk16
         co = alpha_expansion(disk16_sys, op, 0.0)
-        assert np.all(co.alpha == 0) and co.z is None
+        assert np.all(co.alpha == 0)
 
     def test_oracle_identity(self, disk16, disk16_sys):
         _, _, op = disk16
@@ -101,8 +96,8 @@ class TestHomogeneousExpansion:
         w = op.weights
         half = reconstruct_green(co, sys, op, sys.size // 2, basis="alpha")
         full = reconstruct_green(co, sys, op, sys.size, basis="alpha")
-        e_half = weighted_frobenius(half.values - G0, w)
-        e_full = weighted_frobenius(full.values - G0, w)
+        e_half = weighted_frobenius(half - G0, w)
+        e_full = weighted_frobenius(full - G0, w)
         assert e_half > e_full
 
     def test_semisimple_h_is_diagonal_lambda(self):
@@ -117,7 +112,7 @@ class TestReconstruct:
         _, _, op = disk16
         co = alpha_expansion(disk16_sys, op, TAU)
         field = reconstruct_green(co, disk16_sys, op, 0)
-        assert np.allclose(field.values, g0_matrix(op))
+        assert np.allclose(field, g0_matrix(op))
 
     def test_rank_out_of_bounds(self, disk16, disk16_sys):
         _, _, op = disk16
@@ -157,9 +152,8 @@ class TestPsf:
 
     def test_profile_through_grid(self, disk16, disk16_sys):
         ctx, grid, op = disk16
-        field = GreenField(values=g0_matrix(op), tau=0.0, includes_free_part=True)
         i0 = grid.nearest_index([0.0, 0.0])
-        prof = psf_profile(field, grid, i0, [1.0, 0.0])
+        prof = psf_profile(g0_matrix(op), grid, i0, [1.0, 0.0])
         assert prof.values.shape == prof.radii.shape
         assert np.any(prof.radii < 0) and np.any(prof.radii > 0)
 

@@ -180,7 +180,7 @@ class TestHelmholtzKirchhoff:
         for R in (50.0, 200.0):
             surface = build_measurement_surface(R, 512, ctx)
             fmap = build_forward_map(grid, surface, ctx, tau=2.0, op=op)
-            vals.append(contrast_hk_residual(fmap, 3, 17))
+            vals.append(contrast_hk_residual(fmap, op, 3, 17))
         assert vals[1] < vals[0]
 
 

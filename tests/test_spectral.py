@@ -109,17 +109,17 @@ class TestHMatrix:
     def test_semisimple_diagonal(self):
         op = operator_from_matrix(np.diag([0.5, 0.3, 0.1]).astype(complex))
         sys = eigendecompose(op)
-        H = build_h_matrix(sys).entries
+        H = build_h_matrix(sys)
         assert np.allclose(H, np.diag(sys.lambdas))
 
     def test_chain_block(self):
         _, sys = synthetic_jordan_system([(0.3, 2)])
-        H = build_h_matrix(sys).entries
+        H = build_h_matrix(sys)
         assert np.allclose(H, [[0.3, 0.0], [1.0, 0.3]])
 
     def test_operator_in_mode_basis(self):
         op, sys = synthetic_jordan_system([(0.5, 2), (0.2 + 0.1j, 3), (0.05, 1)])
-        H = build_h_matrix(sys).entries
+        H = build_h_matrix(sys)
         lhs = op.matrix @ sys.U
         rhs = sys.U @ H.T
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(op.matrix)
@@ -167,30 +167,30 @@ class TestRMatrix:
         op = operator_from_matrix(np.diag([0.5, 0.3]).astype(complex))
         sys = eigendecompose(op)
         z = 1.2
-        R = build_r_matrix(sys, z).entries
+        R = build_r_matrix(sys, z)
         assert np.allclose(R, np.diag(sys.lambdas**2 / (z - sys.lambdas)))
 
     def test_synthetic_jordan_oracle(self):
         op, sys = synthetic_jordan_system([(0.5, 2), (0.5, 1), (0.2 + 0.1j, 3)])
         V = sys.U
         z = 1.0 + 0.3j
-        R = build_r_matrix(sys, z).entries
+        R = build_r_matrix(sys, z)
         M = op.matrix
         X = np.linalg.solve(z * np.eye(6) - M, M @ M)
         assert np.linalg.norm(R.T - np.linalg.solve(V, X @ V)) <= 1e-11
 
     def test_large_z_decay(self):
         op, sys = synthetic_jordan_system([(0.5, 2), (0.1, 1)])
-        n1 = np.linalg.norm(build_r_matrix(sys, 1e3).entries)
-        n2 = np.linalg.norm(build_r_matrix(sys, 1e6).entries)
+        n1 = np.linalg.norm(build_r_matrix(sys, 1e3))
+        n2 = np.linalg.norm(build_r_matrix(sys, 1e6))
         assert n2 == pytest.approx(1e-3 * n1, rel=0.01)
 
     def test_resolvent_identity(self):
         op, sys = synthetic_jordan_system([(0.6, 3), (0.2, 2)])
         T = sys.chain_matrix()  # M @ U = U @ T, and R(z).T = (zI - T)^{-1} T^2
         z1, z2 = 1.5, 2.0 + 1.0j
-        R1 = build_r_matrix(sys, z1).entries
-        R2 = build_r_matrix(sys, z2).entries
+        R1 = build_r_matrix(sys, z1)
+        R2 = build_r_matrix(sys, z2)
         I5 = np.eye(5)
         expect = (z2 - z1) * np.linalg.solve(z1 * I5 - T, np.linalg.solve(z2 * I5 - T, T @ T))
         assert np.linalg.norm((R1 - R2).T - expect) <= 1e-9
@@ -204,14 +204,14 @@ class TestDMatrix:
     def test_orthonormal_modes_reduce_to_r(self):
         _, sys = synthetic_jordan_system([(0.5, 2), (0.2, 1)], V=np.eye(3, dtype=complex))
         z = 1.4
-        R = build_r_matrix(sys, z).entries
-        D = build_d_matrix(sys, z).entries
+        R = build_r_matrix(sys, z)
+        D = build_d_matrix(sys, z)
         assert np.allclose(D, R, atol=1e-13)
 
     def test_grid_oracle_identity(self, rng):
         op, sys = synthetic_jordan_system([(0.7, 1), (0.4, 2), (0.1 + 0.2j, 2)], rng=rng)
         z = 1.3 - 0.2j
-        D = build_d_matrix(sys, z).entries
+        D = build_d_matrix(sys, z)
         M = op.matrix
         W = np.diag(sys.weights)
         lhs = sys.E @ D.T @ (sys.E.conj().T @ W)
@@ -219,7 +219,7 @@ class TestDMatrix:
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_far_z_bounded(self, disk16_sys):
-        D = build_d_matrix(disk16_sys, 10.0).entries
+        D = build_d_matrix(disk16_sys, 10.0)
         assert np.all(np.isfinite(D))
         lam_max = np.abs(disk16_sys.lambdas[0])
         dist = 10.0 - lam_max

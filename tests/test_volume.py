@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning
 
+import resonat.volume
 from resonat import (
     ConstantProfile,
     RadialBumpProfile,
     WaveContext,
     apply_kd,
     build_disk_grid,
+    build_forward_map,
+    build_measurement_surface,
     g0,
     green_matrix,
     operator_from_matrix,
@@ -292,14 +295,13 @@ class TestRadiate:
         ctx, grid, op = small_op()
         x0 = grid.points[4]
         x_ext = np.array([3.0, 1.0])
-        K = radiate_matrix(op, x_ext[None, :], 0.0, g0_matrix(op, [4]), columns=[4])
+        K = radiate_matrix(op, x_ext[None, :], 0.0, columns=[4])
         assert complex(K[0, 0]) == pytest.approx(g0(x_ext, x0, ctx), rel=1e-12)
 
     def test_interior_point_rejected(self):
         _, _, op = small_op()
         with pytest.raises(InvalidArgumentError):
-            radiate_matrix(op, np.array([[3.0, 1.0], [0.1, 0.1]]), 1.0, g0_matrix(op, [0]),
-                           columns=[0])
+            radiate_matrix(op, np.array([[3.0, 1.0], [0.1, 0.1]]), 1.0, columns=[0])
 
     def test_columns_are_slices_of_matrix(self):
         # the free term of a column is the column of the full call; the
@@ -307,13 +309,12 @@ class TestRadiate:
         # product in another order than a matrix-matrix one
         _, _, op = small_op(cells=10)
         tau = 3.0
-        G = green_matrix(op, tau)
         x_ext = np.array([[2.5, -1.0], [0.0, 3.0]])
-        K0 = radiate_matrix(op, x_ext, 0.0, None)
-        K = radiate_matrix(op, x_ext, tau, G)
+        K0 = radiate_matrix(op, x_ext, 0.0)
+        K = radiate_matrix(op, x_ext, tau)
         for a in (5, 40):
-            assert np.array_equal(radiate_matrix(op, x_ext, 0.0, None, columns=[a]), K0[:, [a]])
-            col = radiate_matrix(op, x_ext, tau, G[:, [a]], columns=[a])
+            assert np.array_equal(radiate_matrix(op, x_ext, 0.0, columns=[a]), K0[:, [a]])
+            col = radiate_matrix(op, x_ext, tau, columns=[a])
             assert np.linalg.norm(col[:, 0] - K[:, a]) <= 1e-13 * np.linalg.norm(K[:, a])
 
     def test_refined_grid_oracle(self):
@@ -326,9 +327,35 @@ class TestRadiate:
             grid = build_disk_grid(1.0, cells, ctx)
             op = assemble_kd(grid, sample_profile(grid, ConstantProfile(1.0)), ctx)
             j = grid.nearest_index([0.15, 0.05])
-            col = solve_green_direct(op, tau, j)
-            vals.append(radiate_matrix(op, x_ext, tau, col[:, None], columns=[j])[0, 0])
+            vals.append(radiate_matrix(op, x_ext, tau, columns=[j])[0, 0])
         assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1])
+
+    @pytest.mark.parametrize("cells, k, peak, tau", [(10, 1.0, 2.0, 3.0), (20, 6.0, None, 180.5)])
+    def test_matches_interior_green_formula(self, cells, k, peak, tau):
+        # the adjoint solve gives the kernel that radiating the whole interior
+        # Green matrix gives
+        ctx, _, op = small_op(cells=cells, k=k, peak=peak)
+        x_ext = build_measurement_surface(100.0, 64, ctx).points
+        K = radiate_matrix(op, x_ext, 0.0)
+        ref = K - tau * (K * (op.n * op.weights)[None, :]) @ green_matrix(op, tau)
+        Kc = radiate_matrix(op, x_ext, tau)
+        assert np.max(np.abs(Kc - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_forward_map_factors_once(self, monkeypatch):
+        # green_matrix and solve_green_direct both run through _solve_green
+        ctx, grid, op = small_op()
+        factors, solves = [], []
+        factor = resonat.volume._factor
+
+        def counted_factor(op, tau):
+            factors.append(tau)
+            return factor(op, tau)
+
+        monkeypatch.setattr(resonat.volume, "_factor", counted_factor)
+        monkeypatch.setattr(resonat.volume, "_solve_green", lambda *args: solves.append(args))
+        build_forward_map(grid, build_measurement_surface(50.0, 32, ctx), ctx, tau=3.0, op=op)
+        assert factors == [3.0]
+        assert solves == []
 
 
 class TestSingularValues:
