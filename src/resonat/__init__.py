@@ -35,7 +35,6 @@ from .volume import (
     solve_green_direct,
 )
 from .spectral import (
-    ChainIndex,
     SpectralSystem,
     build_d_matrix,
     build_h_matrix,
@@ -46,16 +45,17 @@ from .spectral import (
     verify_resonant_mode,
 )
 from .expansion import (
-    ExpansionCoefficients,
     PsfProfile,
     alpha_expansion,
     beta_expansion,
+    expansion_errors,
     homogeneous_expansion,
     mode_mixing_report,
+    partial_sum,
     psf_from_samples,
     psf_profile,
-    reconstruct_green,
     truncation_error_curve,
+    truncation_ranks,
 )
 from .imaging import (
     ForwardMap,

@@ -27,7 +27,15 @@ from .errors import (
     NumericFailureError,
     ResonanceProximityError,
 )
-from .expansion import beta_expansion, expansion_oracle_error, psf_profile, truncation_error_curve
+from .expansion import (
+    alpha_expansion,
+    beta_expansion,
+    expansion_errors,
+    psf_profile,
+    truncation_error_curve,
+    truncation_ranks,
+    weighted_frobenius,
+)
 from .grids import (
     ConstantProfile,
     RadialBumpProfile,
@@ -231,11 +239,10 @@ def _relative_mu(mu_rel, fmap, data):
 def cmd_spectrum(cfg, out: Path):
     _, _, op = _operator(cfg)
     sys_ = eigendecompose(op)
-    rows = []
-    for pos, idx in enumerate(sys_.indices):
-        lam = sys_.lambdas[pos]
-        length = next(n for (j, l, n) in sys_.chains if j == idx.j and l == idx.l)
-        rows.append((idx.j, idx.l, idx.k, float(lam.real), float(lam.imag), length))
+    lengths = np.diff(sys_.chain_starts())
+    chain_len = np.repeat(lengths, lengths).tolist()   # per column
+    rows = [(j, l, k, float(lam.real), float(lam.imag), n)
+            for (j, l, k), lam, n in zip(sys_.indices, sys_.lambdas, chain_len)]
     write_csv(out / "spectrum.csv",
               ["j", "l", "k", "re", "im", "chain_len"], rows)
     return {"n_modes": sys_.size, "cluster_tol": sys_.cluster_tol, "warnings": sys_.warnings}
@@ -245,22 +252,25 @@ def cmd_expand(cfg, out: Path):
     _, _, op = _operator(cfg)
     tau = cfg["contrast"]["tau"]
     sys_ = eigendecompose(op)
-    co = beta_expansion(sys_, op, tau)
-    for name, mat in (("alpha", co.alpha), ("beta", co.beta)):
-        if mat is None:
-            mat = np.zeros_like(co.alpha)
+    alpha = alpha_expansion(sys_, tau)
+    beta = beta_expansion(sys_, alpha)
+    for name, mat in (("alpha", alpha), ("beta", beta)):
         rows = [(i, j, float(mat[i, j].real), float(mat[i, j].imag))
                 for i in range(mat.shape[0]) for j in range(mat.shape[1])]
         write_csv(out / f"{name}.csv", ["gamma_row", "gamma_col", "re", "im"], rows)
     # solved after the writers, so that the N x N result is not alive at their peak
     direct = green_matrix(op, tau)
-    curve = truncation_error_curve(co, sys_, op, direct, basis="alpha")
-    write_csv(out / "truncation_curve.csv", ["rank", "rel_error"], curve)
+    N = sys_.size
+    errors = expansion_errors(sys_.E, alpha, op, direct, truncation_ranks(N))
+    write_csv(out / "truncation_curve.csv", ["rank", "rel_error"], truncation_error_curve(errors))
+    scale = weighted_frobenius(direct, op.weights)
     return {
         "tau": tau,
-        "coefficient_mass": float(np.sum(np.abs(co.alpha) ** 2)),
-        "oracle_rel_error_alpha": expansion_oracle_error(co, sys_, op, direct, "alpha"),
-        "oracle_rel_error_beta": expansion_oracle_error(co, sys_, op, direct, "beta"),
+        "coefficient_mass": float(np.sum(np.abs(alpha) ** 2)),
+        "oracle_rel_error_alpha": errors[N] / scale,
+        "oracle_rel_error_beta": expansion_errors(sys_.U, beta, op, direct, [N])[N] / scale,
+        # >= ||A B||_F = sqrt(N); Frobenius norms, since 2-norms would need two more SVDs
+        "eigenbasis_condition": float(np.linalg.norm(sys_.A) * np.linalg.norm(sys_.B)),
     }
 
 

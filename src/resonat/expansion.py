@@ -16,23 +16,14 @@ pinned by the dense direct-solve oracle, not by index pattern-matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .grids import DomainGrid
-from .spectral import SpectralSystem, build_d_matrix, build_h_matrix, build_r_matrix
+from .spectral import SpectralSystem, build_d_matrix, build_h_matrix
 from .volume import DiscreteOperator, g0_matrix
-
-
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Coefficient matrices of G - G0 (or of G0 for the homogeneous variant)."""
-
-    alpha: Optional[np.ndarray]    # orthonormal-basis coefficients
-    beta: Optional[np.ndarray]     # mode-basis coefficients
-    includes_free_part: bool = False   # True when the target field is G0 itself
 
 
 @dataclass(frozen=True)
@@ -48,88 +39,60 @@ def weighted_frobenius(X: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,j,ij->", w, w, np.abs(X) ** 2)))
 
 
-def alpha_expansion(sys: SpectralSystem, op: DiscreteOperator, tau: float) -> ExpansionCoefficients:
-    """Orthonormal-basis coefficients of G - G0 at contrast tau."""
+def alpha_expansion(sys: SpectralSystem, tau: float) -> np.ndarray:
+    """Orthonormal-basis coefficients alpha of G - G0 at contrast tau."""
     if tau == 0:
-        N = sys.size
-        return ExpansionCoefficients(alpha=np.zeros((N, N), dtype=complex), beta=None)
-    return ExpansionCoefficients(alpha=-build_d_matrix(sys, 1.0 / tau).T, beta=None)
+        return np.zeros((sys.size, sys.size), dtype=complex)
+    return -build_d_matrix(sys, 1.0 / tau).T
 
 
-def beta_expansion(sys: SpectralSystem, op: DiscreteOperator, tau: float) -> ExpansionCoefficients:
-    """Mode-basis coefficients; carries alpha as well (it is needed anyway)."""
-    al = alpha_expansion(sys, op, tau)
-    beta = sys.A @ al.alpha @ sys.A.conj().T
-    return ExpansionCoefficients(alpha=al.alpha, beta=beta)
+def beta_expansion(sys: SpectralSystem, alpha: np.ndarray) -> np.ndarray:
+    """Mode-basis coefficients A alpha A^H of the orthonormal-basis ones."""
+    return sys.A @ alpha @ sys.A.conj().T
 
 
-def beta_to_alpha(sys: SpectralSystem, beta: np.ndarray) -> np.ndarray:
-    return sys.B @ beta @ sys.B.conj().T
+def homogeneous_expansion(sys: SpectralSystem) -> np.ndarray:
+    """Orthonormal-basis coefficients of the free kernel G0 itself, built from
+    H instead of R(z); it has no free part to add back."""
+    return -(sys.B @ build_h_matrix(sys).T @ sys.A)
 
 
-def homogeneous_expansion(sys: SpectralSystem, op: DiscreteOperator) -> ExpansionCoefficients:
-    """Coefficients of the free kernel G0 itself, built from H instead of R(z)."""
-    alpha = -(sys.B @ build_h_matrix(sys).T @ sys.A)
-    beta = sys.A @ alpha @ sys.A.conj().T
-    return ExpansionCoefficients(alpha=alpha, beta=beta, includes_free_part=True)
-
-
-def _synthesize(basis: np.ndarray, coeff: np.ndarray, n_values: np.ndarray,
-                rank: Optional[int] = None) -> np.ndarray:
-    if rank is None:
-        rank = coeff.shape[0]
+def partial_sum(basis: np.ndarray, coeff: np.ndarray, n_values: np.ndarray,
+                rank: int) -> np.ndarray:
+    """N x N grid field of the first `rank` total-order terms of an expansion
+    with coefficients `coeff` in `basis` (sys.E for alpha, sys.U for beta)."""
+    N = basis.shape[1]
+    if not (0 <= rank <= N):
+        raise InvalidArgumentError(f"rank must lie in [0, {N}], got {rank}")
+    if rank == 0:
+        return np.zeros((N, N), dtype=complex)
     return (basis[:, :rank] @ coeff[:rank, :] @ basis.conj().T) / n_values[None, :]
 
 
-def reconstruct_green(coeffs: ExpansionCoefficients, sys: SpectralSystem,
-                      op: DiscreteOperator, rank: int, basis: str = "alpha") -> np.ndarray:
-    """Partial-sum reconstruction of the N x N grid field over the first
-    `rank` total-order indices."""
-    N = sys.size
-    if not (0 <= rank <= N):
-        raise InvalidArgumentError(f"rank must lie in [0, {N}], got {rank}")
-    if basis == "alpha":
-        C, Bmat = coeffs.alpha, sys.E
-    elif basis == "beta":
-        C, Bmat = coeffs.beta, sys.U
-    else:
-        raise InvalidArgumentError(f"unknown basis {basis!r}")
-    if C is None:
-        raise InvalidArgumentError(f"coefficients carry no {basis} matrix")
-    part = _synthesize(Bmat, C, op.n, rank) if rank > 0 else np.zeros((N, N), dtype=complex)
-    # when the target field is G0 itself there is no free part to add back
-    return part if coeffs.includes_free_part else g0_matrix(op) + part
+def expansion_errors(basis: np.ndarray, coeff: np.ndarray, op: DiscreteOperator,
+                     direct: np.ndarray, ranks: Sequence[int]) -> Dict[int, float]:
+    """||G0 + partial_sum(rank) - direct||_W for each rank, G0 = g0_matrix(op).
+
+    `direct` is the dense direct solve green_matrix(op, tau). Rank 0 gives
+    ||direct - G0||_W, the scale of the truncation curve; rank N divided by
+    ||direct||_W is the oracle error of the full expansion.
+    """
+    G0 = g0_matrix(op)
+    return {int(r): weighted_frobenius((G0 + partial_sum(basis, coeff, op.n, r)) - direct,
+                                       op.weights)
+            for r in ranks}
 
 
-def expansion_oracle_error(coeffs: ExpansionCoefficients, sys: SpectralSystem,
-                           op: DiscreteOperator, direct: np.ndarray,
-                           basis: str = "alpha") -> float:
-    """Relative weighted-Frobenius error of the full-rank reconstruction
-    against the field it expands: the dense direct solve green_matrix(op, tau),
-    or g0_matrix(op) for the homogeneous expansion."""
-    w = op.weights
-    rec = reconstruct_green(coeffs, sys, op, sys.size, basis=basis)
-    return weighted_frobenius(rec - direct, w) / weighted_frobenius(direct, w)
+def truncation_ranks(N: int) -> List[int]:
+    """Rank 0 and the distinct integer parts of 12 geometric steps from 1 to N."""
+    return sorted(set([0] + [int(r) for r in np.geomspace(1, N, num=12)] + [N]))
 
 
-def truncation_error_curve(coeffs: ExpansionCoefficients, sys: SpectralSystem,
-                           op: DiscreteOperator, direct: np.ndarray,
-                           ranks: Optional[Sequence[int]] = None,
-                           basis: str = "alpha") -> List[Tuple[int, float]]:
-    """Relative L2(D x D) error of the partial sums against the direct solve
-    `direct` = green_matrix(op, tau)."""
-    w = op.weights
-    diff = direct - g0_matrix(op)
-    denom = weighted_frobenius(diff, w)
-    N = sys.size
-    if ranks is None:
-        ranks = sorted(set([0] + [int(r) for r in np.geomspace(1, N, num=12)] + [N]))
-    out = []
-    for rank in ranks:
-        rec = reconstruct_green(coeffs, sys, op, rank, basis=basis)
-        err = weighted_frobenius(rec - direct, w)
-        out.append((int(rank), float(err / denom) if denom > 0 else 0.0))
-    return out
+def truncation_error_curve(errors: Dict[int, float]) -> List[Tuple[int, float]]:
+    """(rank, relative error) pairs of expansion_errors output that includes
+    rank 0: each error divided by ||direct - G0||_W."""
+    free = errors[0]
+    return [(r, float(e / free) if free > 0 else 0.0) for r, e in errors.items()]
 
 
 def psf_from_samples(radii, values, source_point=(0.0, 0.0)) -> PsfProfile:

@@ -9,7 +9,6 @@ clipping), which gives an O(h) boundary error in the total measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -46,7 +45,6 @@ class DomainGrid:
     points: np.ndarray          # (N, dim)
     weights: np.ndarray         # (N,)
     cell_size: float
-    shape_descriptor: str       # e.g. "disk(radius=1.0)"
     radius: float
     lattice_index: np.ndarray = field(repr=False)   # (N, dim) ints
     lattice_shape: tuple = ()
@@ -107,57 +105,37 @@ class MeasurementSurface:
         return self.points.shape[0]
 
 
-def _cell_centers(radius: float, cells: int) -> np.ndarray:
-    h = 2.0 * radius / cells
-    return -radius + (np.arange(cells) + 0.5) * h
+def _lattice_grid(radius: float, cells_per_diameter: int, ctx: WaveContext, dim: int,
+                  name: str) -> DomainGrid:
+    """Cells of the cells^dim lattice over [-radius, radius]^dim whose center
+    lies strictly inside the disk/ball, each weighted by the full cell measure."""
+    if ctx.dim != dim:
+        raise InvalidArgumentError(f"{name} requires ctx.dim == {dim}")
+    if not (radius > 0):
+        raise InvalidArgumentError(f"radius must be positive, got {radius}")
+    if cells_per_diameter < 2:
+        raise InvalidArgumentError("cells_per_diameter must be at least 2")
+    h = 2.0 * radius / cells_per_diameter
+    c = -radius + (np.arange(cells_per_diameter) + 0.5) * h
+    coords = np.meshgrid(*[c] * dim, indexing="ij")
+    lattice = np.meshgrid(*[np.arange(cells_per_diameter)] * dim, indexing="ij")
+    inside = sum(x**2 for x in coords) < radius**2
+    pts = np.column_stack([x[inside] for x in coords])
+    return DomainGrid(
+        points=pts, weights=np.full(pts.shape[0], h**dim), cell_size=h, radius=radius,
+        lattice_index=np.column_stack([i[inside] for i in lattice]),
+        lattice_shape=(cells_per_diameter,) * dim,
+    )
 
 
 def build_disk_grid(radius: float, cells_per_diameter: int, ctx: WaveContext) -> DomainGrid:
     """Uniform cell-center quadrature of the disk of given radius (dim=2)."""
-    if ctx.dim != 2:
-        raise InvalidArgumentError("build_disk_grid requires ctx.dim == 2")
-    if not (radius > 0):
-        raise InvalidArgumentError(f"radius must be positive, got {radius}")
-    if cells_per_diameter < 2:
-        raise InvalidArgumentError("cells_per_diameter must be at least 2")
-    h = 2.0 * radius / cells_per_diameter
-    c = _cell_centers(radius, cells_per_diameter)
-    xx, yy = np.meshgrid(c, c, indexing="ij")
-    ix, iy = np.meshgrid(np.arange(cells_per_diameter), np.arange(cells_per_diameter), indexing="ij")
-    inside = xx**2 + yy**2 < radius**2
-    pts = np.column_stack([xx[inside], yy[inside]])
-    idx = np.column_stack([ix[inside], iy[inside]])
-    w = np.full(pts.shape[0], h * h)
-    return DomainGrid(
-        points=pts, weights=w, cell_size=h,
-        shape_descriptor=f"disk(radius={radius})", radius=radius,
-        lattice_index=idx, lattice_shape=(cells_per_diameter, cells_per_diameter),
-    )
+    return _lattice_grid(radius, cells_per_diameter, ctx, 2, "build_disk_grid")
 
 
 def build_ball_grid(radius: float, cells_per_diameter: int, ctx: WaveContext) -> DomainGrid:
     """Uniform cell-center quadrature of the ball of given radius (dim=3)."""
-    if ctx.dim != 3:
-        raise InvalidArgumentError("build_ball_grid requires ctx.dim == 3")
-    if not (radius > 0):
-        raise InvalidArgumentError(f"radius must be positive, got {radius}")
-    if cells_per_diameter < 2:
-        raise InvalidArgumentError("cells_per_diameter must be at least 2")
-    h = 2.0 * radius / cells_per_diameter
-    c = _cell_centers(radius, cells_per_diameter)
-    xx, yy, zz = np.meshgrid(c, c, c, indexing="ij")
-    ii = np.arange(cells_per_diameter)
-    ix, iy, iz = np.meshgrid(ii, ii, ii, indexing="ij")
-    inside = xx**2 + yy**2 + zz**2 < radius**2
-    pts = np.column_stack([xx[inside], yy[inside], zz[inside]])
-    idx = np.column_stack([ix[inside], iy[inside], iz[inside]])
-    w = np.full(pts.shape[0], h**3)
-    return DomainGrid(
-        points=pts, weights=w, cell_size=h,
-        shape_descriptor=f"ball(radius={radius})", radius=radius,
-        lattice_index=idx,
-        lattice_shape=(cells_per_diameter,) * 3,
-    )
+    return _lattice_grid(radius, cells_per_diameter, ctx, 3, "build_ball_grid")
 
 
 def sample_profile(grid: DomainGrid, spec) -> RefractiveProfile:

@@ -191,6 +191,8 @@ def l2_minimum_norm(fmap: ForwardMap, data: MeasurementData, mode="exact",
         keep = s > 1e-12 * s[0]
         g = Vh.conj().T @ np.where(keep, coefs / np.where(keep, s, 1.0), 0.0)
         meta["truncated"] = int(np.sum(~keep))
+        # the noise amplification of the pseudoinverse: s is sorted descending
+        meta["condition_kept"] = float(s[0] / s[keep][-1])
     elif mode == "tikhonov":
         if alpha is None or alpha < 0:
             raise InvalidArgumentError("tikhonov mode needs alpha >= 0")

@@ -1,9 +1,12 @@
 """Non-Hermitian spectral data of the volume operator.
 
 Eigenvalues are sorted by descending modulus and grouped into clusters; each
-column of the mode matrix U carries a chain index (j, l, k) in lexicographic
-total order. The orthonormalized basis E is produced by QR in the weighted
-discrete L2(D) inner product, with change-of-basis matrices stored so that
+column of the mode matrix U carries a chain index, the tuple (j, l, k) of
+cluster, chain within the cluster and position within the chain, in
+lexicographic total order. That per-column table is the only record of the
+chain structure: a chain starts at each column with k = 1. The orthonormalized
+basis E is produced by QR in the weighted discrete L2(D) inner product, with
+change-of-basis matrices stored so that
 
     E = U @ A,    U = E @ B,    A @ B = I,
 
@@ -31,29 +34,17 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
-from .volume import DiscreteOperator, operator_from_matrix
-
-
-@dataclass(frozen=True)
-class ChainIndex:
-    j: int  # eigenvalue cluster, 1-based
-    l: int  # chain within cluster, 1-based
-    k: int  # position within chain, 1-based
-
-    def key(self) -> Tuple[int, int, int]:
-        return (self.j, self.l, self.k)
+from .volume import RESONANCE_TOL, DiscreteOperator, operator_from_matrix, refuse_near_spectrum
 
 
 @dataclass
 class SpectralSystem:
-    lambdas: np.ndarray            # (N,) eigenvalue per total-order column
-    indices: List[ChainIndex]      # chain index per column, lexicographically sorted
-    chains: List[Tuple[int, int, int]]   # (j, l, length)
-    U: np.ndarray                  # modes, columns in total order
-    E: np.ndarray                  # weighted-orthonormal columns
-    A: np.ndarray                  # E = U @ A
-    B: np.ndarray                  # U = E @ B
-    weights: np.ndarray            # quadrature weights of the grid
+    lambdas: np.ndarray                    # (N,) eigenvalue per total-order column
+    indices: List[Tuple[int, int, int]]    # (j, l, k) per column, 1-based, sorted
+    U: np.ndarray                          # modes, columns in total order
+    E: np.ndarray                          # weighted-orthonormal columns
+    A: np.ndarray                          # E = U @ A
+    B: np.ndarray                          # U = E @ B
     cluster_tol: float
     warnings: List[str] = field(default_factory=list)
 
@@ -61,20 +52,17 @@ class SpectralSystem:
     def size(self) -> int:
         return self.U.shape[1]
 
-    def position(self, gamma: ChainIndex) -> int:
-        key = gamma.key()
-        for pos, idx in enumerate(self.indices):
-            if idx.key() == key:
-                return pos
-        raise InvalidArgumentError(f"chain index {gamma} not present")
+    def chain_starts(self) -> np.ndarray:
+        """First column (k = 1) of each chain, followed by N."""
+        return np.append(np.flatnonzero([k == 1 for _, _, k in self.indices]), self.size)
 
     def chain_matrix(self) -> np.ndarray:
         """Matrix T with M @ U = U @ T (upper bidiagonal per chain)."""
         N = self.size
         T = np.zeros((N, N), dtype=complex)
-        for pos, idx in enumerate(self.indices):
+        for pos, (_, _, k) in enumerate(self.indices):
             T[pos, pos] = self.lambdas[pos]
-            if idx.k > 1:
+            if k > 1:
                 T[pos - 1, pos] = 1.0
         return T
 
@@ -140,8 +128,7 @@ def eigendecompose(op: DiscreteOperator, cluster_tol: Optional[float] = None) ->
             clusters.append([pos])
 
     warnings: List[str] = []
-    indices: List[ChainIndex] = []
-    chains: List[Tuple[int, int, int]] = []
+    indices: List[Tuple[int, int, int]] = []
     for j, members in enumerate(clusters, start=1):
         if len(members) > 1:
             sub = V[:, members]
@@ -151,17 +138,15 @@ def eigendecompose(op: DiscreteOperator, cluster_tol: Optional[float] = None) ->
                     f"cluster {j} (lambda~{lam[members[0]]:.3e}, size {len(members)}) "
                     "looks defective; semisimple treatment retained"
                 )
-        for l, _ in enumerate(members, start=1):
-            indices.append(ChainIndex(j=j, l=l, k=1))
-            chains.append((j, l, 1))
+        indices.extend((j, l, 1) for l in range(1, len(members) + 1))
 
     # unit weighted norm + phase gauge (chains all length one, so safe)
     w = op.weights
     norms = np.sqrt(np.sum(w[:, None] * np.abs(V) ** 2, axis=0))
     U = _fix_column_phases(V / norms[None, :])
     E, A, B = _weighted_qr(U, w)
-    return SpectralSystem(lambdas=lam, indices=indices, chains=chains, U=U, E=E,
-                          A=A, B=B, weights=w, cluster_tol=tol, warnings=warnings)
+    return SpectralSystem(lambdas=lam, indices=indices, U=U, E=E, A=A, B=B,
+                          cluster_tol=tol, warnings=warnings)
 
 
 def synthetic_jordan_system(chain_spec: Sequence[Tuple[complex, int]],
@@ -183,8 +168,7 @@ def synthetic_jordan_system(chain_spec: Sequence[Tuple[complex, int]],
     w = np.ones(total) if weights is None else np.asarray(weights, dtype=float)
 
     lambdas = np.zeros(total, dtype=complex)
-    indices: List[ChainIndex] = []
-    chains: List[Tuple[int, int, int]] = []
+    indices: List[Tuple[int, int, int]] = []
     pos = 0
     j = 0
     prev_lam = None
@@ -196,33 +180,28 @@ def synthetic_jordan_system(chain_spec: Sequence[Tuple[complex, int]],
         else:
             l += 1
         prev_lam = lam
-        chains.append((j, l, length))
-        for k in range(1, length + 1):
-            lambdas[pos] = lam
-            indices.append(ChainIndex(j=j, l=l, k=k))
-            pos += 1
+        lambdas[pos:pos + length] = lam
+        indices.extend((j, l, k) for k in range(1, length + 1))
+        pos += length
 
     E, A, B = _weighted_qr(V, w)
-    sys = SpectralSystem(lambdas=lambdas, indices=indices, chains=chains, U=V,
-                         E=E, A=A, B=B, weights=w, cluster_tol=1e-12,
-                         warnings=[])
+    sys = SpectralSystem(lambdas=lambdas, indices=indices, U=V, E=E, A=A, B=B,
+                         cluster_tol=1e-12, warnings=[])
     M = V @ sys.chain_matrix() @ np.linalg.inv(V)
     return operator_from_matrix(M, weights=w), sys
 
 
-def verify_resonant_mode(sys: SpectralSystem, op: DiscreteOperator,
-                         gamma: ChainIndex):
-    """Chain residual of one mode and its dominant spatial frequency.
+def verify_resonant_mode(sys: SpectralSystem, op: DiscreteOperator, pos: int):
+    """Chain residual of the mode in column `pos` and its dominant spatial frequency.
 
     Returns (residual, dominant_frequency); the frequency is None when the grid
     carries no Cartesian lattice to Fourier-analyze (synthetic systems).
     """
-    pos = sys.position(gamma)
     lam = sys.lambdas[pos]
     if lam == 0:
         raise InvalidArgumentError("zero is not a point-spectrum eigenvalue")
     u = sys.U[:, pos]
-    pred = sys.U[:, pos - 1] if gamma.k > 1 else 0.0
+    pred = sys.U[:, pos - 1] if sys.indices[pos][2] > 1 else 0.0
     resid = np.linalg.norm(op.matrix @ u - lam * u - pred) / np.linalg.norm(u)
     freq = dominant_spatial_frequency(op, u)
     return float(resid), freq
@@ -272,27 +251,22 @@ def resolvent_chain_coefficients(lam: complex, chain_len: int, z: complex) -> np
     return c
 
 
-def _check_pole(sys: SpectralSystem, z: complex):
-    d = np.abs(z - sys.lambdas)
-    bad = d < max(sys.cluster_tol, 1e-12) * (1.0 + np.abs(sys.lambdas))
-    if np.any(bad):
-        idx = int(np.argmin(d))
-        raise ResonanceProximityError(z, sys.lambdas[idx])
-
-
 def build_r_matrix(sys: SpectralSystem, z: complex) -> np.ndarray:
-    """(z - K)^{-1} K^2 in the mode basis; acts on the grid as U @ R.T."""
-    _check_pole(sys, z)
+    """(z - K)^{-1} K^2 in the mode basis; acts on the grid as U @ R.T.
+
+    Refused, by the rule of the direct solve's resonance check, when z lies
+    within RESONANCE_TOL of the spectrum.
+    """
+    refuse_near_spectrum(z, sys.lambdas, RESONANCE_TOL)
     N = sys.size
     R = np.zeros((N, N), dtype=complex)
-    pos = 0
-    for _, _, length in sys.chains:
-        lam = sys.lambdas[pos]
-        c = resolvent_chain_coefficients(lam, length, z)
+    starts = sys.chain_starts()
+    for pos, end in zip(starts[:-1], starts[1:]):
+        length = end - pos
+        c = resolvent_chain_coefficients(sys.lambdas[pos], length, z)
         for k in range(length):
             for m in range(k + 1):
                 R[pos + k, pos + k - m] = c[m]
-        pos += length
     return R
 
 

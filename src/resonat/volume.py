@@ -40,7 +40,6 @@ class DiscreteOperator:
     grid: DomainGrid
     profile: RefractiveProfile
     ctx: WaveContext
-    diagonal_rule: str = "equal_measure"
 
     @property
     def n(self) -> np.ndarray:
@@ -103,13 +102,11 @@ def operator_from_matrix(matrix: np.ndarray, weights=None, n_values=None,
     nv = np.ones(N) if n_values is None else np.asarray(n_values, dtype=float)
     ctx = ctx or WaveContext(k=1.0, dim=2)
     pts = np.column_stack([np.arange(N, dtype=float), np.zeros(N)])
-    grid = DomainGrid(points=pts, weights=w, cell_size=1.0,
-                      shape_descriptor="synthetic", radius=float(N),
+    grid = DomainGrid(points=pts, weights=w, cell_size=1.0, radius=float(N),
                       lattice_index=np.column_stack([np.arange(N), np.zeros(N, dtype=int)]),
                       lattice_shape=(N, 1))
     profile = RefractiveProfile(values=nv, profile_kind="synthetic")
-    return DiscreteOperator(matrix=matrix, grid=grid, profile=profile, ctx=ctx,
-                            diagonal_rule="synthetic")
+    return DiscreteOperator(matrix=matrix, grid=grid, profile=profile, ctx=ctx)
 
 
 def apply_kd(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
@@ -187,12 +184,15 @@ def check_resonance_proximity(op: DiscreteOperator, z: complex, tol: float = RES
     lu = _factor(op, 1.0 / z) if lu is None else lu
     if not np.all(np.diagonal(lu[0])):  # I - M/z is singular: z itself is an eigenvalue
         raise ResonanceProximityError(z, z)
-    lam = z * (1.0 - 1.0 / _dominant_ritz_values(lu))
-    d = np.abs(z - lam)
-    bad = d < tol * (1.0 + np.abs(lam))
-    if np.any(bad):
-        idx = int(np.argmin(d))
-        raise ResonanceProximityError(z, lam[idx])
+    refuse_near_spectrum(z, z * (1.0 - 1.0 / _dominant_ritz_values(lu)), tol)
+
+
+def refuse_near_spectrum(z: complex, lambdas: np.ndarray, tol: float):
+    """The resonance rule: raise if some |z - lambda| < tol (1 + |lambda|),
+    reporting the eigenvalue nearest z."""
+    d = np.abs(z - lambdas)
+    if np.any(d < tol * (1.0 + np.abs(lambdas))):
+        raise ResonanceProximityError(z, lambdas[int(np.argmin(d))])
 
 
 def _checked_factor(op: DiscreteOperator, tau: float):

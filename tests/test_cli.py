@@ -161,6 +161,12 @@ class TestExpand:
         assert header == ["rank", "rel_error"]
         assert float(rows[-1][1]) <= 1e-8
 
+    def test_eigenbasis_condition_in_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("expand", write_cfg(tmp_path, BASE), out) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["eigenbasis_condition"] >= 1.0
+
     def test_tau_zero(self, tmp_path):
         cfg = dict(BASE, contrast={"tau": 0.0})
         out = tmp_path / "out"

@@ -7,123 +7,130 @@ from resonat import (
     beta_expansion,
     eigendecompose,
     green_matrix,
+    expansion_errors,
     homogeneous_expansion,
     mode_mixing_report,
     operator_from_matrix,
+    partial_sum,
     psf_from_samples,
     psf_profile,
-    reconstruct_green,
     synthetic_jordan_system,
     truncation_error_curve,
+    truncation_ranks,
 )
 from resonat.errors import InvalidArgumentError
-from resonat.expansion import beta_to_alpha, expansion_oracle_error, weighted_frobenius
+from resonat.expansion import weighted_frobenius
 from resonat.kernels import im_g0_from_distance
 from resonat.volume import g0_matrix
 
 TAU = 3.0
 
 
+def oracle_error(basis, coeff, op, direct):
+    """Relative weighted error of the full-rank expansion against `direct`."""
+    N = basis.shape[1]
+    return (expansion_errors(basis, coeff, op, direct, [N])[N]
+            / weighted_frobenius(direct, op.weights))
+
+
 class TestAlpha:
-    def test_small_tau_linear_scaling(self, disk16, disk16_sys):
-        _, _, op = disk16
-        n1 = np.linalg.norm(alpha_expansion(disk16_sys, op, 1e-3).alpha)
-        n2 = np.linalg.norm(alpha_expansion(disk16_sys, op, 5e-4).alpha)
+    def test_small_tau_linear_scaling(self, disk16_sys):
+        n1 = np.linalg.norm(alpha_expansion(disk16_sys, 1e-3))
+        n2 = np.linalg.norm(alpha_expansion(disk16_sys, 5e-4))
         assert n1 / n2 == pytest.approx(2.0, rel=0.05)
 
-    def test_tau_zero_is_zero(self, disk16, disk16_sys):
-        _, _, op = disk16
-        co = alpha_expansion(disk16_sys, op, 0.0)
-        assert np.all(co.alpha == 0)
+    def test_tau_zero_is_zero(self, disk16_sys):
+        assert np.all(alpha_expansion(disk16_sys, 0.0) == 0)
 
     def test_oracle_identity(self, disk16, disk16_sys):
         _, _, op = disk16
-        co = alpha_expansion(disk16_sys, op, TAU)
-        assert expansion_oracle_error(co, disk16_sys, op, green_matrix(op, TAU), "alpha") <= 1e-8
+        alpha = alpha_expansion(disk16_sys, TAU)
+        assert oracle_error(disk16_sys.E, alpha, op, green_matrix(op, TAU)) <= 1e-8
 
     def test_parseval_mass(self, disk16, disk16_sys):
         # sum |alpha|^2 equals the squared weighted Frobenius norm of
         # (G - G0) diag(n); n = 1 here
         _, _, op = disk16
-        co = alpha_expansion(disk16_sys, op, TAU)
+        alpha = alpha_expansion(disk16_sys, TAU)
         diff = green_matrix(op, TAU) - g0_matrix(op)
-        mass = float(np.sum(np.abs(co.alpha) ** 2))
+        mass = float(np.sum(np.abs(alpha) ** 2))
         assert mass == pytest.approx(weighted_frobenius(diff, op.weights) ** 2, rel=1e-8)
 
-    def test_tau_sweep_bounded(self, disk16, disk16_sys):
-        _, _, op = disk16
-        masses = [float(np.sum(np.abs(alpha_expansion(disk16_sys, op, 1.0 / z).alpha) ** 2))
+    def test_tau_sweep_bounded(self, disk16_sys):
+        masses = [float(np.sum(np.abs(alpha_expansion(disk16_sys, 1.0 / z)) ** 2))
                   for z in np.linspace(0.7, 0.9, 10)]
         assert max(masses) / min(masses) < 10.0
 
 
 class TestBeta:
     def test_orthonormal_modes_beta_equals_alpha(self):
-        op, sys = synthetic_jordan_system([(0.5, 1), (0.2, 1), (0.1, 1)],
+        _, sys = synthetic_jordan_system([(0.5, 1), (0.2, 1), (0.1, 1)],
                                           V=np.eye(3, dtype=complex))
-        co = beta_expansion(sys, op, 1.5)
-        assert np.allclose(co.beta, co.alpha, atol=1e-13)
+        alpha = alpha_expansion(sys, 1.5)
+        assert np.allclose(beta_expansion(sys, alpha), alpha, atol=1e-13)
 
     def test_synthetic_oracle(self, rng):
         op, sys = synthetic_jordan_system([(0.6, 2), (0.3, 1), (0.1 + 0.05j, 2)], rng=rng)
         tau = 1.2
-        co = beta_expansion(sys, op, tau)
-        assert expansion_oracle_error(co, sys, op, green_matrix(op, tau), "beta") <= 1e-9
+        beta = beta_expansion(sys, alpha_expansion(sys, tau))
+        assert oracle_error(sys.U, beta, op, green_matrix(op, tau)) <= 1e-9
 
-    def test_round_trip_to_alpha(self, disk16, disk16_sys):
-        _, _, op = disk16
-        co = beta_expansion(disk16_sys, op, TAU)
-        back = beta_to_alpha(disk16_sys, co.beta)
-        assert np.linalg.norm(back - co.alpha) <= 1e-10 * np.linalg.norm(co.alpha)
+    def test_round_trip_to_alpha(self, disk16_sys):
+        B = disk16_sys.B
+        alpha = alpha_expansion(disk16_sys, TAU)
+        back = B @ beta_expansion(disk16_sys, alpha) @ B.conj().T
+        assert np.linalg.norm(back - alpha) <= 1e-10 * np.linalg.norm(alpha)
 
     def test_disk_oracle(self, disk16, disk16_sys):
         _, _, op = disk16
-        co = beta_expansion(disk16_sys, op, TAU)
-        assert expansion_oracle_error(co, disk16_sys, op, green_matrix(op, TAU), "beta") <= 1e-7
+        beta = beta_expansion(disk16_sys, alpha_expansion(disk16_sys, TAU))
+        assert oracle_error(disk16_sys.U, beta, op, green_matrix(op, TAU)) <= 1e-7
 
 
 class TestHomogeneousExpansion:
     def test_full_rank_matches_g0(self, disk16, disk16_sys):
         _, _, op = disk16
-        co = homogeneous_expansion(disk16_sys, op)
-        assert expansion_oracle_error(co, disk16_sys, op, g0_matrix(op), "alpha") <= 1e-8
+        sys = disk16_sys
+        G0, w = g0_matrix(op), op.weights
+        full = partial_sum(sys.E, homogeneous_expansion(sys), op.n, sys.size)
+        assert weighted_frobenius(full - G0, w) / weighted_frobenius(G0, w) <= 1e-8
 
     def test_truncation_worse_than_full(self, disk16, disk16_sys):
         _, _, op = disk16
-        co = homogeneous_expansion(disk16_sys, op)
         sys = disk16_sys
+        alpha = homogeneous_expansion(sys)
         G0 = g0_matrix(op)
         w = op.weights
-        half = reconstruct_green(co, sys, op, sys.size // 2, basis="alpha")
-        full = reconstruct_green(co, sys, op, sys.size, basis="alpha")
+        half = partial_sum(sys.E, alpha, op.n, sys.size // 2)
+        full = partial_sum(sys.E, alpha, op.n, sys.size)
         e_half = weighted_frobenius(half - G0, w)
         e_full = weighted_frobenius(full - G0, w)
         assert e_half > e_full
 
     def test_semisimple_h_is_diagonal_lambda(self):
-        op, sys = synthetic_jordan_system([(0.5, 1), (0.2, 1)], V=np.eye(2, dtype=complex))
-        co = homogeneous_expansion(sys, op)
+        _, sys = synthetic_jordan_system([(0.5, 1), (0.2, 1)], V=np.eye(2, dtype=complex))
         # orthonormal modes: abar = -(B H^T A) = -diag(lambda)
-        assert np.allclose(co.alpha, -np.diag(sys.lambdas), atol=1e-13)
+        assert np.allclose(homogeneous_expansion(sys), -np.diag(sys.lambdas), atol=1e-13)
 
 
 class TestReconstruct:
     def test_rank_zero_is_g0(self, disk16, disk16_sys):
         _, _, op = disk16
-        co = alpha_expansion(disk16_sys, op, TAU)
-        field = reconstruct_green(co, disk16_sys, op, 0)
+        alpha = alpha_expansion(disk16_sys, TAU)
+        field = g0_matrix(op) + partial_sum(disk16_sys.E, alpha, op.n, 0)
         assert np.allclose(field, g0_matrix(op))
 
     def test_rank_out_of_bounds(self, disk16, disk16_sys):
         _, _, op = disk16
-        co = alpha_expansion(disk16_sys, op, TAU)
+        alpha = alpha_expansion(disk16_sys, TAU)
         with pytest.raises(InvalidArgumentError):
-            reconstruct_green(co, disk16_sys, op, disk16_sys.size + 1)
+            partial_sum(disk16_sys.E, alpha, op.n, disk16_sys.size + 1)
 
     def test_alpha_curve_monotone(self, disk16, disk16_sys):
         _, _, op = disk16
-        co = alpha_expansion(disk16_sys, op, TAU)
-        curve = truncation_error_curve(co, disk16_sys, op, green_matrix(op, TAU))
+        alpha = alpha_expansion(disk16_sys, TAU)
+        curve = truncation_error_curve(expansion_errors(
+            disk16_sys.E, alpha, op, green_matrix(op, TAU), truncation_ranks(disk16_sys.size)))
         errs = [e for _, e in curve]
         assert errs[0] == pytest.approx(1.0, abs=1e-12)
         assert errs[-1] <= 1e-8
@@ -164,8 +171,7 @@ class TestModeMixing:
         M = Q @ np.diag([0.6, 0.4, 0.3, 0.2, 0.1, 0.05]) @ Q.conj().T
         op = operator_from_matrix(M)
         sys = eigendecompose(op)
-        co = alpha_expansion(sys, op, 1.2)
-        _, off_mass, _ = mode_mixing_report(co.alpha)
+        _, off_mass, _ = mode_mixing_report(alpha_expansion(sys, 1.2))
         assert off_mass <= 1e-12
 
     def test_hand_computed_masses(self):
@@ -175,8 +181,6 @@ class TestModeMixing:
         assert off_mass == pytest.approx(4.25)
         assert pairs[0][:2] == (0, 1) and pairs[0][2] == pytest.approx(2.0)
 
-    def test_disk_operator_mixes(self, disk16, disk16_sys):
-        _, _, op = disk16
-        co = alpha_expansion(disk16_sys, op, TAU)
-        _, off_mass, _ = mode_mixing_report(co.alpha)
+    def test_disk_operator_mixes(self, disk16_sys):
+        _, off_mass, _ = mode_mixing_report(alpha_expansion(disk16_sys, TAU))
         assert off_mass > 0

@@ -197,6 +197,10 @@ class TestL2:
         res = l2_minimum_norm(fmap, plain_data(u), mode="exact")
         assert np.allclose(res.values, np.linalg.pinv(A) @ u, atol=1e-10)
 
+    def test_exact_reports_kept_condition(self):
+        res = l2_minimum_norm(diag_map([2.0, 1.0]), plain_data([2.0, 1.0]), mode="exact")
+        assert res.metadata["condition_kept"] == 2.0
+
     def test_large_alpha_shrinks_to_zero(self):
         res = l2_minimum_norm(diag_map([2.0, 1.0]), plain_data([2.0, 1.0]),
                               mode="tikhonov", alpha=1e12)

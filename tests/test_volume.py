@@ -22,6 +22,7 @@ from resonat import (
 )
 from resonat.errors import InvalidArgumentError, ResonanceProximityError
 from resonat.grids import RefractiveProfile
+from resonat.spectral import build_r_matrix, eigendecompose
 from resonat.volume import (
     assemble_kd,
     check_resonance_proximity,
@@ -242,6 +243,17 @@ class TestResonanceCheck:
             with pytest.raises(ResonanceProximityError):
                 green_matrix(op, 2.0)
         assert info.value.eigenvalue == 0.5
+
+    def test_pole_check_applies_the_same_rule(self):
+        # |z - 0.5| against 1e-8 (1 + 0.5) = 1.5e-8: 3e-8 is outside, 1e-8 inside
+        op = operator_from_matrix(np.diag([3.0, 0.5, 0.2]).astype(complex))
+        sys = eigendecompose(op)
+        check_resonance_proximity(op, 0.5 + 3e-8)
+        build_r_matrix(sys, 0.5 + 3e-8)
+        with pytest.raises(ResonanceProximityError):
+            check_resonance_proximity(op, 0.5 + 1e-8)
+        with pytest.raises(ResonanceProximityError):
+            build_r_matrix(sys, 0.5 + 1e-8)
 
     def test_zero_shift_rejected(self):
         op = operator_from_matrix(np.diag([0.5, 0.25]).astype(complex))
