@@ -13,18 +13,15 @@ if os.environ.get("RESONAT_THREADS"):
         os.environ.setdefault(_var, os.environ["RESONAT_THREADS"])
 
 from .grids import (
-    ConstantProfile,
     DomainGrid,
     MeasurementSurface,
-    RadialBumpProfile,
-    RefractiveProfile,
     WaveContext,
     build_ball_grid,
     build_disk_grid,
     build_measurement_surface,
-    sample_profile,
+    radial_bump,
 )
-from .kernels import far_field_g0, g0, im_g0, sinc_psf, sinc_psf_fwhm
+from .kernels import far_field_g0, g0, g0_between, im_g0, sinc_psf, sinc_psf_fwhm
 from .volume import (
     DiscreteOperator,
     apply_kd,
@@ -59,10 +56,7 @@ from .expansion import (
 )
 from .imaging import (
     ForwardMap,
-    GridDensity,
     ImagingResult,
-    MeasurementData,
-    PointSources,
     build_forward_map,
     homogeneous_hk_residual,
     l1_reconstruct,

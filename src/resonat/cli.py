@@ -37,16 +37,13 @@ from .expansion import (
     weighted_frobenius,
 )
 from .grids import (
-    ConstantProfile,
-    RadialBumpProfile,
     WaveContext,
     build_ball_grid,
     build_disk_grid,
     build_measurement_surface,
-    sample_profile,
+    radial_bump,
 )
 from .imaging import (
-    PointSources,
     build_forward_map,
     homogeneous_hk_residual,
     l1_reconstruct,
@@ -58,7 +55,7 @@ from .imaging import (
 from .io import config_hash, fmt, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import eigendecompose
-from .volume import RESONANCE_TOL, assemble_kd, g0_matrix, green_matrix, solve_green_direct
+from .volume import RESONANCE_TOL, assemble_kd, green_matrix, solve_green_direct
 
 
 class ConfigError(Exception):
@@ -226,14 +223,14 @@ def _operator(cfg):
     d, p = cfg["domain"], cfg["profile"]
     build_grid = build_disk_grid if d["shape"] == "disk" else build_ball_grid
     grid = build_grid(d["radius"], d["cells"], ctx)
-    spec = (ConstantProfile(p["value"]) if p["kind"] == "constant" else
-            RadialBumpProfile(center=p["center"], width=p["width"], peak=p["peak"]))
-    return ctx, grid, assemble_kd(grid, sample_profile(grid, spec), ctx)
+    n = (np.full(grid.n_points, p["value"]) if p["kind"] == "constant" else
+         radial_bump(grid.points, p["center"], p["width"], p["peak"]))
+    return ctx, grid, assemble_kd(grid, n, ctx)
 
 
-def _relative_mu(mu_rel, fmap, data):
+def _relative_mu(mu_rel, fmap, u):
     """The L1 weight mu_rel * max|A^H u|; at mu_rel = 1 the solution is zero."""
-    return mu_rel * float(np.max(np.abs(fmap.matrix.conj().T @ data.values)))
+    return mu_rel * float(np.max(np.abs(fmap.matrix.conj().T @ u)))
 
 
 def cmd_spectrum(cfg, out: Path):
@@ -278,20 +275,17 @@ def cmd_psf(cfg, out: Path):
     ctx, grid, op = _operator(cfg)
     direction = cfg["psf"]["direction"]
     x0_index = grid.nearest_index(cfg["psf"]["x0"])
-    prof_h = psf_profile(g0_matrix(op, x0_index), grid, x0_index, direction)
-    oracle = im_g0_from_distance(np.abs(prof_h.radii), ctx)
-    write_csv(out / "psf_homogeneous.csv", ["r", "value", "oracle_value"],
-              list(zip(prof_h.radii, prof_h.values, np.atleast_1d(oracle))))
     tau = cfg["contrast"]["tau"]
-    report = {"fwhm_homogeneous": prof_h.fwhm, "tau": tau}
-    if tau != 0.0:
-        prof_c = psf_profile(solve_green_direct(op, tau, x0_index), grid, x0_index, direction)
-        oracle_c = im_g0_from_distance(np.abs(prof_c.radii), ctx)
-        write_csv(out / "psf_high_contrast.csv", ["r", "value", "oracle_value"],
-                  list(zip(prof_c.radii, prof_c.values, np.atleast_1d(oracle_c))))
-        report["fwhm_high_contrast"] = prof_c.fwhm
-        if prof_c.fwhm is not None and prof_h.fwhm:
-            report["ratio"] = prof_c.fwhm / prof_h.fwhm
+    report = {"tau": tau}
+    # at tau = 0 the Green column is the free-kernel column
+    for medium, t in [("homogeneous", 0.0)] + ([("high_contrast", tau)] if tau else []):
+        prof = psf_profile(solve_green_direct(op, t, x0_index), grid, x0_index, direction)
+        oracle = im_g0_from_distance(np.abs(prof.radii), ctx)
+        write_csv(out / f"psf_{medium}.csv", ["r", "value", "oracle_value"],
+                  list(zip(prof.radii, prof.values, np.atleast_1d(oracle))))
+        report[f"fwhm_{medium}"] = prof.fwhm
+    if report.get("fwhm_high_contrast") is not None and report["fwhm_homogeneous"]:
+        report["ratio"] = report["fwhm_high_contrast"] / report["fwhm_homogeneous"]
     write_json(out / "fwhm_report.json", report)
     return {"x0_index": x0_index}
 
@@ -305,28 +299,27 @@ def cmd_image(cfg, out: Path):
     ctx, grid, op = _operator(cfg)
     surface = build_measurement_surface(cfg["surface"]["radius"], cfg["surface"]["points"], ctx)
     tau, seed, noise = cfg["contrast"]["tau"], cfg["seed"], cfg["noise"]["level"]
-    fmap = build_forward_map(grid, surface, ctx, tau=tau, op=op if tau else None)
-    sources = PointSources(tuple((s["location"], s["amplitude"]) for s in cfg["sources"]))
-    data = synthesize_data(fmap, sources, noise, seed)
+    fmap = build_forward_map(grid, surface, ctx, tau=tau, op=op)
+    sources = [(s["location"], s["amplitude"]) for s in cfg["sources"]]
+    u, noise_norm = synthesize_data(fmap, sources, noise, seed)
     metrics = {"noise_level": noise, "seed": seed, "tau": tau,
-               "noise_norm": data.noise_norm, "methods": {}}
+               "noise_norm": noise_norm, "methods": {}}
     for name, p in cfg["methods"].items():
         if name == "time_reversal":
-            res = time_reversal(data, fmap)
+            res = time_reversal(u, fmap)
         elif name == "l2":
             delta = p["delta"]
             if delta is None and p["delta_rel"] is not None:
-                delta = p["delta_rel"] * float(np.linalg.norm(data.values) ** 2)
-            res = l2_minimum_norm(fmap, data, mode=p["mode"], alpha=p["alpha"], delta=delta)
+                delta = p["delta_rel"] * float(np.linalg.norm(u) ** 2)
+            res = l2_minimum_norm(fmap, u, mode=p["mode"], alpha=p["alpha"], delta=delta)
         else:
-            mu = p["mu"] if p["mu"] is not None else _relative_mu(p["mu_rel"], fmap, data)
-            res = l1_reconstruct(fmap, data, mu=mu, mode=p["mode"],
+            mu = p["mu"] if p["mu"] is not None else _relative_mu(p["mu_rel"], fmap, u)
+            res = l1_reconstruct(fmap, u, mu=mu, mode=p["mode"],
                                  max_iters=p["max_iters"], tol=p["tol"])
         write_csv(out / f"result_{name}.csv", ["index", "re", "im", "magnitude"],
                   _result_rows(res.values))
-        met = resolution_metrics(res, sources, grid)
+        met = resolution_metrics(res.values, sources, grid)
         entry = dict(res.metadata)
-        entry.pop("support", None)
         entry["localization_errors"] = list(met.localization_errors)
         entry["support_f1"] = met.support_f1
         entry["separation"] = met.separation if np.isfinite(met.separation) else None
@@ -361,21 +354,22 @@ def cmd_sweep_separation(cfg, out: Path):
     rows, solves = [], []
     for medium in sep["media"]:
         t = 0.0 if medium == "homogeneous" else tau
-        fmap = build_forward_map(grid, surface, ctx, tau=t, op=op if t else None)
+        fmap = build_forward_map(grid, surface, ctx, tau=t, op=op)
         for s in sep["values"]:
             a = grid.points[grid.nearest_index([-s / 2, offset][: ctx.dim])]
             b = grid.points[grid.nearest_index([+s / 2, offset][: ctx.dim])]
-            src = PointSources(((tuple(a), 1.0 + 0.0j), (tuple(b), 1.0 + 0.0j)))
-            data = synthesize_data(fmap, src, noise, seed)
-            res = l1_reconstruct(fmap, data, mu=_relative_mu(sep["mu_rel"], fmap, data),
+            src = [(a, 1.0 + 0.0j), (b, 1.0 + 0.0j)]
+            u, _ = synthesize_data(fmap, src, noise, seed)
+            res = l1_reconstruct(fmap, u, mu=_relative_mu(sep["mu_rel"], fmap, u),
                                  max_iters=sep["max_iters"], tol=sep["tol"])
-            met = resolution_metrics(res, src, grid)
+            met = resolution_metrics(res.values, src, grid)
             err = max(met.localization_errors) if met.localization_errors else float("inf")
             success = (not met.empty) and err <= grid.cell_size * (1 + 1e-9)
             rows.append((s, medium, err, success))
             solves.append({"separation": s, "medium": medium,
                            "iterations": res.metadata["iterations"],
-                           "converged": res.metadata["converged"]})
+                           "converged": res.metadata["converged"],
+                           "objective": res.metadata["objective"]})
     write_csv(out / "sweep.csv",
               ["separation", "medium_tag", "localization_error", "success_flag"], rows)
     return {"tolerances": {"l1_tol": sep["tol"]}, "l1_solves": solves}

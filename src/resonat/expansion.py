@@ -31,7 +31,6 @@ class PsfProfile:
     radii: np.ndarray
     values: np.ndarray
     fwhm: Optional[float]
-    source_point: np.ndarray
 
 
 def weighted_frobenius(X: np.ndarray, w: np.ndarray) -> float:
@@ -95,7 +94,7 @@ def truncation_error_curve(errors: Dict[int, float]) -> List[Tuple[int, float]]:
     return [(r, float(e / free) if free > 0 else 0.0) for r, e in errors.items()]
 
 
-def psf_from_samples(radii, values, source_point=(0.0, 0.0)) -> PsfProfile:
+def psf_from_samples(radii, values) -> PsfProfile:
     """FWHM of the central peak of |values| by linear interpolation of the
     half-maximum crossings on both sides."""
     r = np.asarray(radii, dtype=float)
@@ -119,8 +118,7 @@ def psf_from_samples(radii, values, source_point=(0.0, 0.0)) -> PsfProfile:
     right = crossing(+1)
     left = crossing(-1)
     fwhm = (right - left) if (right is not None and left is not None) else None
-    return PsfProfile(radii=r, values=v, fwhm=fwhm,
-                      source_point=np.asarray(source_point, dtype=float))
+    return PsfProfile(radii=r, values=v, fwhm=fwhm)
 
 
 def psf_profile(green: np.ndarray, grid: DomainGrid, x0_index: int,
@@ -136,11 +134,8 @@ def psf_profile(green: np.ndarray, grid: DomainGrid, x0_index: int,
     t = rel @ d
     perp = np.linalg.norm(rel - np.outer(t, d), axis=1)
     on_line = perp < 0.51 * grid.cell_size
-    radii = t[on_line]
     column = green if green.ndim == 1 else green[:, x0_index]
-    values = np.imag(column[on_line])
-    prof = psf_from_samples(radii, values, source_point=x0)
-    return prof
+    return psf_from_samples(t[on_line], np.imag(column[on_line]))
 
 
 def mode_mixing_report(matrix: np.ndarray, top: int = 10):

@@ -1,4 +1,5 @@
-"""Quadrature grids for the source domain, refractive profiles, and far-field surfaces.
+"""Quadrature grids for the source domain, the radial-bump refractive index,
+and far-field surfaces.
 
 The domain D is discretized by uniform cell-center (midpoint) quadrature: a
 Cartesian lattice covering the bounding box, keeping the cells whose center lies
@@ -66,39 +67,11 @@ class DomainGrid:
 
 
 @dataclass(frozen=True)
-class RefractiveProfile:
-    """Pointwise samples of the refractive function n on a grid."""
-
-    values: np.ndarray
-    profile_kind: str
-
-    def __post_init__(self):
-        if np.any(self.values <= 0):
-            raise InvalidArgumentError("refractive values must be positive")
-
-
-@dataclass(frozen=True)
-class ConstantProfile:
-    value: float = 1.0
-
-
-@dataclass(frozen=True)
-class RadialBumpProfile:
-    """n(x) = 1 + (peak - 1) * exp(-(|x - center| / width)^2)."""
-
-    center: tuple
-    width: float
-    peak: float
-
-
-@dataclass(frozen=True)
 class MeasurementSurface:
     """Quadrature points on the far-field circle/sphere of radius R."""
 
     points: np.ndarray    # (m, dim)
     weights: np.ndarray   # (m,)
-    R: float
-    construction: str
 
     @property
     def n_points(self) -> int:
@@ -138,26 +111,14 @@ def build_ball_grid(radius: float, cells_per_diameter: int, ctx: WaveContext) ->
     return _lattice_grid(radius, cells_per_diameter, ctx, 3, "build_ball_grid")
 
 
-def sample_profile(grid: DomainGrid, spec) -> RefractiveProfile:
-    """Sample a refractive profile specification on the grid points."""
-    if isinstance(spec, ConstantProfile):
-        if not (spec.value > 0):
-            raise InvalidArgumentError("constant profile value must be positive")
-        return RefractiveProfile(
-            values=np.full(grid.n_points, float(spec.value)),
-            profile_kind=f"constant({spec.value})",
-        )
-    if isinstance(spec, RadialBumpProfile):
-        if not (spec.peak > 0 and spec.width > 0):
-            raise InvalidArgumentError("bump peak and width must be positive")
-        center = np.asarray(spec.center, dtype=float)
-        r = np.linalg.norm(grid.points - center, axis=1)
-        vals = 1.0 + (spec.peak - 1.0) * np.exp(-((r / spec.width) ** 2))
-        return RefractiveProfile(
-            values=vals,
-            profile_kind=f"radial_bump(center={tuple(center)}, width={spec.width}, peak={spec.peak})",
-        )
-    raise InvalidArgumentError(f"unknown profile spec {spec!r}")
+def radial_bump(points: np.ndarray, center, width: float, peak: float) -> np.ndarray:
+    """Refractive index n(x) = 1 + (peak - 1) * exp(-(|x - center| / width)^2)
+    at each row x of points."""
+    if not (peak > 0 and width > 0):
+        raise InvalidArgumentError("bump peak and width must be positive")
+    center = np.asarray(center, dtype=float)
+    r = np.linalg.norm(points - center, axis=1)
+    return 1.0 + (peak - 1.0) * np.exp(-((r / width) ** 2))
 
 
 def build_measurement_surface(R: float, m: int, ctx: WaveContext) -> MeasurementSurface:
@@ -171,8 +132,7 @@ def build_measurement_surface(R: float, m: int, ctx: WaveContext) -> Measurement
         theta = 2.0 * np.pi * np.arange(m) / m
         pts = R * np.column_stack([np.cos(theta), np.sin(theta)])
         w = np.full(m, 2.0 * np.pi * R / m)
-        return MeasurementSurface(points=pts, weights=w, R=R,
-                                  construction=f"equispaced_circle(m={m})")
+        return MeasurementSurface(points=pts, weights=w)
     # sphere: polar nodes from Gauss-Legendre in cos(theta), uniform azimuth
     n_theta = max(4, int(np.ceil(np.sqrt(m / 2.0))))
     n_phi = 2 * n_theta
@@ -184,7 +144,4 @@ def build_measurement_surface(R: float, m: int, ctx: WaveContext) -> Measurement
     z = np.outer(mu, np.ones(n_phi)).ravel()
     pts = R * np.column_stack([x, y, z])
     w = (R**2 * 2.0 * np.pi / n_phi) * np.outer(gw, np.ones(n_phi)).ravel()
-    return MeasurementSurface(
-        points=pts, weights=w, R=R,
-        construction=f"gauss_legendre_product(n_theta={n_theta}, n_phi={n_phi})",
-    )
+    return MeasurementSurface(points=pts, weights=w)

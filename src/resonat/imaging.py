@@ -10,24 +10,14 @@ the -sin(kr)/(4 pi k r) point spread function (see kernels.sinc_psf).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DiscrepancyInfeasibleError, InvalidArgumentError
 from .grids import DomainGrid, MeasurementSurface, WaveContext
-from .kernels import g0_from_distance, im_g0
-from .volume import DiscreteOperator, radiate_matrix, solve_green_direct
-
-
-@dataclass(frozen=True)
-class GridDensity:
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class PointSources:
-    sources: Tuple[Tuple[tuple, complex], ...]   # ((location, amplitude), ...)
+from .kernels import g0_between, im_g0
+from .volume import DiscreteOperator, check_exterior, radiate_matrix, solve_green_direct
 
 
 @dataclass
@@ -43,7 +33,6 @@ class ForwardMap:
     grid: DomainGrid
     surface: MeasurementSurface
     ctx: WaveContext
-    medium_tag: str
     tau: float = 0.0
 
     @property
@@ -51,18 +40,9 @@ class ForwardMap:
         return self.kernel * self.grid.weights[None, :]
 
 
-@dataclass(frozen=True)
-class MeasurementData:
-    values: np.ndarray
-    noise_level: float
-    seed: int
-    noise_norm: float = 0.0
-
-
 @dataclass
 class ImagingResult:
     values: np.ndarray
-    method: str
     metadata: dict = field(default_factory=dict)
 
 
@@ -70,45 +50,34 @@ def build_forward_map(grid: DomainGrid, surface: MeasurementSurface,
                       ctx: WaveContext, tau: float = 0.0,
                       op: Optional[DiscreteOperator] = None) -> ForwardMap:
     """Assemble the far-field map; tau != 0 radiates through the contrast medium."""
-    if float(np.min(np.linalg.norm(surface.points, axis=1))) <= grid.radius:
-        raise InvalidArgumentError("measurement surface intersects the source domain")
+    check_exterior(grid, surface.points)
     if tau == 0.0:
-        r = np.linalg.norm(surface.points[:, None, :] - grid.points[None, :, :], axis=2)
-        K = g0_from_distance(r, ctx)
-        tag = "homogeneous"
+        K = g0_between(surface.points, grid.points, ctx)
     else:
         if op is None:
             raise InvalidArgumentError("high-contrast forward map needs the volume operator")
         K = radiate_matrix(op, surface.points, tau)
-        tag = f"high_contrast(tau={tau})"
-    return ForwardMap(kernel=K, grid=grid, surface=surface, ctx=ctx, medium_tag=tag, tau=tau)
+    return ForwardMap(kernel=K, grid=grid, surface=surface, ctx=ctx, tau=tau)
 
 
-def synthesize_data(fmap: ForwardMap, source, noise_level: float = 0.0,
-                    seed: int = 0) -> MeasurementData:
-    """Far-field data u for a grid density or a set of point sources, with
-    additive complex Gaussian noise scaled to noise_level * ||u|| / sqrt(m)."""
+def synthesize_data(fmap: ForwardMap, sources, noise_level: float = 0.0,
+                    seed: int = 0) -> Tuple[np.ndarray, float]:
+    """Far-field data u of point sources, a sequence of (location, amplitude)
+    pairs, with additive complex Gaussian noise scaled to
+    noise_level * ||u|| / sqrt(m). Returns u and the norm of the noise."""
     m = fmap.surface.n_points
-    if isinstance(source, GridDensity):
-        f = np.asarray(source.values, dtype=complex)
-        if f.shape[0] != fmap.grid.n_points:
-            raise InvalidArgumentError("density length does not match the grid")
-        u = fmap.matrix @ f
-    elif isinstance(source, PointSources):
-        u = np.zeros(m, dtype=complex)
-        for loc, amp in source.sources:
-            loc = np.asarray(loc, dtype=float)
-            if not fmap.grid.contains(loc):
-                raise InvalidArgumentError(f"point source {loc} lies outside the domain")
-            if fmap.tau == 0.0:
-                r = np.linalg.norm(fmap.surface.points - loc[None, :], axis=1)
-                u += complex(amp) * g0_from_distance(r, fmap.ctx)
-            else:
-                # contrast kernel is only available on the grid: snap the source
-                j = fmap.grid.nearest_index(loc)
-                u += complex(amp) * fmap.kernel[:, j]
+    locs = np.array([loc for loc, _ in sources], dtype=float).reshape(len(sources), fmap.grid.dim)
+    for loc in locs:
+        if not fmap.grid.contains(loc):
+            raise InvalidArgumentError(f"point source {loc} lies outside the domain")
+    if fmap.tau == 0.0:
+        K = g0_between(locs, fmap.surface.points, fmap.ctx)
     else:
-        raise InvalidArgumentError(f"unknown source config {source!r}")
+        # the contrast kernel is only available on the grid: snap each source
+        K = fmap.kernel[:, [fmap.grid.nearest_index(loc) for loc in locs]].T
+    u = np.zeros(m, dtype=complex)
+    for (_, amp), row in zip(sources, K):
+        u += complex(amp) * row
     noise_norm = 0.0
     if noise_level > 0:
         rng = np.random.default_rng(seed)
@@ -117,27 +86,22 @@ def synthesize_data(fmap: ForwardMap, source, noise_level: float = 0.0,
         noise = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
         u = u + noise
         noise_norm = float(np.linalg.norm(noise))
-    return MeasurementData(values=u, noise_level=float(noise_level), seed=int(seed),
-                           noise_norm=noise_norm)
+    return u, noise_norm
 
 
-def time_reversal(data: MeasurementData, fmap: ForwardMap,
+def time_reversal(u: np.ndarray, fmap: ForwardMap,
                   imaging_points: Optional[np.ndarray] = None) -> ImagingResult:
     """Backpropagate the data: I(x) = -sum_m conj(G(x, z_m)) u_m w_m."""
-    u = data.values
     w = fmap.surface.weights
     if imaging_points is None:
         K = fmap.kernel                       # G(z_m, x_j) = G(x_j, z_m) by reciprocity
     else:
-        pts = np.asarray(imaging_points, dtype=float)
         if fmap.tau != 0.0:
             raise InvalidArgumentError(
                 "off-grid imaging points are only supported in the homogeneous medium")
-        r = np.linalg.norm(fmap.surface.points[:, None, :] - pts[None, :, :], axis=2)
-        K = g0_from_distance(r, fmap.ctx)
+        K = g0_between(fmap.surface.points, imaging_points, fmap.ctx)
     values = -(K.conj().T @ (u * w))
-    return ImagingResult(values=values, method="time_reversal",
-                         metadata={"m": fmap.surface.n_points})
+    return ImagingResult(values=values, metadata={"m": fmap.surface.n_points})
 
 
 def helmholtz_kirchhoff_residual(Gx: np.ndarray, Gy: np.ndarray,
@@ -149,12 +113,7 @@ def helmholtz_kirchhoff_residual(Gx: np.ndarray, Gy: np.ndarray,
 
 
 def homogeneous_hk_residual(surface: MeasurementSurface, x, y, ctx: WaveContext) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rx = np.linalg.norm(surface.points - x[None, :], axis=1)
-    ry = np.linalg.norm(surface.points - y[None, :], axis=1)
-    Gx = g0_from_distance(rx, ctx)
-    Gy = g0_from_distance(ry, ctx)
+    Gx, Gy = g0_between([x, y], surface.points, ctx)
     return helmholtz_kirchhoff_residual(Gx, Gy, surface.weights, im_g0(x, y, ctx), ctx.k)
 
 
@@ -167,12 +126,11 @@ def contrast_hk_residual(fmap: ForwardMap, op: DiscreteOperator, i: int, j: int)
     return helmholtz_kirchhoff_residual(Gx, Gy, fmap.surface.weights, im_g, fmap.ctx.k)
 
 
-def l2_minimum_norm(fmap: ForwardMap, data: MeasurementData, mode="exact",
+def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",
                     alpha: Optional[float] = None,
                     delta: Optional[float] = None) -> ImagingResult:
     """Pseudoinverse / Tikhonov-filtered / Morozov-selected minimum-norm solution."""
     A = fmap.matrix
-    u = data.values
     Us, s, Vh = np.linalg.svd(A, full_matrices=False)
     if s[0] == 0:
         raise InvalidArgumentError("forward map is identically zero")
@@ -232,7 +190,7 @@ def l2_minimum_norm(fmap: ForwardMap, data: MeasurementData, mode="exact",
     else:
         raise InvalidArgumentError(f"unknown l2 mode {mode!r}")
     meta["residual"] = float(np.linalg.norm(A @ g - u))
-    return ImagingResult(values=g, method=f"l2_min({mode})", metadata=meta)
+    return ImagingResult(values=g, metadata=meta)
 
 
 def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
@@ -241,52 +199,51 @@ def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return x * scale
 
 
-def l1_reconstruct(fmap: ForwardMap, data: MeasurementData, mu: float,
+def l1_reconstruct(fmap: ForwardMap, u: np.ndarray, mu: float,
                    mode: str = "penalized", max_iters: int = 2000,
                    tol: float = 1e-10) -> ImagingResult:
     """Accelerated proximal-gradient (FISTA) minimization of
     (1/2)||A g - u||^2 + mu ||g||_1, with A either the raw forward map
-    ("penalized") or its normal-equation form A^H A ("normal_equation")."""
+    ("penalized") or its normal-equation form A^H A ("normal_equation"), with
+    u replaced by A^H u. The metadata records the final objective, that of
+    g = 0 when max_iters is 0."""
     if mu <= 0:
         raise InvalidArgumentError("mu must be positive")
     W = fmap.matrix
     if mode == "penalized":
-        A = W
-        u = data.values
+        A, b = W, u
     elif mode == "normal_equation":
-        A = W.conj().T @ W
-        u = W.conj().T @ data.values
+        A, b = W.conj().T @ W, W.conj().T @ u
     else:
         raise InvalidArgumentError(f"unknown l1 mode {mode!r}")
     L = float(np.linalg.norm(A, 2) ** 2)
     if L == 0:
         raise InvalidArgumentError("forward map is identically zero")
-    N = A.shape[1]
-    g = np.zeros(N, dtype=complex)
+
+    def objective(g):
+        return 0.5 * float(np.linalg.norm(A @ g - b) ** 2) + mu * float(np.sum(np.abs(g)))
+
+    g = np.zeros(A.shape[1], dtype=complex)
     y = g.copy()
     t = 1.0
-    obj_prev = np.inf
+    obj, obj_prev = objective(g), np.inf
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        grad = A.conj().T @ (A @ y - u)
+        grad = A.conj().T @ (A @ y - b)
         g_new = _soft_threshold(y - grad / L, mu / L)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t**2))
         y = g_new + (t - 1.0) / t_new * (g_new - g)
         g, t = g_new, t_new
-        resid = A @ g - u
-        obj = 0.5 * float(np.linalg.norm(resid) ** 2) + mu * float(np.sum(np.abs(g)))
+        obj = objective(g)
         if np.isfinite(obj_prev) and abs(obj_prev - obj) <= tol * max(obj, 1e-300):
             converged = True
             break
         obj_prev = obj
-    final_resid = float(np.linalg.norm(W @ g - data.values))
-    support = np.nonzero(np.abs(g) > 0)[0]
-    return ImagingResult(values=g, method=f"l1_min({mode}, mu={mu})",
-                         metadata={"mu": float(mu), "iterations": iters,
-                                   "converged": bool(converged),
-                                   "residual": final_resid,
-                                   "support": [int(i) for i in support]})
+    return ImagingResult(values=g, metadata={"mu": float(mu), "iterations": iters,
+                                             "converged": bool(converged),
+                                             "residual": float(np.linalg.norm(W @ g - u)),
+                                             "objective": obj})
 
 
 @dataclass(frozen=True)
@@ -294,7 +251,6 @@ class ResolutionMetrics:
     localization_errors: Tuple[float, ...]
     support_f1: float
     separation: float
-    peaks: Tuple[int, ...]
     empty: bool = False
 
 
@@ -316,19 +272,19 @@ def find_peaks(values: np.ndarray, grid: DomainGrid, threshold: float = 0.1,
     return peaks
 
 
-def resolution_metrics(result: ImagingResult, truth: PointSources,
-                       grid: DomainGrid) -> ResolutionMetrics:
-    """Per-source nearest-peak distances and a one-cell-matching F1 score."""
-    locs = [np.asarray(loc, dtype=float) for loc, _ in truth.sources]
+def resolution_metrics(values: np.ndarray, truth, grid: DomainGrid) -> ResolutionMetrics:
+    """Per-source nearest-peak distances of an image and a one-cell-matching
+    F1 score; truth is a sequence of (location, amplitude) pairs."""
+    locs = [np.asarray(loc, dtype=float) for loc, _ in truth]
     if len(locs) >= 2:
         sep = min(float(np.linalg.norm(a - b))
                   for i, a in enumerate(locs) for b in locs[i + 1:])
     else:
         sep = float("inf")
-    peaks = find_peaks(result.values, grid)
+    peaks = find_peaks(values, grid)
     if not peaks:
         return ResolutionMetrics(localization_errors=(), support_f1=0.0,
-                                 separation=sep, peaks=(), empty=True)
+                                 separation=sep, empty=True)
     peak_pts = grid.points[peaks]
     errors = []
     matched_truth = 0
@@ -345,4 +301,4 @@ def resolution_metrics(result: ImagingResult, truth: PointSources,
     recall = matched_truth / len(locs)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return ResolutionMetrics(localization_errors=tuple(errors), support_f1=float(f1),
-                             separation=sep, peaks=tuple(peaks))
+                             separation=sep)

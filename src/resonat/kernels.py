@@ -31,6 +31,13 @@ def g0(x, y, ctx: WaveContext) -> complex:
     return complex(g0_from_distance(r, ctx))
 
 
+def g0_between(x, y, ctx: WaveContext) -> np.ndarray:
+    """Free kernel g0(x_i, y_j) of every row x_i of x against every row y_j of y."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return g0_from_distance(np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2), ctx)
+
+
 def im_g0_from_distance(r, ctx: WaveContext):
     """Imaginary part of g0 with the removable singularity filled (vectorized)."""
     r = np.asarray(r, dtype=float)

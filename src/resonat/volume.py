@@ -23,8 +23,8 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.special import hankel1
 
 from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
-from .grids import DomainGrid, RefractiveProfile, WaveContext
-from .kernels import g0_from_distance
+from .grids import DomainGrid, WaveContext
+from .kernels import g0_between, g0_from_distance
 
 # Arnoldi steps of the resonance check; the nearest eigenvalues converge first
 ARNOLDI_STEPS = 20
@@ -38,12 +38,8 @@ class DiscreteOperator:
 
     matrix: np.ndarray
     grid: DomainGrid
-    profile: RefractiveProfile
+    n: np.ndarray        # (N,) refractive index at the grid points
     ctx: WaveContext
-
-    @property
-    def n(self) -> np.ndarray:
-        return self.profile.values
 
     @property
     def weights(self) -> np.ndarray:
@@ -62,14 +58,18 @@ def _diag_kernel_integral(w: float, ctx: WaveContext) -> complex:
     return complex((np.exp(1j * k * rho) * (1j * k * rho - 1.0) + 1.0) / k**2)
 
 
-def assemble_kd(grid: DomainGrid, profile: RefractiveProfile, ctx: WaveContext) -> DiscreteOperator:
-    """Assemble the dense N x N matrix of the volume operator.
+def assemble_kd(grid: DomainGrid, n: np.ndarray, ctx: WaveContext) -> DiscreteOperator:
+    """Assemble the dense N x N matrix of the volume operator for the
+    refractive index n, one positive value per grid point.
 
     Refuses an N whose working set, the N x N x dim difference array plus the
     complex matrix, is larger than physical memory.
     """
-    if profile.values.shape[0] != grid.n_points:
-        raise InvalidArgumentError("grid and profile sizes do not match")
+    n = np.asarray(n, dtype=float)
+    if n.shape != (grid.n_points,):
+        raise InvalidArgumentError("grid and refractive index sizes do not match")
+    if not np.all(n > 0):
+        raise InvalidArgumentError("refractive index values must be positive")
     N = grid.n_points
     need = (8 * grid.dim + 16) * N**2
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -82,10 +82,10 @@ def assemble_kd(grid: DomainGrid, profile: RefractiveProfile, ctx: WaveContext) 
     r = np.linalg.norm(diff, axis=2)
     np.fill_diagonal(r, 1.0)  # placeholder, overwritten below
     kernel = g0_from_distance(r, ctx)
-    M = -kernel * (profile.values * grid.weights)[None, :]
+    M = -kernel * (n * grid.weights)[None, :]
     diag = np.array([_diag_kernel_integral(w, ctx) for w in grid.weights])
-    np.fill_diagonal(M, -diag * profile.values)
-    return DiscreteOperator(matrix=M, grid=grid, profile=profile, ctx=ctx)
+    np.fill_diagonal(M, -diag * n)
+    return DiscreteOperator(matrix=M, grid=grid, n=n, ctx=ctx)
 
 
 def operator_from_matrix(matrix: np.ndarray, weights=None, n_values=None,
@@ -105,8 +105,7 @@ def operator_from_matrix(matrix: np.ndarray, weights=None, n_values=None,
     grid = DomainGrid(points=pts, weights=w, cell_size=1.0, radius=float(N),
                       lattice_index=np.column_stack([np.arange(N), np.zeros(N, dtype=int)]),
                       lattice_shape=(N, 1))
-    profile = RefractiveProfile(values=nv, profile_kind="synthetic")
-    return DiscreteOperator(matrix=matrix, grid=grid, profile=profile, ctx=ctx)
+    return DiscreteOperator(matrix=matrix, grid=grid, n=nv, ctx=ctx)
 
 
 def apply_kd(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
@@ -226,6 +225,13 @@ def green_matrix(op: DiscreteOperator, tau: float) -> np.ndarray:
     return _solve_green(op, tau, g0_matrix(op))
 
 
+def check_exterior(grid: DomainGrid, points) -> None:
+    """Refuse evaluation points that are not strictly outside the domain,
+    i.e. with |z| <= radius."""
+    if np.any(np.linalg.norm(np.asarray(points, dtype=float), axis=1) <= grid.radius):
+        raise InvalidArgumentError("exterior evaluation point lies on or inside the source domain")
+
+
 def radiate_matrix(op: DiscreteOperator, exterior_points: np.ndarray, tau: float,
                    columns=slice(None)) -> np.ndarray:
     """G(z_m, x_j) at exterior rows z_m for the grid columns x_j in `columns`.
@@ -235,11 +241,8 @@ def radiate_matrix(op: DiscreteOperator, exterior_points: np.ndarray, tau: float
     X = (K diag(n w)) (I - tau M)^{-1}: one transposed solve, with a right-hand
     side per exterior point, on the LU that the Green solves use.
     """
-    exterior_points = np.asarray(exterior_points, dtype=float)
-    if any(op.grid.contains(z) for z in exterior_points):
-        raise InvalidArgumentError("exterior evaluation point lies inside the domain")
-    r = np.linalg.norm(exterior_points[:, None, :] - op.grid.points[None, :, :], axis=2)
-    K = g0_from_distance(r, op.ctx)           # (m, N) free kernel
+    check_exterior(op.grid, exterior_points)
+    K = g0_between(exterior_points, op.grid.points, op.ctx)   # (m, N) free kernel
     if tau == 0:
         return K[:, columns]
     KW = K * (op.n * op.weights)[None, :]

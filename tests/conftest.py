@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from resonat import (
-    ConstantProfile,
-    WaveContext,
-    build_disk_grid,
-    sample_profile,
-)
+from resonat import WaveContext, build_disk_grid
 from resonat.spectral import eigendecompose
 from resonat.volume import assemble_kd
 
@@ -16,8 +11,7 @@ def disk16():
     """Unit disk, n = 1, k = 1, 16 cells per diameter (N = 208)."""
     ctx = WaveContext(k=1.0, dim=2)
     grid = build_disk_grid(1.0, 16, ctx)
-    profile = sample_profile(grid, ConstantProfile(1.0))
-    op = assemble_kd(grid, profile, ctx)
+    op = assemble_kd(grid, np.full(grid.n_points, 1.0), ctx)
     return ctx, grid, op
 
 
@@ -33,8 +27,7 @@ def disk20_k6():
     sub-wavelength-resonance setting used by the imaging experiments."""
     ctx = WaveContext(k=6.0, dim=2)
     grid = build_disk_grid(1.0, 20, ctx)
-    profile = sample_profile(grid, ConstantProfile(1.0))
-    op = assemble_kd(grid, profile, ctx)
+    op = assemble_kd(grid, np.full(grid.n_points, 1.0), ctx)
     return ctx, grid, op
 
 

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from resonat import (
-    ConstantProfile,
-    PointSources,
     WaveContext,
     build_ball_grid,
     build_disk_grid,
@@ -21,7 +19,6 @@ from resonat import (
     l2_minimum_norm,
     resolution_metrics,
     resolvent_chain_coefficients,
-    sample_profile,
     sinc_psf,
     sinc_psf_fwhm,
     singular_values,
@@ -36,7 +33,7 @@ from resonat.expansion import (
     psf_from_samples,
     weighted_frobenius,
 )
-from resonat.imaging import ForwardMap, MeasurementData
+from resonat.imaging import ForwardMap
 from resonat.volume import assemble_kd, green_matrix, operator_from_matrix
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -98,10 +95,10 @@ def tr_psf_samples():
     surface = build_measurement_surface(100.0 / ctx.k, 2048, ctx)
     assert surface.n_points >= 2000
     fmap = build_forward_map(grid, surface, ctx)
-    data = synthesize_data(fmap, PointSources((((0.0, 0.0, 0.0), 1.0 + 0j),)))
+    u, _ = synthesize_data(fmap, [((0.0, 0.0, 0.0), 1.0 + 0j)])
     r = np.linspace(-3.0, 3.0, 1201)
     pts = np.column_stack([r, np.zeros_like(r), np.zeros_like(r)])
-    img = time_reversal(data, fmap, imaging_points=pts)
+    img = time_reversal(u, fmap, imaging_points=pts)
     return ctx, r, np.real(img.values)
 
 
@@ -141,11 +138,11 @@ def _wrap_matrix(A):
     grid = operator_from_matrix(np.zeros((A.shape[1],) * 2)).grid   # unit weights
     surface = build_measurement_surface(10.0, max(4, A.shape[0]), ctx)
     return ForwardMap(kernel=np.asarray(A, dtype=complex),
-                      grid=grid, surface=surface, ctx=ctx, medium_tag="synthetic")
+                      grid=grid, surface=surface, ctx=ctx)
 
 
 def _plain(u):
-    return MeasurementData(values=np.asarray(u, dtype=complex), noise_level=0.0, seed=0)
+    return np.asarray(u, dtype=complex)
 
 
 def test_criterion_07_l2_solver():
@@ -159,10 +156,10 @@ def test_criterion_07_l2_solver():
     grid = build_disk_grid(1.0, 12, ctx)
     surface = build_measurement_surface(50.0, 128, ctx)
     fmap = build_forward_map(grid, surface, ctx)
-    src = PointSources((((0.2, 0.1), 1.0 + 0j),))
-    data = synthesize_data(fmap, src, noise_level=0.05, seed=11)
-    delta = data.noise_norm**2
-    res = l2_minimum_norm(fmap, data, mode="morozov", delta=delta)
+    src = [((0.2, 0.1), 1.0 + 0j)]
+    u, noise_norm = synthesize_data(fmap, src, noise_level=0.05, seed=11)
+    delta = noise_norm**2
+    res = l2_minimum_norm(fmap, u, mode="morozov", delta=delta)
     assert abs(res.metadata["discrepancy_sq"] - delta) <= 0.1 * delta
 
 
@@ -191,17 +188,17 @@ def test_criterion_08_l1_solver(rng):
 
     ctx = WaveContext(k=6.0, dim=2)
     grid = build_disk_grid(1.0, 24, ctx)
-    op = assemble_kd(grid, sample_profile(grid, ConstantProfile(1.0)), ctx)
+    op = assemble_kd(grid, np.full(grid.n_points, 1.0), ctx)
     surface = build_measurement_surface(100.0, 256, ctx)
     fmap = build_forward_map(grid, surface, ctx, tau=180.5, op=op)
     quarter = ctx.wavelength / 4.0
     a = grid.points[grid.nearest_index([-quarter / 2.0, 0.04])]
     b = grid.points[grid.nearest_index([+quarter / 2.0, 0.04])]
-    src = PointSources(((tuple(a), 1.0 + 0j), (tuple(b), 1.0 + 0j)))
-    data = synthesize_data(fmap, src)
-    mu = 0.02 * np.max(np.abs(fmap.matrix.conj().T @ data.values))
-    res = l1_reconstruct(fmap, data, mu=mu, max_iters=8000, tol=1e-13)
-    met = resolution_metrics(res, src, grid)
+    src = [(tuple(a), 1.0 + 0j), (tuple(b), 1.0 + 0j)]
+    u, _ = synthesize_data(fmap, src)
+    mu = 0.02 * np.max(np.abs(fmap.matrix.conj().T @ u))
+    res = l1_reconstruct(fmap, u, mu=mu, max_iters=8000, tol=1e-13)
+    met = resolution_metrics(res.values, src, grid)
     assert not met.empty
     assert max(met.localization_errors) <= grid.cell_size
 

@@ -264,6 +264,15 @@ class TestImage:
         man = json.loads((tmp_path / "tr" / "manifest.json").read_text())
         assert "l1_tol" not in man["tolerances"]
 
+    @pytest.mark.parametrize("max_iters", [0, 500])
+    def test_l1_objective_in_metrics(self, tmp_path, max_iters):
+        cfg = dict(self.CFG, methods={"l1": {"max_iters": max_iters}})
+        out = tmp_path / "out"
+        assert run("image", write_cfg(tmp_path, cfg), out) == 0
+        l1 = json.loads((out / "metrics.json").read_text())["methods"]["l1"]
+        assert l1["iterations"] == max_iters
+        assert np.isfinite(l1["objective"]) and l1["objective"] > 0
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = dict(self.CFG, noise={"level": 0.05}, seed=5)
         p = write_cfg(tmp_path, cfg)
@@ -324,6 +333,7 @@ class TestSweepSeparation:
         assert solve["separation"] == 0.3 and solve["medium"] == "homogeneous"
         assert solve["converged"] is (max_iters is None)
         assert (solve["iterations"] == 1) is (max_iters == 1)
+        assert np.isfinite(solve["objective"]) and solve["objective"] > 0
 
 
 class TestThreads:

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from resonat import (
-    ConstantProfile,
-    RadialBumpProfile,
     WaveContext,
     build_ball_grid,
     build_disk_grid,
     build_measurement_surface,
-    sample_profile,
+    radial_bump,
 )
 from resonat.errors import InvalidArgumentError
+from resonat.volume import assemble_kd
 
 CTX2 = WaveContext(k=1.0, dim=2)
 CTX3 = WaveContext(k=1.0, dim=3)
@@ -79,28 +78,28 @@ class TestBallGrid:
 class TestProfiles:
     def test_constant(self):
         g = build_disk_grid(1.0, 8, CTX2)
-        p = sample_profile(g, ConstantProfile(1.0))
-        assert np.all(p.values == 1.0)
+        n = assemble_kd(g, np.full(g.n_points, 1.0), CTX2).n
+        assert np.all(n == 1.0)
 
     def test_bump_peak_at_center(self):
         ctx = CTX2
         g = build_disk_grid(1.0, 17, ctx)  # odd: origin is a grid point
-        p = sample_profile(g, RadialBumpProfile(center=(0.0, 0.0), width=0.5, peak=2.0))
+        n = radial_bump(g.points, center=(0.0, 0.0), width=0.5, peak=2.0)
         i0 = g.nearest_index([0.0, 0.0])
-        assert p.values[i0] == pytest.approx(2.0, abs=1e-12)
+        assert n[i0] == pytest.approx(2.0, abs=1e-12)
 
     def test_bump_far_field_baseline(self):
         g = build_disk_grid(4.0, 32, CTX2)
-        p = sample_profile(g, RadialBumpProfile(center=(0.0, 0.0), width=0.5, peak=2.0))
+        n = radial_bump(g.points, center=(0.0, 0.0), width=0.5, peak=2.0)
         far = np.linalg.norm(g.points, axis=1) > 3.0
-        assert np.all(np.abs(p.values[far] - 1.0) < 1e-6)
+        assert np.all(np.abs(n[far] - 1.0) < 1e-6)
 
     def test_invalid_params(self):
         g = build_disk_grid(1.0, 8, CTX2)
         with pytest.raises(InvalidArgumentError):
-            sample_profile(g, ConstantProfile(0.0))
+            assemble_kd(g, np.full(g.n_points, 0.0), CTX2)
         with pytest.raises(InvalidArgumentError):
-            sample_profile(g, RadialBumpProfile(center=(0, 0), width=0.5, peak=-1.0))
+            radial_bump(g.points, center=(0, 0), width=0.5, peak=-1.0)
 
 
 class TestMeasurementSurface:

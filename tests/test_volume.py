@@ -6,8 +6,6 @@ from scipy.linalg import LinAlgWarning
 
 import resonat.volume
 from resonat import (
-    ConstantProfile,
-    RadialBumpProfile,
     WaveContext,
     apply_kd,
     build_disk_grid,
@@ -16,12 +14,11 @@ from resonat import (
     g0,
     green_matrix,
     operator_from_matrix,
-    sample_profile,
+    radial_bump,
     singular_values,
     solve_green_direct,
 )
 from resonat.errors import InvalidArgumentError, ResonanceProximityError
-from resonat.grids import RefractiveProfile
 from resonat.spectral import build_r_matrix, eigendecompose
 from resonat.volume import (
     assemble_kd,
@@ -36,9 +33,9 @@ CTX2 = WaveContext(k=1.0, dim=2)
 def small_op(cells=8, k=1.0, peak=None):
     ctx = WaveContext(k=k, dim=2)
     grid = build_disk_grid(1.0, cells, ctx)
-    spec = ConstantProfile(1.0) if peak is None else RadialBumpProfile((0.0, 0.0), 0.5, peak)
-    profile = sample_profile(grid, spec)
-    return ctx, grid, assemble_kd(grid, profile, ctx)
+    n = (np.full(grid.n_points, 1.0) if peak is None
+         else radial_bump(grid.points, (0.0, 0.0), 0.5, peak))
+    return ctx, grid, assemble_kd(grid, n, ctx)
 
 
 class TestAssembly:
@@ -50,10 +47,9 @@ class TestAssembly:
 
     def test_linearity_in_n(self):
         ctx, grid, _ = small_op(cells=6)
-        p1 = sample_profile(grid, ConstantProfile(1.0))
-        p2 = RefractiveProfile(values=2.0 * p1.values, profile_kind="doubled")
-        M1 = assemble_kd(grid, p1, ctx).matrix
-        M2 = assemble_kd(grid, p2, ctx).matrix
+        n1 = np.full(grid.n_points, 1.0)
+        M1 = assemble_kd(grid, n1, ctx).matrix
+        M2 = assemble_kd(grid, 2.0 * n1, ctx).matrix
         assert np.allclose(M2, 2.0 * M1, rtol=1e-14)
 
     def test_kernel_symmetry(self):
@@ -63,9 +59,8 @@ class TestAssembly:
 
     def test_size_mismatch(self):
         ctx, grid, _ = small_op(cells=4)
-        bad = RefractiveProfile(values=np.ones(3), profile_kind="bad")
         with pytest.raises(InvalidArgumentError):
-            assemble_kd(grid, bad, ctx)
+            assemble_kd(grid, np.ones(3), ctx)
 
     def test_row_sums_bounded_by_kernel_integral(self, rng):
         # sum_j |M[i,j]| <= max(n) * int_D |g0(x_i, y)| dy (Monte-Carlo oracle)
@@ -111,7 +106,7 @@ class TestApply:
         vals = []
         for cells in (6, 18, 54):
             grid = build_disk_grid(1.0, cells, ctx)
-            op = assemble_kd(grid, sample_profile(grid, ConstantProfile(1.0)), ctx)
+            op = assemble_kd(grid, np.full(grid.n_points, 1.0), ctx)
             f = np.exp(-np.linalg.norm(grid.points, axis=1) ** 2)
             if x_eval is None:
                 x_eval = grid.points[grid.nearest_index([0.21, -0.13])]
@@ -315,6 +310,12 @@ class TestRadiate:
         with pytest.raises(InvalidArgumentError):
             radiate_matrix(op, np.array([[3.0, 1.0], [0.1, 0.1]]), 1.0, columns=[0])
 
+    def test_boundary_point_rejected(self):
+        # the rule of build_forward_map: a point with |z| <= radius is refused
+        _, grid, op = small_op()
+        with pytest.raises(InvalidArgumentError):
+            radiate_matrix(op, np.array([[grid.radius, 0.0]]), 1.0, columns=[0])
+
     def test_columns_are_slices_of_matrix(self):
         # the free term of a column is the column of the full call; the
         # scattered term agrees to rounding, since BLAS sums a matrix-vector
@@ -337,7 +338,7 @@ class TestRadiate:
         vals = []
         for cells in (8, 16, 32):
             grid = build_disk_grid(1.0, cells, ctx)
-            op = assemble_kd(grid, sample_profile(grid, ConstantProfile(1.0)), ctx)
+            op = assemble_kd(grid, np.full(grid.n_points, 1.0), ctx)
             j = grid.nearest_index([0.15, 0.05])
             vals.append(radiate_matrix(op, x_ext, tau, columns=[j])[0, 0])
         assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1])
