@@ -29,7 +29,6 @@ from .volume import (
     green_matrix,
     operator_from_matrix,
     singular_values,
-    solve_green_direct,
 )
 from .spectral import (
     SpectralSystem,

@@ -55,7 +55,7 @@ from .imaging import (
 from .io import config_hash, fmt, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import eigendecompose
-from .volume import RESONANCE_TOL, assemble_kd, green_matrix, solve_green_direct
+from .volume import RESONANCE_TOL, assemble_kd, green_matrix
 
 
 class ConfigError(Exception):
@@ -279,7 +279,7 @@ def cmd_psf(cfg, out: Path):
     report = {"tau": tau}
     # at tau = 0 the Green column is the free-kernel column
     for medium, t in [("homogeneous", 0.0)] + ([("high_contrast", tau)] if tau else []):
-        prof = psf_profile(solve_green_direct(op, t, x0_index), grid, x0_index, direction)
+        prof = psf_profile(green_matrix(op, t, x0_index), grid, x0_index, direction)
         oracle = im_g0_from_distance(np.abs(prof.radii), ctx)
         write_csv(out / f"psf_{medium}.csv", ["r", "value", "oracle_value"],
                   list(zip(prof.radii, prof.values, np.atleast_1d(oracle))))

@@ -121,31 +121,31 @@ def psf_from_samples(radii, values) -> PsfProfile:
     return PsfProfile(radii=r, values=v, fwhm=fwhm)
 
 
-def psf_profile(green: np.ndarray, grid: DomainGrid, x0_index: int,
+def psf_profile(column: np.ndarray, grid: DomainGrid, x0_index: int,
                 direction) -> PsfProfile:
-    """Im G(x, x0) sampled along the grid line through x0 in the given direction.
-
-    `green` is either the whole grid matrix G or just its column x0.
-    """
+    """Im G(x, x0) sampled along the grid line through x0 in the given
+    nonzero direction; `column` is the grid column G(., x0)."""
     d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    norm = np.linalg.norm(d)
+    if norm == 0:
+        raise InvalidArgumentError("psf direction must be a nonzero vector")
+    d = d / norm
     x0 = grid.points[x0_index]
     rel = grid.points - x0[None, :]
     t = rel @ d
     perp = np.linalg.norm(rel - np.outer(t, d), axis=1)
     on_line = perp < 0.51 * grid.cell_size
-    column = green if green.ndim == 1 else green[:, x0_index]
     return psf_from_samples(t[on_line], np.imag(column[on_line]))
 
 
-def mode_mixing_report(matrix: np.ndarray, top: int = 10):
-    """Diagonal vs off-diagonal coefficient mass and the largest mixing pairs."""
+def mode_mixing_report(matrix: np.ndarray):
+    """Diagonal vs off-diagonal coefficient mass and the ten largest mixing pairs."""
     mag2 = np.abs(matrix) ** 2
     diag_mass = float(np.sum(np.diag(mag2)))
     off = mag2.copy()
     np.fill_diagonal(off, 0.0)
     off_mass = float(np.sum(off))
-    flat = np.argsort(off, axis=None)[::-1][:top]
+    flat = np.argsort(off, axis=None)[::-1][:10]
     pairs = []
     for f in flat:
         i, j = np.unravel_index(int(f), off.shape)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DiscrepancyInfeasibleError, InvalidArgumentError
 from .grids import DomainGrid, MeasurementSurface, WaveContext
 from .kernels import g0_between, im_g0
-from .volume import DiscreteOperator, check_exterior, radiate_matrix, solve_green_direct
+from .volume import DiscreteOperator, check_exterior, green_matrix, radiate_matrix
 
 
 @dataclass
@@ -49,13 +49,17 @@ class ImagingResult:
 def build_forward_map(grid: DomainGrid, surface: MeasurementSurface,
                       ctx: WaveContext, tau: float = 0.0,
                       op: Optional[DiscreteOperator] = None) -> ForwardMap:
-    """Assemble the far-field map; tau != 0 radiates through the contrast medium."""
-    check_exterior(grid, surface.points)
+    """Assemble the far-field map; tau != 0 radiates through the contrast
+    medium of `op`, which must be assembled on this grid and wave context."""
+    if op is not None and (op.ctx != ctx or not np.array_equal(op.grid.points, grid.points)):
+        raise InvalidArgumentError("the volume operator is assembled on another grid "
+                                   "or wave context than the forward map")
     if tau == 0.0:
+        check_exterior(grid, surface.points)
         K = g0_between(surface.points, grid.points, ctx)
+    elif op is None:
+        raise InvalidArgumentError("high-contrast forward map needs the volume operator")
     else:
-        if op is None:
-            raise InvalidArgumentError("high-contrast forward map needs the volume operator")
         K = radiate_matrix(op, surface.points, tau)
     return ForwardMap(kernel=K, grid=grid, surface=surface, ctx=ctx, tau=tau)
 
@@ -64,7 +68,10 @@ def synthesize_data(fmap: ForwardMap, sources, noise_level: float = 0.0,
                     seed: int = 0) -> Tuple[np.ndarray, float]:
     """Far-field data u of point sources, a sequence of (location, amplitude)
     pairs, with additive complex Gaussian noise scaled to
-    noise_level * ||u|| / sqrt(m). Returns u and the norm of the noise."""
+    noise_level * ||u|| / sqrt(m), noise_level >= 0. Returns u and the norm of
+    the noise."""
+    if noise_level < 0:
+        raise InvalidArgumentError(f"noise level must be nonnegative, got {noise_level}")
     m = fmap.surface.n_points
     locs = np.array([loc for loc, _ in sources], dtype=float).reshape(len(sources), fmap.grid.dim)
     for loc in locs:
@@ -122,7 +129,7 @@ def contrast_hk_residual(fmap: ForwardMap, op: DiscreteOperator, i: int, j: int)
     radiated kernel, and Im G(x_i, x_j) from the direct solve of column j."""
     Gx = fmap.kernel[:, i]
     Gy = fmap.kernel[:, j]
-    im_g = float(np.imag(solve_green_direct(op, fmap.tau, j)[i]))
+    im_g = float(np.imag(green_matrix(op, fmap.tau, j)[i]))
     return helmholtz_kirchhoff_residual(Gx, Gy, fmap.surface.weights, im_g, fmap.ctx.k)
 
 
@@ -254,16 +261,16 @@ class ResolutionMetrics:
     empty: bool = False
 
 
-def find_peaks(values: np.ndarray, grid: DomainGrid, threshold: float = 0.1,
-               radius_cells: float = 1.5) -> List[int]:
-    """Local maxima of |values| above threshold * max over a cell neighborhood."""
+def find_peaks(values: np.ndarray, grid: DomainGrid) -> List[int]:
+    """Local maxima of |values|, at least a tenth of the max, over the
+    neighborhood of radius 1.5 cells."""
     mag = np.abs(values)
     top = float(mag.max()) if mag.size else 0.0
     if top == 0.0:
         return []
-    rad = radius_cells * grid.cell_size
+    rad = 1.5 * grid.cell_size
     peaks = []
-    candidates = np.nonzero(mag >= threshold * top)[0]
+    candidates = np.nonzero(mag >= 0.1 * top)[0]
     for i in candidates:
         d = np.linalg.norm(grid.points - grid.points[i], axis=1)
         nbrs = np.nonzero((d <= rad) & (d > 0))[0]

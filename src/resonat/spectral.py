@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
-from .volume import RESONANCE_TOL, DiscreteOperator, operator_from_matrix, refuse_near_spectrum
+from .volume import DiscreteOperator, operator_from_matrix, refuse_near_spectrum
 
 
 @dataclass
@@ -96,12 +96,13 @@ def _weighted_qr(U: np.ndarray, w: np.ndarray):
     return E, A, B
 
 
-def eigendecompose(op: DiscreteOperator, cluster_tol: Optional[float] = None) -> SpectralSystem:
+def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     """Full complex eigendecomposition with deterministic ordering.
 
     Semisimple default path: every eigenvector is its own chain of length one;
     clusters whose eigenvector block is badly conditioned are flagged in
-    SpectralSystem.warnings.
+    SpectralSystem.warnings. Eigenvalues within 1e-8 max(max |lambda|, 1) of
+    a cluster's first one join that cluster.
     """
     M = op.matrix
     try:
@@ -109,9 +110,7 @@ def eigendecompose(op: DiscreteOperator, cluster_tol: Optional[float] = None) ->
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
     scale = float(np.max(np.abs(lam))) if lam.size else 1.0
-    tol = cluster_tol if cluster_tol is not None else 1e-8 * max(scale, 1.0)
-    if not (tol > 0):
-        raise InvalidArgumentError("cluster_tol must be positive")
+    tol = 1e-8 * max(scale, 1.0)
 
     # deterministic total order: descending modulus, ties by ascending phase
     ang = np.mod(np.angle(lam), 2.0 * np.pi)
@@ -151,13 +150,12 @@ def eigendecompose(op: DiscreteOperator, cluster_tol: Optional[float] = None) ->
 
 def synthetic_jordan_system(chain_spec: Sequence[Tuple[complex, int]],
                             V: Optional[np.ndarray] = None,
-                            weights: Optional[np.ndarray] = None,
                             rng: Optional[np.random.Generator] = None):
     """Exactly constructed system with prescribed Jordan chains.
 
     chain_spec lists (eigenvalue, chain_length) in the desired cluster order;
     equal consecutive eigenvalues share a cluster. Returns (op, sys) where the
-    operator matrix is V T V^{-1} for the chain-structured T.
+    operator matrix is V T V^{-1} for the chain-structured T, on unit weights.
     """
     total = sum(n for _, n in chain_spec)
     if V is None:
@@ -165,7 +163,6 @@ def synthetic_jordan_system(chain_spec: Sequence[Tuple[complex, int]],
         V = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
         V += 2.0 * total * np.eye(total)  # keep well-conditioned
     V = np.asarray(V, dtype=complex)
-    w = np.ones(total) if weights is None else np.asarray(weights, dtype=float)
 
     lambdas = np.zeros(total, dtype=complex)
     indices: List[Tuple[int, int, int]] = []
@@ -184,11 +181,11 @@ def synthetic_jordan_system(chain_spec: Sequence[Tuple[complex, int]],
         indices.extend((j, l, k) for k in range(1, length + 1))
         pos += length
 
-    E, A, B = _weighted_qr(V, w)
+    E, A, B = _weighted_qr(V, np.ones(total))
     sys = SpectralSystem(lambdas=lambdas, indices=indices, U=V, E=E, A=A, B=B,
                          cluster_tol=1e-12, warnings=[])
     M = V @ sys.chain_matrix() @ np.linalg.inv(V)
-    return operator_from_matrix(M, weights=w), sys
+    return operator_from_matrix(M), sys
 
 
 def verify_resonant_mode(sys: SpectralSystem, op: DiscreteOperator, pos: int):
@@ -257,7 +254,7 @@ def build_r_matrix(sys: SpectralSystem, z: complex) -> np.ndarray:
     Refused, by the rule of the direct solve's resonance check, when z lies
     within RESONANCE_TOL of the spectrum.
     """
-    refuse_near_spectrum(z, sys.lambdas, RESONANCE_TOL)
+    refuse_near_spectrum(z, sys.lambdas)
     N = sys.size
     R = np.zeros((N, N), dtype=complex)
     starts = sys.chain_starts()

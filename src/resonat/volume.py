@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -88,24 +87,22 @@ def assemble_kd(grid: DomainGrid, n: np.ndarray, ctx: WaveContext) -> DiscreteOp
     return DiscreteOperator(matrix=M, grid=grid, n=n, ctx=ctx)
 
 
-def operator_from_matrix(matrix: np.ndarray, weights=None, n_values=None,
-                         ctx: Optional[WaveContext] = None) -> DiscreteOperator:
+def operator_from_matrix(matrix: np.ndarray) -> DiscreteOperator:
     """Wrap a raw dense matrix as an operator (synthetic/test systems).
 
-    Points are placed on a unit-spaced line; weights default to one.
+    Points are placed on a unit-spaced line; weights and index are one, and
+    the wave context is k = 1 in 2D.
     """
     matrix = np.asarray(matrix, dtype=complex)
     N = matrix.shape[0]
     if matrix.shape != (N, N):
         raise InvalidArgumentError("matrix must be square")
-    w = np.ones(N) if weights is None else np.asarray(weights, dtype=float)
-    nv = np.ones(N) if n_values is None else np.asarray(n_values, dtype=float)
-    ctx = ctx or WaveContext(k=1.0, dim=2)
     pts = np.column_stack([np.arange(N, dtype=float), np.zeros(N)])
-    grid = DomainGrid(points=pts, weights=w, cell_size=1.0, radius=float(N),
+    grid = DomainGrid(points=pts, weights=np.ones(N), cell_size=1.0, radius=float(N),
                       lattice_index=np.column_stack([np.arange(N), np.zeros(N, dtype=int)]),
                       lattice_shape=(N, 1))
-    return DiscreteOperator(matrix=matrix, grid=grid, n=nv, ctx=ctx)
+    return DiscreteOperator(matrix=matrix, grid=grid, n=np.ones(N),
+                            ctx=WaveContext(k=1.0, dim=2))
 
 
 def apply_kd(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
@@ -168,9 +165,8 @@ def _dominant_ritz_values(lu) -> np.ndarray:
     return np.linalg.eigvals(H[:m, :m])
 
 
-def check_resonance_proximity(op: DiscreteOperator, z: complex, tol: float = RESONANCE_TOL,
-                              lu=None):
-    """Raise if z lies within tolerance of the spectrum of the matrix.
+def check_resonance_proximity(op: DiscreteOperator, z: complex, lu=None):
+    """Raise if z lies within RESONANCE_TOL of the spectrum of the matrix.
 
     The eigenvalues of M nearest z are the dominant eigenvalues of
     (I - M/z)^{-1} (shift-invert), so a short Arnoldi iteration on the LU of
@@ -183,14 +179,14 @@ def check_resonance_proximity(op: DiscreteOperator, z: complex, tol: float = RES
     lu = _factor(op, 1.0 / z) if lu is None else lu
     if not np.all(np.diagonal(lu[0])):  # I - M/z is singular: z itself is an eigenvalue
         raise ResonanceProximityError(z, z)
-    refuse_near_spectrum(z, z * (1.0 - 1.0 / _dominant_ritz_values(lu)), tol)
+    refuse_near_spectrum(z, z * (1.0 - 1.0 / _dominant_ritz_values(lu)))
 
 
-def refuse_near_spectrum(z: complex, lambdas: np.ndarray, tol: float):
-    """The resonance rule: raise if some |z - lambda| < tol (1 + |lambda|),
+def refuse_near_spectrum(z: complex, lambdas: np.ndarray):
+    """The resonance rule: raise if some |z - lambda| < RESONANCE_TOL (1 + |lambda|),
     reporting the eigenvalue nearest z."""
     d = np.abs(z - lambdas)
-    if np.any(d < tol * (1.0 + np.abs(lambdas))):
+    if np.any(d < RESONANCE_TOL * (1.0 + np.abs(lambdas))):
         raise ResonanceProximityError(z, lambdas[int(np.argmin(d))])
 
 
@@ -204,25 +200,17 @@ def _checked_factor(op: DiscreteOperator, tau: float):
     return lu
 
 
-def _solve_green(op: DiscreteOperator, tau: float, G0: np.ndarray) -> np.ndarray:
-    """G0 + v for free-kernel columns G0, where (I - tau M) v = tau M G0."""
+def green_matrix(op: DiscreteOperator, tau: float, columns=slice(None)) -> np.ndarray:
+    """Columns of the high-contrast Green function, G[i, j] = G(x_i, x_j), by
+    dense solve: G0 + v for the free-kernel columns G0, where
+    (I - tau M) v = tau M G0. `columns` indexes the grid nodes as in
+    g0_matrix; an integer gives one column as a vector.
+    """
+    G0 = g0_matrix(op, columns)
     if tau == 0:
         return G0
     rhs = tau * (op.matrix @ G0)
     return G0 + lu_solve(_checked_factor(op, tau), rhs, check_finite=False)
-
-
-def solve_green_direct(op: DiscreteOperator, tau: float, source_index: int) -> np.ndarray:
-    """Column G(., x_j) of the high-contrast Green function by dense solve.
-
-    Solves (I - tau M) v = tau M g0col and returns g0col + v.
-    """
-    return _solve_green(op, tau, g0_matrix(op, int(source_index)))
-
-
-def green_matrix(op: DiscreteOperator, tau: float) -> np.ndarray:
-    """All columns of the high-contrast Green function, G[i, j] = G(x_i, x_j)."""
-    return _solve_green(op, tau, g0_matrix(op))
 
 
 def check_exterior(grid: DomainGrid, points) -> None:
@@ -232,9 +220,8 @@ def check_exterior(grid: DomainGrid, points) -> None:
         raise InvalidArgumentError("exterior evaluation point lies on or inside the source domain")
 
 
-def radiate_matrix(op: DiscreteOperator, exterior_points: np.ndarray, tau: float,
-                   columns=slice(None)) -> np.ndarray:
-    """G(z_m, x_j) at exterior rows z_m for the grid columns x_j in `columns`.
+def radiate_matrix(op: DiscreteOperator, exterior_points: np.ndarray, tau: float) -> np.ndarray:
+    """G(z_m, x_j) at exterior rows z_m for every grid column x_j.
 
     G(z, x_j) = g0(z, x_j) - tau * sum_i g0(z, x_i) n_i w_i G(x_i, x_j). On the
     grid G = (I - tau M)^{-1} G0, so the sum is X G0 with
@@ -244,10 +231,10 @@ def radiate_matrix(op: DiscreteOperator, exterior_points: np.ndarray, tau: float
     check_exterior(op.grid, exterior_points)
     K = g0_between(exterior_points, op.grid.points, op.ctx)   # (m, N) free kernel
     if tau == 0:
-        return K[:, columns]
+        return K
     KW = K * (op.n * op.weights)[None, :]
     X = lu_solve(_checked_factor(op, tau), KW.T, trans=1, check_finite=False).T
-    return K[:, columns] - tau * X @ g0_matrix(op, columns)
+    return K - tau * X @ g0_matrix(op)
 
 
 def singular_values(op: DiscreteOperator) -> np.ndarray:

@@ -233,6 +233,14 @@ class TestPsf:
         assert "Traceback" not in err
 
 
+    def test_zero_direction_exit_2(self, tmp_path, capsys):
+        cfg = dict(BASE, psf={"x0": [0.0, 0.0], "direction": [0.0, 0.0]})
+        assert run("psf", write_cfg(tmp_path, cfg), tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resonat: config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestImage:
     CFG = dict(
         BASE,
@@ -272,6 +280,12 @@ class TestImage:
         l1 = json.loads((out / "metrics.json").read_text())["methods"]["l1"]
         assert l1["iterations"] == max_iters
         assert np.isfinite(l1["objective"]) and l1["objective"] > 0
+
+    def test_negative_noise_level_exit_2(self, tmp_path, capsys):
+        cfg = dict(self.CFG, noise={"level": -0.5})
+        assert run("image", write_cfg(tmp_path, cfg), tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resonat: config error:") and err.count("\n") == 1
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = dict(self.CFG, noise={"level": 0.05}, seed=5)

@@ -160,7 +160,7 @@ class TestPsf:
     def test_profile_through_grid(self, disk16, disk16_sys):
         ctx, grid, op = disk16
         i0 = grid.nearest_index([0.0, 0.0])
-        prof = psf_profile(g0_matrix(op), grid, i0, [1.0, 0.0])
+        prof = psf_profile(g0_matrix(op, i0), grid, i0, [1.0, 0.0])
         assert prof.values.shape == prof.radii.shape
         assert np.any(prof.radii < 0) and np.any(prof.radii > 0)
 

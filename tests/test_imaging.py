@@ -69,6 +69,17 @@ class TestForwardMap:
         fmap2 = build_forward_map(grid, surface, CTX2, tau=0.0, op=op)
         assert np.allclose(fmap2.matrix, fmap.matrix, atol=1e-12)
 
+    def test_operator_of_other_medium_rejected(self, homog_setup):
+        # the kernel would come from the operator's grid and wave context,
+        # and the data would be indexed by the map's grid nodes
+        grid, surface, _ = homog_setup
+        other_grid = build_disk_grid(1.0, 10, CTX2)
+        other_ctx = WaveContext(k=1.0, dim=2)
+        for op in (assemble_kd(other_grid, np.full(other_grid.n_points, 1.0), CTX2),
+                   assemble_kd(grid, np.full(grid.n_points, 1.0), other_ctx)):
+            with pytest.raises(InvalidArgumentError):
+                build_forward_map(grid, surface, CTX2, tau=3.0, op=op)
+
     def test_refinement_reduces_quadrature_error(self):
         # far-field datum of a fixed rapidly-decaying density converges with h
         vals = []
@@ -102,6 +113,11 @@ class TestSynthesizeData:
         u1, _ = synthesize_data(fmap, src, 0.1, seed=7)
         u2, _ = synthesize_data(fmap, src, 0.1, seed=7)
         assert np.array_equal(u1, u2)
+
+    def test_negative_noise_level_rejected(self, homog_setup):
+        _, _, fmap = homog_setup
+        with pytest.raises(InvalidArgumentError):
+            synthesize_data(fmap, [((0.1, 0.1), 1.0 + 0j)], -0.5)
 
     def test_source_outside_domain(self, homog_setup):
         _, _, fmap = homog_setup

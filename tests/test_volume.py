@@ -16,7 +16,6 @@ from resonat import (
     operator_from_matrix,
     radial_bump,
     singular_values,
-    solve_green_direct,
 )
 from resonat.errors import InvalidArgumentError, ResonanceProximityError
 from resonat.spectral import build_r_matrix, eigendecompose
@@ -120,25 +119,25 @@ class TestApply:
 class TestDirectSolve:
     def test_tau_zero_returns_g0(self):
         _, _, op = small_op()
-        assert np.allclose(solve_green_direct(op, 0.0, 5), g0_matrix(op, 5))
+        assert np.allclose(green_matrix(op, 0.0, 5), g0_matrix(op, 5))
 
     def test_scalar_toy_system(self):
         mu, tau = 0.3, 2.0
         op = operator_from_matrix(np.array([[mu]], dtype=complex))
         g0c = g0_matrix(op, 0)
-        got = solve_green_direct(op, tau, 0)
+        got = green_matrix(op, tau, 0)
         expect = g0c * (1.0 + tau * mu / (1.0 - tau * mu))
         assert np.allclose(got, expect, rtol=1e-12)
 
     def test_resonance_proximity(self):
         op = operator_from_matrix(np.diag([0.5, 0.25]).astype(complex))
         with pytest.raises(ResonanceProximityError):
-            solve_green_direct(op, 2.0, 0)  # 1/tau = 0.5 = lambda_1
+            green_matrix(op, 2.0, 0)  # 1/tau = 0.5 = lambda_1
 
     def test_residual_contract(self):
         _, _, op = small_op(cells=10)
         tau = 3.0
-        col = solve_green_direct(op, tau, 7)
+        col = green_matrix(op, tau, 7)
         g0c = g0_matrix(op, 7)
         v = col - g0c
         N = op.matrix.shape[0]
@@ -151,7 +150,7 @@ class TestDirectSolve:
         # G = G0 - (1/tau - M)^{-1} M^2 [delta_j / (n_j w_j)]
         _, _, op = small_op(cells=10)
         tau, j = 3.0, 11
-        col = solve_green_direct(op, tau, j)
+        col = green_matrix(op, tau, j)
         N = op.matrix.shape[0]
         delta = np.zeros(N)
         delta[j] = 1.0 / (op.n[j] * op.weights[j])
@@ -272,11 +271,25 @@ class TestGreenMatrix:
         G = green_matrix(op, tau)
         N = op.matrix.shape[0]
         for j in (0, 17, 40, N - 1):
-            col = solve_green_direct(op, tau, j)
+            col = green_matrix(op, tau, j)
             assert np.linalg.norm(col - G[:, j]) <= 1e-13 * np.linalg.norm(G[:, j])
         G0 = g0_matrix(op)
         ref = G0 + np.linalg.solve(np.eye(N) - tau * op.matrix, tau * op.matrix @ G0)
         assert np.linalg.norm(G - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_column_forms_are_slices_of_matrix(self):
+        # a list gives an (N, 1) block that agrees with the full call to
+        # rounding (BLAS sums a matrix-vector product in another order than a
+        # matrix-matrix one); at tau = 0 each form is the free-kernel column
+        _, _, op = small_op(cells=10)
+        tau = 3.0
+        G = green_matrix(op, tau)
+        for a in (5, 40):
+            block = green_matrix(op, tau, [a])
+            assert block.shape == (G.shape[0], 1)
+            assert np.linalg.norm(block[:, 0] - G[:, a]) <= 1e-13 * np.linalg.norm(G[:, a])
+            assert np.array_equal(green_matrix(op, 0.0, a), g0_matrix(op, a))
+            assert np.array_equal(green_matrix(op, 0.0, [a]), g0_matrix(op, [a]))
 
     def test_g0_columns_are_slices_of_matrix(self):
         _, _, op = small_op(cells=10)
@@ -302,33 +315,19 @@ class TestRadiate:
         ctx, grid, op = small_op()
         x0 = grid.points[4]
         x_ext = np.array([3.0, 1.0])
-        K = radiate_matrix(op, x_ext[None, :], 0.0, columns=[4])
-        assert complex(K[0, 0]) == pytest.approx(g0(x_ext, x0, ctx), rel=1e-12)
+        K = radiate_matrix(op, x_ext[None, :], 0.0)
+        assert complex(K[0, 4]) == pytest.approx(g0(x_ext, x0, ctx), rel=1e-12)
 
     def test_interior_point_rejected(self):
         _, _, op = small_op()
         with pytest.raises(InvalidArgumentError):
-            radiate_matrix(op, np.array([[3.0, 1.0], [0.1, 0.1]]), 1.0, columns=[0])
+            radiate_matrix(op, np.array([[3.0, 1.0], [0.1, 0.1]]), 1.0)
 
     def test_boundary_point_rejected(self):
         # the rule of build_forward_map: a point with |z| <= radius is refused
         _, grid, op = small_op()
         with pytest.raises(InvalidArgumentError):
-            radiate_matrix(op, np.array([[grid.radius, 0.0]]), 1.0, columns=[0])
-
-    def test_columns_are_slices_of_matrix(self):
-        # the free term of a column is the column of the full call; the
-        # scattered term agrees to rounding, since BLAS sums a matrix-vector
-        # product in another order than a matrix-matrix one
-        _, _, op = small_op(cells=10)
-        tau = 3.0
-        x_ext = np.array([[2.5, -1.0], [0.0, 3.0]])
-        K0 = radiate_matrix(op, x_ext, 0.0)
-        K = radiate_matrix(op, x_ext, tau)
-        for a in (5, 40):
-            assert np.array_equal(radiate_matrix(op, x_ext, 0.0, columns=[a]), K0[:, [a]])
-            col = radiate_matrix(op, x_ext, tau, columns=[a])
-            assert np.linalg.norm(col[:, 0] - K[:, a]) <= 1e-13 * np.linalg.norm(K[:, a])
+            radiate_matrix(op, np.array([[grid.radius, 0.0]]), 1.0)
 
     def test_refined_grid_oracle(self):
         # radiated exterior value converges as the interior grid is refined
@@ -340,7 +339,7 @@ class TestRadiate:
             grid = build_disk_grid(1.0, cells, ctx)
             op = assemble_kd(grid, np.full(grid.n_points, 1.0), ctx)
             j = grid.nearest_index([0.15, 0.05])
-            vals.append(radiate_matrix(op, x_ext, tau, columns=[j])[0, 0])
+            vals.append(radiate_matrix(op, x_ext, tau)[0, j])
         assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1])
 
     @pytest.mark.parametrize("cells, k, peak, tau", [(10, 1.0, 2.0, 3.0), (20, 6.0, None, 180.5)])
@@ -355,7 +354,7 @@ class TestRadiate:
         assert np.max(np.abs(Kc - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_forward_map_factors_once(self, monkeypatch):
-        # green_matrix and solve_green_direct both run through _solve_green
+        # the adjoint solve needs only the LU, not the interior Green columns
         ctx, grid, op = small_op()
         factors, solves = [], []
         factor = resonat.volume._factor
@@ -365,7 +364,7 @@ class TestRadiate:
             return factor(op, tau)
 
         monkeypatch.setattr(resonat.volume, "_factor", counted_factor)
-        monkeypatch.setattr(resonat.volume, "_solve_green", lambda *args: solves.append(args))
+        monkeypatch.setattr(resonat.volume, "green_matrix", lambda *args: solves.append(args))
         build_forward_map(grid, build_measurement_surface(50.0, 32, ctx), ctx, tau=3.0, op=op)
         assert factors == [3.0]
         assert solves == []
