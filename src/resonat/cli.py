@@ -81,6 +81,14 @@ def _float(value):
     return out
 
 
+def _positive(value):
+    """a positive number"""
+    out = _float(value)
+    if not out > 0:
+        raise ValueError(out)
+    return out
+
+
 def _int(value):
     """an integer"""
     out = int(_of_type(value, (int, float)))
@@ -139,7 +147,7 @@ _TABLE = {
             "y": (_vector, _zeros),
             "points": (_int, 2000)}, OPTIONAL),
     # the default axis offset is half a cell; cells < 2 is refused by the grid
-    "separation": ({"values": ([_float], REQUIRED),
+    "separation": ({"values": ([_positive], REQUIRED),
                     "media": ([("homogeneous", "high_contrast")], ["homogeneous", "high_contrast"]),
                     "axis_offset": (_float, lambda c: c["domain"]["radius"]
                                     / max(c["domain"]["cells"], 1)),
@@ -251,9 +259,12 @@ def cmd_expand(cfg, out: Path):
     sys_ = eigendecompose(op)
     alpha = alpha_expansion(sys_, tau)
     beta = beta_expansion(sys_, alpha)
+    # one Python int per index, shared by the rows: N^2 distinct ints would
+    # add 28 bytes a row to the writers' peak memory
+    index = np.arange(alpha.shape[0]).astype(object)
+    row, col = np.repeat(index, len(index)).tolist(), np.tile(index, len(index)).tolist()
     for name, mat in (("alpha", alpha), ("beta", beta)):
-        rows = [(i, j, float(mat[i, j].real), float(mat[i, j].imag))
-                for i in range(mat.shape[0]) for j in range(mat.shape[1])]
+        rows = list(zip(row, col, mat.real.ravel().tolist(), mat.imag.ravel().tolist()))
         write_csv(out / f"{name}.csv", ["gamma_row", "gamma_col", "re", "im"], rows)
     # solved after the writers, so that the N x N result is not alive at their peak
     direct = green_matrix(op, tau)
@@ -356,8 +367,8 @@ def cmd_sweep_separation(cfg, out: Path):
         t = 0.0 if medium == "homogeneous" else tau
         fmap = build_forward_map(grid, surface, ctx, tau=t, op=op)
         for s in sep["values"]:
-            a = grid.points[grid.nearest_index([-s / 2, offset][: ctx.dim])]
-            b = grid.points[grid.nearest_index([+s / 2, offset][: ctx.dim])]
+            a = grid.points[grid.nearest_index([-s / 2, offset, 0.0][: ctx.dim])]
+            b = grid.points[grid.nearest_index([+s / 2, offset, 0.0][: ctx.dim])]
             src = [(a, 1.0 + 0.0j), (b, 1.0 + 0.0j)]
             u, _ = synthesize_data(fmap, src, noise, seed)
             res = l1_reconstruct(fmap, u, mu=_relative_mu(sep["mu_rel"], fmap, u),

@@ -62,8 +62,11 @@ class DomainGrid:
         return float(np.linalg.norm(np.asarray(x, dtype=float))) < self.radius
 
     def nearest_index(self, x) -> int:
-        d = np.linalg.norm(self.points - np.asarray(x, dtype=float), axis=1)
-        return int(np.argmin(d))
+        """Index of the grid node nearest x, a point strictly inside the domain."""
+        x = np.asarray(x, dtype=float)
+        if not self.contains(x):
+            raise InvalidArgumentError(f"point {x} lies outside the domain")
+        return int(np.argmin(np.linalg.norm(self.points - x, axis=1)))
 
 
 @dataclass(frozen=True)

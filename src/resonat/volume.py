@@ -190,27 +190,24 @@ def refuse_near_spectrum(z: complex, lambdas: np.ndarray):
         raise ResonanceProximityError(z, lambdas[int(np.argmin(d))])
 
 
-def _checked_factor(op: DiscreteOperator, tau: float):
-    """LU of I - tau M, refused when 1/tau is within tolerance of the spectrum.
-
-    The resonance check reuses the factorization; tau must be nonzero.
+def _lippmann_schwinger(op: DiscreteOperator, tau: float, free: np.ndarray) -> np.ndarray:
+    """(I - tau M)^{-1} free, for a nonzero tau: the total field of each
+    free-field column. Refused when 1/tau is within tolerance of the
+    spectrum; the resonance check reuses the factorization of the solve.
     """
     lu = _factor(op, tau)
     check_resonance_proximity(op, 1.0 / tau, lu=lu)
-    return lu
+    return lu_solve(lu, free, check_finite=False)
 
 
 def green_matrix(op: DiscreteOperator, tau: float, columns=slice(None)) -> np.ndarray:
     """Columns of the high-contrast Green function, G[i, j] = G(x_i, x_j), by
-    dense solve: G0 + v for the free-kernel columns G0, where
-    (I - tau M) v = tau M G0. `columns` indexes the grid nodes as in
-    g0_matrix; an integer gives one column as a vector.
+    dense solve of the Lippmann-Schwinger equation (I - tau M) G = G0 for the
+    free-kernel columns G0. `columns` indexes the grid nodes as in g0_matrix;
+    an integer gives one column as a vector.
     """
     G0 = g0_matrix(op, columns)
-    if tau == 0:
-        return G0
-    rhs = tau * (op.matrix @ G0)
-    return G0 + lu_solve(_checked_factor(op, tau), rhs, check_finite=False)
+    return G0 if tau == 0 else _lippmann_schwinger(op, tau, G0)
 
 
 def check_exterior(grid: DomainGrid, points) -> None:
@@ -223,18 +220,14 @@ def check_exterior(grid: DomainGrid, points) -> None:
 def radiate_matrix(op: DiscreteOperator, exterior_points: np.ndarray, tau: float) -> np.ndarray:
     """G(z_m, x_j) at exterior rows z_m for every grid column x_j.
 
-    G(z, x_j) = g0(z, x_j) - tau * sum_i g0(z, x_i) n_i w_i G(x_i, x_j). On the
-    grid G = (I - tau M)^{-1} G0, so the sum is X G0 with
-    X = (K diag(n w)) (I - tau M)^{-1}: one transposed solve, with a right-hand
-    side per exterior point, on the LU that the Green solves use.
+    The discrete operator is reciprocal (M = -S diag(n w) with S symmetric),
+    so G(z, x) = G(x, z): row m is the total field of a point source at z_m,
+    read at the grid nodes, which is one Lippmann-Schwinger solve of its free
+    field g0(., z_m), on the LU that the interior Green solves use.
     """
     check_exterior(op.grid, exterior_points)
     K = g0_between(exterior_points, op.grid.points, op.ctx)   # (m, N) free kernel
-    if tau == 0:
-        return K
-    KW = K * (op.n * op.weights)[None, :]
-    X = lu_solve(_checked_factor(op, tau), KW.T, trans=1, check_finite=False).T
-    return K - tau * X @ g0_matrix(op)
+    return K if tau == 0 else _lippmann_schwinger(op, tau, K.T).T
 
 
 def singular_values(op: DiscreteOperator) -> np.ndarray:

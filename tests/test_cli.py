@@ -11,7 +11,10 @@ import yaml
 from scipy.linalg import LinAlgWarning
 
 import resonat
-from resonat.cli import _COMMANDS, main, read_config
+from resonat.cli import _COMMANDS, _operator, main, read_config
+from resonat.expansion import alpha_expansion, beta_expansion
+from resonat.io import fmt
+from resonat.spectral import eigendecompose
 
 BASE = {
     "wave": {"k": 1.0, "dim": 2},
@@ -58,6 +61,8 @@ MALFORMED = {
     "cells_string": ("spectrum", {"domain": {"shape": "disk", "radius": 1.0, "cells": "12"}}),
     "l2_mode_bogus": ("image", {"methods": {"time_reversal": {}, "l2": {"mode": "bogus"}}}),
     "l1_mode_bogus": ("image", {"methods": {"l1": {"mode": "bogus"}}}),
+    "separation_negative": ("sweep-separation", {"separation": {"values": [-0.4]}}),
+    "separation_zero": ("sweep-separation", {"separation": {"values": [0.0]}}),
 }
 
 
@@ -106,6 +111,18 @@ class TestConfigValidation:
         assert err.startswith("resonat: config error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    # points inside the domain are checked by the grid, once the command runs
+    @pytest.mark.parametrize("command, sections", [
+        ("psf", {"psf": {"x0": [5.0, 0.0]}}),
+        ("sweep-separation", {"separation": {"values": [5.0], "media": ["homogeneous"]}}),
+    ], ids=["psf_x0", "separation_pair"])
+    def test_point_outside_domain_exit_2(self, tmp_path, capsys, command, sections):
+        base = BASE if command == "psf" else TestImage.CFG
+        assert run(command, write_cfg(tmp_path, dict(base, **sections)), tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resonat: config error:") and err.count("\n") == 1
+        assert "outside the domain" in err
 
     def test_shipped_scenarios_read(self):
         for path in sorted(SCENARIOS.glob("*.yaml")):
@@ -187,6 +204,19 @@ class TestExpand:
         monkeypatch.setattr(resonat.volume, "_factor", counted)
         assert run("expand", write_cfg(tmp_path, BASE), tmp_path / "out") == 0
         assert calls == [BASE["contrast"]["tau"]]
+
+    def test_coefficient_rows_match_loop(self, tmp_path):
+        # row-major (gamma_row, gamma_col, re, im) rows, as a double loop writes them
+        cfg = dict(BASE, domain={"shape": "disk", "radius": 1.0, "cells": 6})
+        out = tmp_path / "out"
+        assert run("expand", write_cfg(tmp_path, cfg), out) == 0
+        _, _, op = _operator(read_config(cfg))
+        sys_ = eigendecompose(op)
+        alpha = alpha_expansion(sys_, cfg["contrast"]["tau"])
+        for name, mat in (("alpha", alpha), ("beta", beta_expansion(sys_, alpha))):
+            _, rows = read_rows(out / f"{name}.csv")
+            assert rows == [[str(i), str(j), fmt(float(mat[i, j].real)), fmt(float(mat[i, j].imag))]
+                            for i in range(mat.shape[0]) for j in range(mat.shape[1])]
 
     def test_resonant_tau_exit_1(self, tmp_path, disk16):
         _, _, op = disk16
@@ -325,6 +355,8 @@ class TestSweepSeparation:
         cfg = dict(TestImage.CFG)
         cfg.pop("methods")
         cfg.pop("sources")
+        # a disk wide enough to hold the pair at +-lam, cells of the base size 1/6
+        cfg["domain"] = {"shape": "disk", "radius": 1.25, "cells": 15}
         lam = 2.0 * np.pi / 6.0
         cfg["separation"] = {"values": [float(2 * lam)], "media": ["homogeneous"],
                              "mu_rel": 0.02, "max_iters": 20000, "tol": 1e-12}
@@ -333,6 +365,16 @@ class TestSweepSeparation:
         header, rows = read_rows(out / "sweep.csv")
         assert header == ["separation", "medium_tag", "localization_error", "success_flag"]
         assert rows[0][3] == "true"
+
+    def test_ball_pair_in_z0_plane(self, tmp_path):
+        cfg = {"wave": {"k": 2.0, "dim": 3},
+               "domain": {"shape": "ball", "radius": 1.0, "cells": 6},
+               "surface": {"radius": 50.0, "points": 64},
+               "separation": {"values": [0.5], "media": ["homogeneous"], "max_iters": 200}}
+        out = tmp_path / "out"
+        assert run("sweep-separation", write_cfg(tmp_path, cfg), out) == 0
+        _, rows = read_rows(out / "sweep.csv")
+        assert [r[:2] for r in rows] == [["0.5", "homogeneous"]]
 
     @pytest.mark.parametrize("max_iters", [None, 1])
     def test_l1_convergence_in_manifest(self, tmp_path, max_iters):

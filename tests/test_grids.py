@@ -53,6 +53,14 @@ class TestDiskGrid:
         assert np.all(np.linalg.norm(g.points, axis=1) < 1.5)
         assert all(g.contains(p) for p in g.points)
 
+    def test_nearest_index_refuses_outside_points(self):
+        # the strict rule of contains: a point on the boundary is outside too
+        g = build_disk_grid(1.5, 10, CTX2)
+        assert np.array_equal(g.points[g.nearest_index(g.points[7])], g.points[7])
+        for x in ([5.0, 0.0], [1.5, 0.0], [0.0, -1.5]):
+            with pytest.raises(InvalidArgumentError):
+                g.nearest_index(x)
+
     def test_wrong_dim(self):
         with pytest.raises(InvalidArgumentError):
             build_disk_grid(1.0, 8, CTX3)
