@@ -97,6 +97,14 @@ def _int(value):
     return out
 
 
+def _count(value):
+    """a non-negative integer"""
+    out = _int(value)
+    if out < 0:
+        raise ValueError(out)
+    return out
+
+
 def _vector(value):
     """a list of wave.dim numbers"""
     return tuple(_float(v) for v in _of_type(value, list))
@@ -117,7 +125,7 @@ def _zeros(cfg):
 # non-empty list of that kind. A key that is not given takes its default: a
 # function of the config read so far (sections are read in table order), None,
 # REQUIRED, OPTIONAL, or a value read as if it had been given.
-_L1_SOLVE = {"mu_rel": (_float, 0.02), "max_iters": (_int, 30000), "tol": (_float, 1e-12)}
+_L1_SOLVE = {"mu_rel": (_positive, 0.02), "max_iters": (_count, 30000), "tol": (_positive, 1e-12)}
 _TABLE = {
     "wave": ({"k": (_float, 1.0), "dim": (_int, 2)}, {}),
     "domain": ({"shape": (("disk", "ball"), lambda c: "disk" if c["wave"]["dim"] == 2 else "ball"),
@@ -138,7 +146,7 @@ _TABLE = {
                          "delta": (_float, None),
                          "delta_rel": (_float, None)}, OPTIONAL),
                  "l1": ({"mode": (("penalized", "normal_equation"), "penalized"),
-                         "mu": (_float, None),
+                         "mu": (_positive, None),
                          **_L1_SOLVE}, OPTIONAL)}, {"time_reversal": {}}),
     "psf": ({"x0": (_vector, _zeros),
              "direction": (_vector, lambda c: [1.0] + _zeros(c)[1:])}, {}),
@@ -378,9 +386,8 @@ def cmd_sweep_separation(cfg, out: Path):
             success = (not met.empty) and err <= grid.cell_size * (1 + 1e-9)
             rows.append((s, medium, err, success))
             solves.append({"separation": s, "medium": medium,
-                           "iterations": res.metadata["iterations"],
-                           "converged": res.metadata["converged"],
-                           "objective": res.metadata["objective"]})
+                           **{key: res.metadata[key] for key in
+                              ("iterations", "converged", "objective", "gap", "restarts")}})
     write_csv(out / "sweep.csv",
               ["separation", "medium_tag", "localization_error", "success_flag"], rows)
     return {"tolerances": {"l1_tol": sep["tol"]}, "l1_solves": solves}

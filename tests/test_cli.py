@@ -63,6 +63,16 @@ MALFORMED = {
     "l1_mode_bogus": ("image", {"methods": {"l1": {"mode": "bogus"}}}),
     "separation_negative": ("sweep-separation", {"separation": {"values": [-0.4]}}),
     "separation_zero": ("sweep-separation", {"separation": {"values": [0.0]}}),
+    "l1_max_iters_negative": ("image", {"methods": {"l1": {"max_iters": -5}}}),
+    "l1_tol_negative": ("image", {"methods": {"l1": {"tol": -1.0}}}),
+    "l1_tol_zero": ("image", {"methods": {"l1": {"tol": 0.0}}}),
+    "l1_mu_negative": ("image", {"methods": {"l1": {"mu": -1.0}}}),
+    "separation_mu_rel_zero": ("sweep-separation",
+                               {"separation": {"values": [0.5], "mu_rel": 0.0}}),
+    "separation_max_iters_negative": ("sweep-separation",
+                                      {"separation": {"values": [0.5], "max_iters": -5}}),
+    "separation_tol_negative": ("sweep-separation",
+                                {"separation": {"values": [0.5], "tol": -1.0}}),
 }
 
 
@@ -302,7 +312,7 @@ class TestImage:
         man = json.loads((tmp_path / "tr" / "manifest.json").read_text())
         assert "l1_tol" not in man["tolerances"]
 
-    @pytest.mark.parametrize("max_iters", [0, 500])
+    @pytest.mark.parametrize("max_iters", [0, 50])
     def test_l1_objective_in_metrics(self, tmp_path, max_iters):
         cfg = dict(self.CFG, methods={"l1": {"max_iters": max_iters}})
         out = tmp_path / "out"
@@ -310,6 +320,13 @@ class TestImage:
         l1 = json.loads((out / "metrics.json").read_text())["methods"]["l1"]
         assert l1["iterations"] == max_iters
         assert np.isfinite(l1["objective"]) and l1["objective"] > 0
+
+    def test_l1_gap_and_restarts_in_metrics(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("image", write_cfg(tmp_path, dict(self.CFG, methods={"l1": {}})), out) == 0
+        l1 = json.loads((out / "metrics.json").read_text())["methods"]["l1"]
+        assert l1["converged"] and 0 <= l1["gap"] <= 1e-4
+        assert isinstance(l1["restarts"], int) and l1["restarts"] >= 0
 
     def test_negative_noise_level_exit_2(self, tmp_path, capsys):
         cfg = dict(self.CFG, noise={"level": -0.5})
@@ -390,6 +407,7 @@ class TestSweepSeparation:
         assert solve["converged"] is (max_iters is None)
         assert (solve["iterations"] == 1) is (max_iters == 1)
         assert np.isfinite(solve["objective"]) and solve["objective"] > 0
+        assert solve["gap"] >= 0 and solve["restarts"] >= 0
 
 
 class TestThreads:
