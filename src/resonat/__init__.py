@@ -21,7 +21,7 @@ from .grids import (
     build_measurement_surface,
     radial_bump,
 )
-from .kernels import far_field_g0, g0, g0_between, im_g0, sinc_psf, sinc_psf_fwhm
+from .kernels import g0, g0_between, im_g0, sinc_psf, sinc_psf_fwhm
 from .volume import (
     DiscreteOperator,
     apply_kd,
@@ -33,7 +33,6 @@ from .volume import (
 from .spectral import (
     SpectralSystem,
     build_d_matrix,
-    build_h_matrix,
     build_r_matrix,
     eigendecompose,
     resolvent_chain_coefficients,
@@ -45,8 +44,6 @@ from .expansion import (
     alpha_expansion,
     beta_expansion,
     expansion_errors,
-    homogeneous_expansion,
-    mode_mixing_report,
     partial_sum,
     psf_from_samples,
     psf_profile,

@@ -54,7 +54,7 @@ from .imaging import (
 )
 from .io import config_hash, fmt, write_csv, write_json
 from .kernels import im_g0_from_distance
-from .spectral import eigendecompose
+from .spectral import eigendecompose, verify_resonant_mode
 from .volume import RESONANCE_TOL, assemble_kd, green_matrix
 
 
@@ -161,7 +161,7 @@ _TABLE = {
                                     / max(c["domain"]["cells"], 1)),
                     **_L1_SOLVE}, OPTIONAL),
     "noise": ({"level": (_float, 0.0)}, {}),
-    "seed": (_int, 0),
+    "seed": (_count, 0),
 }
 
 
@@ -261,6 +261,18 @@ def cmd_spectrum(cfg, out: Path):
     return {"n_modes": sys_.size, "cluster_tol": sys_.cluster_tol, "warnings": sys_.warnings}
 
 
+def _resonant_mode(sys_, op, tau):
+    """The mode of the eigenvalue nearest 1/tau and the resonance rule's distance to it."""
+    if tau == 0:
+        return None
+    pos = int(np.argmin(np.abs(1.0 / tau - sys_.lambdas)))
+    lam = sys_.lambdas[pos]
+    residual, frequency = verify_resonant_mode(sys_, op, pos)
+    return {"index": pos, "eigenvalue": [float(lam.real), float(lam.imag)],
+            "proximity": float(abs(1.0 / tau - lam) / (1.0 + abs(lam))),
+            "residual": residual, "dominant_frequency": frequency}
+
+
 def cmd_expand(cfg, out: Path):
     _, _, op = _operator(cfg)
     tau = cfg["contrast"]["tau"]
@@ -287,6 +299,7 @@ def cmd_expand(cfg, out: Path):
         "oracle_rel_error_beta": expansion_errors(sys_.U, beta, op, direct, [N])[N] / scale,
         # >= ||A B||_F = sqrt(N); Frobenius norms, since 2-norms would need two more SVDs
         "eigenbasis_condition": float(np.linalg.norm(sys_.A) * np.linalg.norm(sys_.B)),
+        "resonant_mode": _resonant_mode(sys_, op, tau),
     }
 
 

@@ -6,9 +6,7 @@ The difference field G - G0 on the grid factorizes through the spectral data:
     G - G0 = U @ C_beta  @ U^*T @ diag(1/n),   C_beta  = A C_alpha A^*T
 
 where ^*T is plain (unconjugated-transpose of the conjugate) so that column
-gamma' pairs e_gamma(x) with conj(e_{gamma'}(x0)). The homogeneous kernel has
-the analogous representation with the resolvent matrix replaced by the operator
-matrix H. The 1/n(x0) factor is applied at field evaluation, never folded into
+gamma' pairs e_gamma(x) with conj(e_{gamma'}(x0)). The 1/n(x0) factor is applied at field evaluation, never folded into
 the coefficient matrices. All transposition and sign conventions here are
 pinned by the dense direct-solve oracle, not by index pattern-matching.
 """
@@ -22,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .grids import DomainGrid
-from .spectral import SpectralSystem, build_d_matrix, build_h_matrix
+from .spectral import SpectralSystem, build_d_matrix
 from .volume import DiscreteOperator, g0_matrix
 
 
@@ -48,12 +46,6 @@ def alpha_expansion(sys: SpectralSystem, tau: float) -> np.ndarray:
 def beta_expansion(sys: SpectralSystem, alpha: np.ndarray) -> np.ndarray:
     """Mode-basis coefficients A alpha A^H of the orthonormal-basis ones."""
     return sys.A @ alpha @ sys.A.conj().T
-
-
-def homogeneous_expansion(sys: SpectralSystem) -> np.ndarray:
-    """Orthonormal-basis coefficients of the free kernel G0 itself, built from
-    H instead of R(z); it has no free part to add back."""
-    return -(sys.B @ build_h_matrix(sys).T @ sys.A)
 
 
 def partial_sum(basis: np.ndarray, coeff: np.ndarray, n_values: np.ndarray,
@@ -137,19 +129,3 @@ def psf_profile(column: np.ndarray, grid: DomainGrid, x0_index: int,
     on_line = perp < 0.51 * grid.cell_size
     return psf_from_samples(t[on_line], np.imag(column[on_line]))
 
-
-def mode_mixing_report(matrix: np.ndarray):
-    """Diagonal vs off-diagonal coefficient mass and the ten largest mixing pairs."""
-    mag2 = np.abs(matrix) ** 2
-    diag_mass = float(np.sum(np.diag(mag2)))
-    off = mag2.copy()
-    np.fill_diagonal(off, 0.0)
-    off_mass = float(np.sum(off))
-    flat = np.argsort(off, axis=None)[::-1][:10]
-    pairs = []
-    for f in flat:
-        i, j = np.unravel_index(int(f), off.shape)
-        if off[i, j] == 0.0:
-            break
-        pairs.append((int(i), int(j), float(np.sqrt(off[i, j]))))
-    return diag_mass, off_mass, pairs

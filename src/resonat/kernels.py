@@ -55,22 +55,6 @@ def im_g0(x, y, ctx: WaveContext) -> float:
     return float(im_g0_from_distance(r, ctx))
 
 
-def far_field_g0(direction, R: float, y, ctx: WaveContext) -> complex:
-    """Far-field approximation -e^{ikR}/(4 pi R) * e^{-ik direction.y} (3D).
-
-    Valid when R >> |y|; the phase uses |x - y| ~ |x| - x_hat . y.
-    """
-    if ctx.dim != 3:
-        raise InvalidArgumentError("far_field_g0 is defined for dim=3")
-    y = np.asarray(y, dtype=float)
-    if R <= float(np.linalg.norm(y)):
-        raise InvalidArgumentError("far-field radius must exceed |y|")
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    k = ctx.k
-    return complex(-np.exp(1j * k * R) / (4.0 * np.pi * R) * np.exp(-1j * k * float(d @ y)))
-
-
 def sinc_psf(r, ctx: WaveContext):
     """Homogeneous 3D time-reversal point spread function -sin(kr)/(4 pi k r)."""
     if ctx.dim != 3:

@@ -14,9 +14,10 @@ both upper-triangular with positive-real diagonal on B. In index notation
 e_gamma = sum_{gamma' <= gamma} a_{gamma,gamma'} u_{gamma'} with
 a_{gamma,gamma'} = A[gamma', gamma].
 
-Coefficient matrices (H, R(z), D(z)) are arrays C with C[gamma, gamma'] equal
+Coefficient matrices (R(z), D(z)) are arrays C with C[gamma, gamma'] equal
 to the coefficient of basis element gamma' in the image of basis element gamma,
-so e.g. the operator acts on the grid as M @ U = U @ H.T.
+so C acts on the grid as basis @ C.T (U for R, E for D). The operator
+itself acts as M @ U = U @ chain_matrix().
 
 Numerical Jordan detection is ill-posed: the default eigendecomposition path
 treats every eigenvector as a chain of length one and only flags suspicious
@@ -218,12 +219,6 @@ def dominant_spatial_frequency(op: DiscreteOperator, values: np.ndarray):
     radial = np.sqrt(sum(m**2 for m in mesh))
     peak = np.unravel_index(int(np.argmax(np.abs(F))), F.shape)
     return float(radial[peak])
-
-
-def build_h_matrix(sys: SpectralSystem) -> np.ndarray:
-    """Representation of the operator in the mode basis:
-    h = lambda on the chain diagonal, 1 on the (k, k-1) chain subentry."""
-    return sys.chain_matrix().T
 
 
 def resolvent_chain_coefficients(lam: complex, chain_len: int, z: complex) -> np.ndarray:

@@ -44,6 +44,7 @@ MALFORMED = {
     "empty_wave": ("spectrum", {"wave": None}),
     "empty_methods": ("image", {"methods": None}),
     "seed_not_int": ("spectrum", {"seed": "abc"}),
+    "seed_negative": ("spectrum", {"seed": -1}),
     "center_scalar": ("spectrum", {"profile": {"kind": "radial_bump", "center": 3}}),
     "max_iters_not_int": ("image", {"methods": {"l1": {"max_iters": "lots"}}}),
     "source_3d_in_2d": ("image", {"sources": [{"location": [0.2, -0.1, 0.0]}]}),
@@ -200,8 +201,26 @@ class TestExpand:
         assert run("expand", write_cfg(tmp_path, cfg), out) == 0
         man = json.loads((out / "manifest.json").read_text())
         assert man["coefficient_mass"] == 0.0
+        assert man["resonant_mode"] is None
         _, rows = read_rows(out / "truncation_curve.csv")
         assert all(float(r[1]) == 0.0 for r in rows)
+
+    def test_resonant_mode_in_manifest(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, BASE)
+        assert run("expand", cfg_path, tmp_path / "out") == 0
+        assert run("spectrum", cfg_path, tmp_path / "spec") == 0
+        mode = json.loads((tmp_path / "out" / "manifest.json").read_text())["resonant_mode"]
+        _, rows = read_rows(tmp_path / "spec" / "spectrum.csv")
+        assert 0 <= mode["index"] < len(rows)
+        assert mode["residual"] <= 1e-10
+        # the index is the spectrum.csv row of the eigenvalue nearest 1/tau
+        lambdas = np.array([complex(float(r[3]), float(r[4])) for r in rows])
+        z = 1.0 / BASE["contrast"]["tau"]
+        assert mode["index"] == int(np.argmin(np.abs(z - lambdas)))
+        lam = lambdas[mode["index"]]
+        assert mode["eigenvalue"] == [lam.real, lam.imag]
+        assert mode["proximity"] == pytest.approx(abs(z - lam) / (1.0 + abs(lam)), rel=1e-12)
+        assert mode["dominant_frequency"] > 0
 
     def test_factors_once(self, tmp_path, monkeypatch):
         calls = []

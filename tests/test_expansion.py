@@ -5,12 +5,8 @@ from resonat import (
     WaveContext,
     alpha_expansion,
     beta_expansion,
-    eigendecompose,
     green_matrix,
     expansion_errors,
-    homogeneous_expansion,
-    mode_mixing_report,
-    operator_from_matrix,
     partial_sum,
     psf_from_samples,
     psf_profile,
@@ -87,32 +83,6 @@ class TestBeta:
         assert oracle_error(disk16_sys.U, beta, op, green_matrix(op, TAU)) <= 1e-7
 
 
-class TestHomogeneousExpansion:
-    def test_full_rank_matches_g0(self, disk16, disk16_sys):
-        _, _, op = disk16
-        sys = disk16_sys
-        G0, w = g0_matrix(op), op.weights
-        full = partial_sum(sys.E, homogeneous_expansion(sys), op.n, sys.size)
-        assert weighted_frobenius(full - G0, w) / weighted_frobenius(G0, w) <= 1e-8
-
-    def test_truncation_worse_than_full(self, disk16, disk16_sys):
-        _, _, op = disk16
-        sys = disk16_sys
-        alpha = homogeneous_expansion(sys)
-        G0 = g0_matrix(op)
-        w = op.weights
-        half = partial_sum(sys.E, alpha, op.n, sys.size // 2)
-        full = partial_sum(sys.E, alpha, op.n, sys.size)
-        e_half = weighted_frobenius(half - G0, w)
-        e_full = weighted_frobenius(full - G0, w)
-        assert e_half > e_full
-
-    def test_semisimple_h_is_diagonal_lambda(self):
-        _, sys = synthetic_jordan_system([(0.5, 1), (0.2, 1)], V=np.eye(2, dtype=complex))
-        # orthonormal modes: abar = -(B H^T A) = -diag(lambda)
-        assert np.allclose(homogeneous_expansion(sys), -np.diag(sys.lambdas), atol=1e-13)
-
-
 class TestReconstruct:
     def test_rank_zero_is_g0(self, disk16, disk16_sys):
         _, _, op = disk16
@@ -164,23 +134,3 @@ class TestPsf:
         assert prof.values.shape == prof.radii.shape
         assert np.any(prof.radii < 0) and np.any(prof.radii > 0)
 
-
-class TestModeMixing:
-    def test_normal_operator_no_mixing(self, rng):
-        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-        M = Q @ np.diag([0.6, 0.4, 0.3, 0.2, 0.1, 0.05]) @ Q.conj().T
-        op = operator_from_matrix(M)
-        sys = eigendecompose(op)
-        _, off_mass, _ = mode_mixing_report(alpha_expansion(sys, 1.2))
-        assert off_mass <= 1e-12
-
-    def test_hand_computed_masses(self):
-        m = np.array([[1.0, 2.0], [0.5j, 3.0]])
-        diag_mass, off_mass, pairs = mode_mixing_report(m)
-        assert diag_mass == pytest.approx(10.0)
-        assert off_mass == pytest.approx(4.25)
-        assert pairs[0][:2] == (0, 1) and pairs[0][2] == pytest.approx(2.0)
-
-    def test_disk_operator_mixes(self, disk16_sys):
-        _, off_mass, _ = mode_mixing_report(alpha_expansion(disk16_sys, TAU))
-        assert off_mass > 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from resonat import WaveContext, far_field_g0, g0, im_g0, sinc_psf, sinc_psf_fwhm
-from resonat.errors import InvalidArgumentError, SingularEvaluationError
+from resonat import WaveContext, g0, im_g0, sinc_psf, sinc_psf_fwhm
+from resonat.errors import SingularEvaluationError
 from resonat.kernels import g0_from_distance, im_g0_from_distance
 
 CTX3 = WaveContext(k=1.0, dim=3)
@@ -65,32 +65,6 @@ class TestImG0:
         e1 = abs(im_g0_from_distance(1e-2, CTX3) - im_g0_from_distance(0.0, CTX3))
         e2 = abs(im_g0_from_distance(1e-3, CTX3) - im_g0_from_distance(0.0, CTX3))
         assert e2 < 1e-6 and e1 / e2 == pytest.approx(100.0, rel=0.05)
-
-
-class TestFarField:
-    def test_origin_source(self):
-        v = far_field_g0([0, 0, 1], 50.0, [0, 0, 0], CTX3)
-        assert v == pytest.approx(-np.exp(50j) / (4.0 * np.pi * 50.0), rel=1e-12)
-
-    def test_matches_exact_kernel(self):
-        R, y = 100.0, np.array([0.6, -0.3, 0.7])
-        d = np.array([1.0, 1.0, 0.5])
-        d = d / np.linalg.norm(d)
-        exact = g0(R * d, y, CTX3)
-        approx = far_field_g0(d, R, y, CTX3)
-        assert abs(approx - exact) / abs(exact) < 2e-2
-
-    def test_orthogonal_direction(self):
-        v = far_field_g0([0, 0, 1], 40.0, [0.5, -0.2, 0.0], CTX3)
-        assert v == far_field_g0([0, 0, 1], 40.0, [0, 0, 0], CTX3)
-
-    def test_radius_too_small(self):
-        with pytest.raises(InvalidArgumentError):
-            far_field_g0([0, 0, 1], 0.5, [0, 0, 1.0], CTX3)
-
-    def test_dim2_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            far_field_g0([0, 1], 10.0, [0, 0], CTX2)
 
 
 class TestSincPsf:
