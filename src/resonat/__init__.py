@@ -21,7 +21,7 @@ from .grids import (
     build_measurement_surface,
     radial_bump,
 )
-from .kernels import g0, g0_between, im_g0, sinc_psf, sinc_psf_fwhm
+from .kernels import g0_between, sinc_psf, sinc_psf_fwhm
 from .volume import (
     DiscreteOperator,
     apply_kd,
@@ -44,7 +44,6 @@ from .expansion import (
     alpha_expansion,
     beta_expansion,
     expansion_errors,
-    partial_sum,
     psf_from_samples,
     psf_profile,
     truncation_error_curve,

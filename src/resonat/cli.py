@@ -97,6 +97,14 @@ def _int(value):
     return out
 
 
+def _dim(value):
+    """2 or 3"""
+    out = _int(value)
+    if out not in (2, 3):
+        raise ValueError(out)
+    return out
+
+
 def _count(value):
     """a non-negative integer"""
     out = _int(value)
@@ -127,7 +135,7 @@ def _zeros(cfg):
 # REQUIRED, OPTIONAL, or a value read as if it had been given.
 _L1_SOLVE = {"mu_rel": (_positive, 0.02), "max_iters": (_count, 30000), "tol": (_positive, 1e-12)}
 _TABLE = {
-    "wave": ({"k": (_float, 1.0), "dim": (_int, 2)}, {}),
+    "wave": ({"k": (_float, 1.0), "dim": (_dim, 2)}, {}),
     "domain": ({"shape": (("disk", "ball"), lambda c: "disk" if c["wave"]["dim"] == 2 else "ball"),
                 "radius": (_float, 1.0),
                 "cells": (_int, 16)}, {}),
@@ -143,10 +151,8 @@ _TABLE = {
     "methods": ({"time_reversal": ({}, OPTIONAL),
                  "l2": ({"mode": (("exact", "tikhonov", "morozov"), "exact"),
                          "alpha": (_float, None),
-                         "delta": (_float, None),
-                         "delta_rel": (_float, None)}, OPTIONAL),
+                         "delta_rel": (_positive, None)}, OPTIONAL),
                  "l1": ({"mode": (("penalized", "normal_equation"), "penalized"),
-                         "mu": (_positive, None),
                          **_L1_SOLVE}, OPTIONAL)}, {"time_reversal": {}}),
     "psf": ({"x0": (_vector, _zeros),
              "direction": (_vector, lambda c: [1.0] + _zeros(c)[1:])}, {}),
@@ -340,13 +346,10 @@ def cmd_image(cfg, out: Path):
         if name == "time_reversal":
             res = time_reversal(u, fmap)
         elif name == "l2":
-            delta = p["delta"]
-            if delta is None and p["delta_rel"] is not None:
-                delta = p["delta_rel"] * float(np.linalg.norm(u) ** 2)
+            delta = p["delta_rel"] and p["delta_rel"] * float(np.linalg.norm(u) ** 2)
             res = l2_minimum_norm(fmap, u, mode=p["mode"], alpha=p["alpha"], delta=delta)
         else:
-            mu = p["mu"] if p["mu"] is not None else _relative_mu(p["mu_rel"], fmap, u)
-            res = l1_reconstruct(fmap, u, mu=mu, mode=p["mode"],
+            res = l1_reconstruct(fmap, u, mu=_relative_mu(p["mu_rel"], fmap, u), mode=p["mode"],
                                  max_iters=p["max_iters"], tol=p["tol"])
         write_csv(out / f"result_{name}.csv", ["index", "re", "im", "magnitude"],
                   _result_rows(res.values))
@@ -440,7 +443,7 @@ def main(argv=None) -> int:
         print(f"resonat: config error: {exc}", file=sys.stderr)
         return 2
     except (ResonanceProximityError, NumericFailureError,
-            DiscrepancyInfeasibleError, np.linalg.LinAlgError) as exc:
+            DiscrepancyInfeasibleError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"resonat: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -6,9 +6,9 @@ The difference field G - G0 on the grid factorizes through the spectral data:
     G - G0 = U @ C_beta  @ U^*T @ diag(1/n),   C_beta  = A C_alpha A^*T
 
 where ^*T is plain (unconjugated-transpose of the conjugate) so that column
-gamma' pairs e_gamma(x) with conj(e_{gamma'}(x0)). The 1/n(x0) factor is applied at field evaluation, never folded into
-the coefficient matrices. All transposition and sign conventions here are
-pinned by the dense direct-solve oracle, not by index pattern-matching.
+gamma' pairs e_gamma(x) with conj(e_{gamma'}(x0)), and 1/n(x0) is never
+folded into the coefficient matrices. Truncated sums are accumulated rank by
+rank. All conventions are pinned by the dense direct-solve oracle.
 """
 
 from __future__ import annotations
@@ -48,30 +48,26 @@ def beta_expansion(sys: SpectralSystem, alpha: np.ndarray) -> np.ndarray:
     return sys.A @ alpha @ sys.A.conj().T
 
 
-def partial_sum(basis: np.ndarray, coeff: np.ndarray, n_values: np.ndarray,
-                rank: int) -> np.ndarray:
-    """N x N grid field of the first `rank` total-order terms of an expansion
-    with coefficients `coeff` in `basis` (sys.E for alpha, sys.U for beta)."""
-    N = basis.shape[1]
-    if not (0 <= rank <= N):
-        raise InvalidArgumentError(f"rank must lie in [0, {N}], got {rank}")
-    if rank == 0:
-        return np.zeros((N, N), dtype=complex)
-    return (basis[:, :rank] @ coeff[:rank, :] @ basis.conj().T) / n_values[None, :]
-
-
 def expansion_errors(basis: np.ndarray, coeff: np.ndarray, op: DiscreteOperator,
                      direct: np.ndarray, ranks: Sequence[int]) -> Dict[int, float]:
-    """||G0 + partial_sum(rank) - direct||_W for each rank, G0 = g0_matrix(op).
+    """||G0 + S_r - direct||_W for each rank r, in ascending order, G0 = g0_matrix(op).
 
-    `direct` is the dense direct solve green_matrix(op, tau). Rank 0 gives
-    ||direct - G0||_W, the scale of the truncation curve; rank N divided by
-    ||direct||_W is the oracle error of the full expansion.
+    S_r, the first r total-order terms of the expansion `coeff` in `basis`
+    (sys.E for alpha, sys.U for beta), is accumulated from rank 0. `direct` is
+    green_matrix(op, tau); rank 0 gives ||direct - G0||_W, the truncation
+    curve's scale, and rank N over ||direct||_W the oracle error.
     """
-    G0 = g0_matrix(op)
-    return {int(r): weighted_frobenius((G0 + partial_sum(basis, coeff, op.n, r)) - direct,
-                                       op.weights)
-            for r in ranks}
+    N = basis.shape[1]
+    ranks = sorted({int(r) for r in ranks})
+    if any(not 0 <= r <= N for r in ranks):
+        raise InvalidArgumentError(f"ranks must lie in [0, {N}], got {ranks}")
+    field = g0_matrix(op) - direct
+    terms = coeff @ basis.conj().T / op.n[None, :]
+    errors = {}
+    for prev, r in zip([0] + ranks, ranks):
+        field += basis[:, prev:r] @ terms[prev:r]
+        errors[r] = weighted_frobenius(field, op.weights)
+    return errors
 
 
 def truncation_ranks(N: int) -> List[int]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DiscrepancyInfeasibleError, InvalidArgumentError
 from .grids import DomainGrid, MeasurementSurface, WaveContext
-from .kernels import g0_between, im_g0
+from .kernels import g0_between, im_g0_from_distance
 from .volume import DiscreteOperator, check_exterior, green_matrix, radiate_matrix
 
 
@@ -121,7 +121,8 @@ def helmholtz_kirchhoff_residual(Gx: np.ndarray, Gy: np.ndarray,
 
 def homogeneous_hk_residual(surface: MeasurementSurface, x, y, ctx: WaveContext) -> float:
     Gx, Gy = g0_between([x, y], surface.points, ctx)
-    return helmholtz_kirchhoff_residual(Gx, Gy, surface.weights, im_g0(x, y, ctx), ctx.k)
+    im_g = im_g0_from_distance(np.linalg.norm(np.subtract(x, y, dtype=float)), ctx)
+    return helmholtz_kirchhoff_residual(Gx, Gy, surface.weights, im_g, ctx.k)
 
 
 def contrast_hk_residual(fmap: ForwardMap, op: DiscreteOperator, i: int, j: int) -> float:

@@ -60,6 +60,9 @@ MALFORMED = {
     "seed_bool": ("spectrum", {"seed": True}),
     "tau_string": ("expand", {"contrast": {"tau": "3.0"}}),
     "cells_string": ("spectrum", {"domain": {"shape": "disk", "radius": 1.0, "cells": "12"}}),
+    "cells_fractional": ("spectrum", {"domain": {"shape": "disk", "radius": 1.0, "cells": 16.5}}),
+    "dim_four": ("spectrum", {"wave": {"k": 1.0, "dim": 4}}),
+    "source_no_location": ("image", {"sources": [{"amplitude": [1.0, 0.0]}]}),
     "l2_mode_bogus": ("image", {"methods": {"time_reversal": {}, "l2": {"mode": "bogus"}}}),
     "l1_mode_bogus": ("image", {"methods": {"l1": {"mode": "bogus"}}}),
     "separation_negative": ("sweep-separation", {"separation": {"values": [-0.4]}}),
@@ -67,7 +70,10 @@ MALFORMED = {
     "l1_max_iters_negative": ("image", {"methods": {"l1": {"max_iters": -5}}}),
     "l1_tol_negative": ("image", {"methods": {"l1": {"tol": -1.0}}}),
     "l1_tol_zero": ("image", {"methods": {"l1": {"tol": 0.0}}}),
-    "l1_mu_negative": ("image", {"methods": {"l1": {"mu": -1.0}}}),
+    "l1_mu_rel_zero": ("image", {"methods": {"l1": {"mu_rel": 0.0}}}),
+    "l1_mu_removed": ("image", {"methods": {"l1": {"mu": 1.0}}}),
+    "l2_delta_rel_zero": ("image", {"methods": {"l2": {"mode": "morozov", "delta_rel": 0.0}}}),
+    "l2_delta_removed": ("image", {"methods": {"l2": {"mode": "morozov", "delta": 1.0}}}),
     "separation_mu_rel_zero": ("sweep-separation",
                                {"separation": {"values": [0.5], "mu_rel": 0.0}}),
     "separation_max_iters_negative": ("sweep-separation",
@@ -123,6 +129,18 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_bad_dim_reported_against_wave_dim(self, tmp_path, capsys):
+        # not against the 2-component source locations read after it
+        cfg = dict(TestImage.CFG, wave={"k": 6.0, "dim": 4})
+        out = tmp_path / "o"
+        assert run("image", write_cfg(tmp_path, cfg), out) == 2
+        assert capsys.readouterr().err == ("resonat: config error: "
+                                           "'wave.dim' must be 2 or 3, got 4\n")
+        assert not out.exists()
+
+    def test_integral_float_dim_reads_as_int(self):
+        assert read_config(dict(BASE, wave={"k": 1.0, "dim": 2.0}))["wave"]["dim"] == 2
+
     # points inside the domain are checked by the grid, once the command runs
     @pytest.mark.parametrize("command, sections", [
         ("psf", {"psf": {"x0": [5.0, 0.0]}}),
@@ -143,6 +161,18 @@ class TestConfigValidation:
             assert readers, path.name
             for required in readers:
                 read_config(raw, required)
+
+
+# values the reader accepts but the arithmetic cannot carry
+@pytest.mark.parametrize("command, sections", [
+    ("spectrum", {"wave": {"k": 1.0e300, "dim": 2}}),
+    ("expand", {"contrast": {"tau": 1.0e200}}),
+], ids=["k_overflow", "tau_underflow"])
+def test_extreme_value_exit_1(tmp_path, capsys, command, sections):
+    assert run(command, write_cfg(tmp_path, dict(BASE, **sections)), tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("resonat: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestSpectrum:
@@ -319,8 +349,19 @@ class TestImage:
         assert (out / "result_time_reversal.csv").exists()
 
     def test_morozov_infeasible_exit_1(self, tmp_path):
-        cfg = dict(self.CFG, methods={"l2": {"mode": "morozov", "delta": 1e9}})
+        # delta = 2 ||u||^2: the zero solution already fits better than that
+        cfg = dict(self.CFG, methods={"l2": {"mode": "morozov", "delta_rel": 2.0}})
         assert run("image", write_cfg(tmp_path, cfg), tmp_path / "o") == 1
+
+    def test_morozov_delta_rel(self, tmp_path):
+        # noise of level 0.05 has a squared norm of about 0.0025 ||u||^2
+        cfg = dict(self.CFG, noise={"level": 0.05},
+                   methods={"l2": {"mode": "morozov", "delta_rel": 0.0025}})
+        out = tmp_path / "out"
+        assert run("image", write_cfg(tmp_path, cfg), out) == 0
+        l2 = json.loads((out / "metrics.json").read_text())["methods"]["l2"]
+        assert l2["alpha"] > 0
+        assert l2["discrepancy_sq"] == pytest.approx(l2["delta"], rel=0.1)
 
     def test_manifest_records_l1_tol_used(self, tmp_path):
         cfg = dict(self.CFG, methods={"l1": {"tol": 1e-9, "max_iters": 500}})
@@ -429,6 +470,25 @@ class TestSweepSeparation:
         assert solve["gap"] >= 0 and solve["restarts"] >= 0
 
 
+def _src_env(**extra):
+    """The environment without BLAS thread caps, this checkout's package first on the path."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "GOTO_NUM_THREADS")}
+    src = str(Path(resonat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def test_cli_import_skips_scipy_optimize():
+    # scipy.optimize costs about a quarter of a second to import, and nothing needs it
+    probe = "import sys, resonat.cli; print('scipy.optimize' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False"]
+
+
 class TestThreads:
     PROBE = """
 import ctypes, glob, os, pathlib
@@ -446,13 +506,7 @@ print(count)
 """
 
     def test_resonat_threads_caps_blas(self):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                            "MKL_NUM_THREADS", "GOTO_NUM_THREADS")}
-        env["RESONAT_THREADS"] = "1"
-        src = str(Path(resonat.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        res = subprocess.run([sys.executable, "-c", self.PROBE], env=env,
+        res = subprocess.run([sys.executable, "-c", self.PROBE], env=_src_env(RESONAT_THREADS="1"),
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         variable, count = res.stdout.split()

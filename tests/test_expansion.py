@@ -7,7 +7,6 @@ from resonat import (
     beta_expansion,
     green_matrix,
     expansion_errors,
-    partial_sum,
     psf_from_samples,
     psf_profile,
     synthetic_jordan_system,
@@ -87,14 +86,31 @@ class TestReconstruct:
     def test_rank_zero_is_g0(self, disk16, disk16_sys):
         _, _, op = disk16
         alpha = alpha_expansion(disk16_sys, TAU)
-        field = g0_matrix(op) + partial_sum(disk16_sys.E, alpha, op.n, 0)
-        assert np.allclose(field, g0_matrix(op))
+        direct = green_matrix(op, TAU)
+        errors = expansion_errors(disk16_sys.E, alpha, op, direct, [0])
+        assert errors == {0: weighted_frobenius(direct - g0_matrix(op), op.weights)}
 
     def test_rank_out_of_bounds(self, disk16, disk16_sys):
         _, _, op = disk16
         alpha = alpha_expansion(disk16_sys, TAU)
-        with pytest.raises(InvalidArgumentError):
-            partial_sum(disk16_sys.E, alpha, op.n, disk16_sys.size + 1)
+        direct = green_matrix(op, TAU)
+        for rank in (-1, disk16_sys.size + 1):
+            with pytest.raises(InvalidArgumentError):
+                expansion_errors(disk16_sys.E, alpha, op, direct, [0, rank])
+
+    def test_accumulated_sums_match_prefix_sums(self, disk16, disk16_sys):
+        # each rank's error equals that of its prefix sum formed from scratch
+        _, _, op = disk16
+        E, N = disk16_sys.E, disk16_sys.size
+        alpha = alpha_expansion(disk16_sys, TAU)
+        direct = green_matrix(op, TAU)
+        ranks = truncation_ranks(N)
+        errors = expansion_errors(E, alpha, op, direct, ranks[::-1])
+        assert list(errors) == ranks
+        for r in ranks:
+            prefix = E[:, :r] @ alpha[:r] @ E.conj().T / op.n[None, :]
+            expect = weighted_frobenius(g0_matrix(op) + prefix - direct, op.weights)
+            assert errors[r] == pytest.approx(expect, rel=1e-10, abs=1e-13 * errors[0])
 
     def test_alpha_curve_monotone(self, disk16, disk16_sys):
         _, _, op = disk16

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from resonat import WaveContext, g0, im_g0, sinc_psf, sinc_psf_fwhm
+from resonat import WaveContext, g0_between, sinc_psf, sinc_psf_fwhm
 from resonat.errors import SingularEvaluationError
 from resonat.kernels import g0_from_distance, im_g0_from_distance
 
@@ -11,7 +11,7 @@ CTX2 = WaveContext(k=1.0, dim=2)
 
 class TestG0:
     def test_3d_unit_distance(self):
-        v = g0([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], CTX3)
+        v = g0_between([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], CTX3)[0, 0]
         assert v == pytest.approx(-0.0429957 - 0.0669616j, abs=1e-6)
 
     def test_3d_modulus(self):
@@ -26,11 +26,12 @@ class TestG0:
 
     def test_coincident_points_error(self):
         with pytest.raises(SingularEvaluationError):
-            g0([1.0, 2.0], [1.0, 2.0], CTX2)
+            g0_between([[0.0, 0.0], [1.0, 2.0]], [[1.0, 2.0]], CTX2)
 
     def test_reciprocity_exact(self):
-        x, y = [0.3, -0.1, 0.7], [-0.4, 0.2, 0.05]
-        assert g0(x, y, CTX3) == g0(y, x, CTX3)
+        x = [[0.3, -0.1, 0.7], [1.0, 0.0, 0.0]]
+        y = [[-0.4, 0.2, 0.05], [0.0, 2.0, 0.5], [0.1, 0.1, 0.1]]
+        assert np.array_equal(g0_between(x, y, CTX3), g0_between(y, x, CTX3).T)
 
     def test_radiation_condition(self):
         # d g0/dr - ik g0 = e^{ikr}/(4 pi r^2) = o(1/r): r * |...| -> 0
@@ -47,21 +48,21 @@ class TestG0:
 
 class TestImG0:
     def test_3d_diagonal_limit(self):
-        assert im_g0([1.0, 0, 0], [1.0, 0, 0], CTX3) == pytest.approx(-0.0795775, abs=1e-6)
+        assert im_g0_from_distance(0.0, CTX3) == pytest.approx(-0.0795775, abs=1e-6)
 
     def test_3d_zero_at_kr_pi(self):
-        assert im_g0([0, 0, 0], [np.pi, 0, 0], CTX3) == pytest.approx(0.0, abs=1e-14)
+        assert im_g0_from_distance(np.pi, CTX3) == pytest.approx(0.0, abs=1e-14)
 
     def test_3d_closed_form(self):
         ctx = WaveContext(k=2.0, dim=3)
-        v = im_g0([0, 0, 0], [0.7, 0, 0], ctx)
+        v = im_g0_from_distance(0.7, ctx)
         assert v == pytest.approx(-np.sin(1.4) / (4.0 * np.pi * 0.7), rel=1e-12)
 
     def test_2d_diagonal_limit(self):
-        assert im_g0([0.0, 0.0], [0.0, 0.0], CTX2) == pytest.approx(-0.25, rel=1e-12)
+        assert im_g0_from_distance(0.0, CTX2) == pytest.approx(-0.25, rel=1e-12)
 
     def test_continuity_at_origin(self):
-        # 3D: |im_g0(eps) - im_g0(0)| = O(eps^2)
+        # 3D: |Im g0(eps) - Im g0(0)| = O(eps^2)
         e1 = abs(im_g0_from_distance(1e-2, CTX3) - im_g0_from_distance(0.0, CTX3))
         e2 = abs(im_g0_from_distance(1e-3, CTX3) - im_g0_from_distance(0.0, CTX3))
         assert e2 < 1e-6 and e1 / e2 == pytest.approx(100.0, rel=0.05)
@@ -79,5 +80,8 @@ class TestSincPsf:
         ctx = WaveContext(k=3.0, dim=3)
         fwhm = sinc_psf_fwhm(ctx)
         assert fwhm == pytest.approx(3.7910 / ctx.k, rel=1e-4)
+        # at k = 2 the FWHM is the root of sin(x)/x = 1/2 itself, to the last bit
+        x = sinc_psf_fwhm(WaveContext(k=2.0, dim=3))
+        assert np.sin(x) / x - 0.5 == 0.0
         # half maximum really is attained at the half-width
         assert abs(sinc_psf(fwhm / 2.0, ctx)) == pytest.approx(1.0 / (8.0 * np.pi), rel=1e-9)
