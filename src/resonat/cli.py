@@ -188,6 +188,19 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _exponent_hint(value) -> str:
+    """A hint for a number in exponent form that YAML 1.1 read as a string."""
+    for v in value if isinstance(value, list) else [value]:
+        if isinstance(v, str) and "e" in v.lower():
+            try:
+                float(v)
+            except ValueError:
+                continue
+            return (" (YAML 1.1 reads a number with an exponent as a string unless it has "
+                    "a dot and a signed exponent: write 1.0e+300, not 1.0e300 or 1e+300)")
+    return ""
+
+
 def _read(kind, value, path, cfg):
     if isinstance(kind, dict):
         if not isinstance(value, dict):
@@ -204,7 +217,8 @@ def _read(kind, value, path, cfg):
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"'{path}' must be {kind.__doc__}, got {value!r}") from None
+        raise ConfigError(f"'{path}' must be {kind.__doc__}, got {value!r}"
+                          + _exponent_hint(value)) from None
     if kind is _vector and len(out) != cfg["wave"]["dim"]:
         raise ConfigError(f"'{path}' must have wave.dim = {cfg['wave']['dim']} components, "
                           f"got {value!r}")

@@ -4,7 +4,10 @@ Lippmann-Schwinger solver for the high-contrast Green function.
 The operator acts as f -> -int_D G0(x, y) n(y) f(y) dy. Discretely
 M[i, j] = -g0(x_i, x_j) n_j w_j off the diagonal; the singular diagonal cell is
 replaced by the analytic integral of the kernel over the disk/ball of equal
-measure centered at the point ("equal_measure" rule).
+measure centered at the point ("equal_measure" rule). On the uniform lattice
+both depend only on the integer offset between the two cells, so M is gathered
+from one table of w g0 over the lattice offsets, with |x_i - x_j| taken as
+h |offset|; the kernel is evaluated once per offset, not once per point pair.
 
 The discrete delta column at grid node j is e_j / w_j, so
 M @ delta_j = -n_j * g0col_j, which pins the free-kernel column used by the
@@ -57,12 +60,32 @@ def _diag_kernel_integral(w: float, ctx: WaveContext) -> complex:
     return complex((np.exp(1j * k * rho) * (1j * k * rho - 1.0) + 1.0) / k**2)
 
 
+def _offset_table(grid: DomainGrid, ctx: WaveContext) -> np.ndarray:
+    """w g0(h |m|) at every lattice offset m, an array of shape (2 s - 1) for
+    each lattice axis of extent s, offset 0 at index s - 1; the singular
+    offset 0 holds the equal-measure integral of g0 over the cell.
+
+    Every cell has the weight w = h^dim, and g0 is evaluated once per offset
+    up to sign, so offsets m and -m hold the same bits.
+    """
+    h, w = grid.cell_size, grid.cell_size ** grid.dim
+    axes = np.meshgrid(*[np.arange(s) for s in grid.lattice_shape], indexing="ij")
+    r = h * np.sqrt(sum(a**2 for a in axes))
+    r.flat[0] = 1.0  # placeholder, overwritten below
+    folded = w * g0_from_distance(r, ctx)
+    folded.flat[0] = _diag_kernel_integral(w, ctx)
+    return folded[np.ix_(*[np.abs(np.arange(1 - s, s)) for s in grid.lattice_shape])]
+
+
 def assemble_kd(grid: DomainGrid, n: np.ndarray, ctx: WaveContext) -> DiscreteOperator:
     """Assemble the dense N x N matrix of the volume operator for the
     refractive index n, one positive value per grid point.
 
-    Refuses an N whose working set, the N x N x dim difference array plus the
-    complex matrix, is larger than physical memory.
+    The kernel between two cells depends only on their lattice offset, so
+    M[i, j] = -T[offset(i, j)] n_j is gathered from the offset table T of
+    _offset_table. Refuses an N whose working set, the N x N offset indices
+    (8 bytes each) plus the complex matrix (16 bytes each) and the table, is
+    larger than physical memory.
     """
     n = np.asarray(n, dtype=float)
     if n.shape != (grid.n_points,):
@@ -70,20 +93,19 @@ def assemble_kd(grid: DomainGrid, n: np.ndarray, ctx: WaveContext) -> DiscreteOp
     if not np.all(n > 0):
         raise InvalidArgumentError("refractive index values must be positive")
     N = grid.n_points
-    need = (8 * grid.dim + 16) * N**2
+    shape = np.array(grid.lattice_shape)
+    table_shape = 2 * shape - 1
+    need = 24 * N**2 + 16 * int(np.prod(table_shape))
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise NumericFailureError(f"dense operator of size N={N} needs at least "
                                   f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB "
                                   "of physical memory")
-    pts = grid.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(r, 1.0)  # placeholder, overwritten below
-    kernel = g0_from_distance(r, ctx)
-    M = -kernel * (n * grid.weights)[None, :]
-    diag = np.array([_diag_kernel_integral(w, ctx) for w in grid.weights])
-    np.fill_diagonal(M, -diag * n)
+    # flat table positions: offset(i, j) = index_i - index_j + (s - 1) is at row[i] - col[j]
+    col = np.ravel_multi_index(grid.lattice_index.T, table_shape)
+    row = np.ravel_multi_index((grid.lattice_index + shape - 1).T, table_shape)
+    M = _offset_table(grid, ctx).ravel()[row[:, None] - col[None, :]]
+    M *= -n
     return DiscreteOperator(matrix=M, grid=grid, n=n, ctx=ctx)
 
 

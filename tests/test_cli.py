@@ -108,6 +108,23 @@ class TestConfigValidation:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("spectrum", str(tmp_path / "nope.yaml"), tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("text", ["wave: {k: 1.0e300, dim: 2}",
+                                      "wave: {k: 1.0, dim: 2}\npsf: {x0: [1e-1, 0.0]}"])
+    def test_unsigned_exponent_hint(self, tmp_path, capsys, text):
+        path = tmp_path / "exp.yaml"
+        path.write_text(text + "\ndomain: {shape: disk, radius: 1.0, cells: 8}\n")
+        out = tmp_path / "o"
+        assert run("psf", str(path), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resonat: config error: ") and err.count("\n") == 1
+        assert "YAML 1.1" in err and "1.0e+300" in err
+        assert not out.exists()
+
+    def test_quoted_number_has_no_exponent_hint(self, tmp_path, capsys):
+        cfg = dict(BASE, contrast={"tau": "3.0"})
+        assert run("expand", write_cfg(tmp_path, cfg), tmp_path / "o") == 2
+        assert "YAML 1.1" not in capsys.readouterr().err
+
     def test_yaml_syntax_error_one_line(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("domain: [1, 2\nb: 3\n")
@@ -193,7 +210,7 @@ class TestSpectrum:
         assert run("spectrum", write_cfg(tmp_path, cfg), tmp_path / "out") == 0
 
     def test_dense_size_beyond_memory_exit_1(self, tmp_path, capsys):
-        # N ~ 268 k: the dense working set is at least 40 N^2 bytes, about 2.9 TB
+        # N ~ 268 k: the dense working set is at least 24 N^2 bytes, about 1.7 TB
         cfg = {"wave": {"k": 1.0, "dim": 3},
                "domain": {"shape": "ball", "radius": 1.0, "cells": 80}}
         assert run("spectrum", write_cfg(tmp_path, cfg), tmp_path / "o") == 1

@@ -8,6 +8,7 @@ import resonat.volume
 from resonat import (
     WaveContext,
     apply_kd,
+    build_ball_grid,
     build_disk_grid,
     build_forward_map,
     build_measurement_surface,
@@ -21,6 +22,7 @@ from resonat.errors import InvalidArgumentError, ResonanceProximityError
 from resonat.kernels import g0_from_distance
 from resonat.spectral import build_r_matrix, eigendecompose
 from resonat.volume import (
+    _diag_kernel_integral,
     assemble_kd,
     check_resonance_proximity,
     g0_matrix,
@@ -75,6 +77,49 @@ class TestAssembly:
         integral = np.sum(np.abs(g0_from_distance(r, ctx))) * area_per
         row = np.sum(np.abs(op.matrix[i, :]))
         assert row <= 1.1 * integral
+
+
+def lattice_case(dim, bump):
+    ctx = WaveContext(k=6.0 if dim == 2 else 2.5, dim=dim)
+    grid = (build_disk_grid(1.0, 14, ctx) if dim == 2 else build_ball_grid(0.8, 7, ctx))
+    n = (radial_bump(grid.points, (0.1,) * dim, 0.4, 3.0) if bump
+         else np.full(grid.n_points, 1.5))
+    return ctx, grid, n
+
+
+class TestLatticeAssembly:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("bump", [False, True], ids=["constant", "bump"])
+    def test_matches_pairwise_formula(self, dim, bump):
+        # the gather from the offset table against the kernel of every point pair
+        ctx, grid, n = lattice_case(dim, bump)
+        r = np.linalg.norm(grid.points[:, None] - grid.points[None], axis=2)
+        np.fill_diagonal(r, 1.0)  # replaced by the cell integral below
+        pairwise = -g0_from_distance(r, ctx) * n * grid.weights
+        np.fill_diagonal(pairwise, -_diag_kernel_integral(grid.weights[0], ctx) * n)
+        M = assemble_kd(grid, n, ctx).matrix
+        assert np.max(np.abs(M - pairwise) / np.abs(pairwise)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reciprocal_bit_for_bit(self, dim):
+        ctx, grid, _ = lattice_case(dim, False)
+        M = assemble_kd(grid, np.ones(grid.n_points), ctx).matrix
+        assert np.array_equal(M, M.T)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_kernel_evaluations_bounded_by_offsets(self, dim, monkeypatch):
+        # one evaluation per lattice offset at most, never one per point pair
+        ctx, grid, n = lattice_case(dim, True)
+        counted = []
+
+        def counting_g0(r, ctx):
+            counted.append(np.size(r))
+            return g0_from_distance(r, ctx)
+
+        monkeypatch.setattr(resonat.volume, "g0_from_distance", counting_g0)
+        assemble_kd(grid, n, ctx)
+        cells = grid.lattice_shape[0]
+        assert 0 < sum(counted) <= (2 * cells - 1) ** dim < grid.n_points**2
 
 
 class TestApply:
