@@ -36,7 +36,6 @@ from .spectral import (
     build_r_matrix,
     eigendecompose,
     resolvent_chain_coefficients,
-    synthetic_jordan_system,
     verify_resonant_mode,
 )
 from .expansion import (

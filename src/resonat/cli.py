@@ -52,7 +52,7 @@ from .imaging import (
     synthesize_data,
     time_reversal,
 )
-from .io import config_hash, fmt, write_csv, write_json
+from .io import config_hash, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import eigendecompose, verify_resonant_mode
 from .volume import RESONANCE_TOL, assemble_kd, green_matrix
@@ -173,10 +173,14 @@ _TABLE = {
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file is not UTF-8 text: {path}") from None
     except yaml.YAMLError as exc:
         mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
         # PyYAML's own message spans several lines; a config error is one line
@@ -272,10 +276,11 @@ def _relative_mu(mu_rel, fmap, u):
 def cmd_spectrum(cfg, out: Path):
     _, _, op = _operator(cfg)
     sys_ = eigendecompose(op)
-    lengths = np.diff(sys_.chain_starts())
-    chain_len = np.repeat(lengths, lengths).tolist()   # per column
-    rows = [(j, l, k, float(lam.real), float(lam.imag), n)
-            for (j, l, k), lam, n in zip(sys_.indices, sys_.lambdas, chain_len)]
+    # j is the cluster, l the column's place in it; every chain has length one
+    clusters = sys_.clusters
+    place = np.arange(sys_.size) - np.searchsorted(clusters, clusters) + 1
+    rows = [(j, l, 1, float(lam.real), float(lam.imag), 1)
+            for j, l, lam in zip(clusters.tolist(), place.tolist(), sys_.lambdas)]
     write_csv(out / "spectrum.csv",
               ["j", "l", "k", "re", "im", "chain_len"], rows)
     return {"n_modes": sys_.size, "cluster_tol": sys_.cluster_tol, "warnings": sys_.warnings}
@@ -387,7 +392,7 @@ def cmd_hk_check(cfg, out: Path):
     for R in hk["radii"]:
         surf = build_measurement_surface(R, hk["points"], ctx)
         resid = homogeneous_hk_residual(surf, hk["x"], hk["y"], ctx)
-        ratio = "" if prev is None else fmt(resid / prev)
+        ratio = None if prev is None else resid / prev
         rows.append((R, resid, ratio))
         prev = resid
     write_csv(out / "hk.csv", ["R", "residual", "ratio"], rows)
@@ -400,14 +405,18 @@ def cmd_sweep_separation(cfg, out: Path):
     sep = cfg["separation"]
     tau, seed, noise = cfg["contrast"]["tau"], cfg["seed"], cfg["noise"]["level"]
     offset = sep["axis_offset"]
+    pairs = []   # (separation, the two unit sources at the grid nodes they snap to)
+    for s in sep["values"]:
+        a, b = (grid.nearest_index([x, offset, 0.0][: ctx.dim]) for x in (-s / 2, s / 2))
+        if a == b:
+            raise InvalidArgumentError(f"separation {s} puts both sources on grid node {a} "
+                                       f"(cell size {grid.cell_size:.6g})")
+        pairs.append((s, [(grid.points[a], 1.0 + 0.0j), (grid.points[b], 1.0 + 0.0j)]))
     rows, solves = [], []
     for medium in sep["media"]:
         t = 0.0 if medium == "homogeneous" else tau
         fmap = build_forward_map(grid, surface, ctx, tau=t, op=op)
-        for s in sep["values"]:
-            a = grid.points[grid.nearest_index([-s / 2, offset, 0.0][: ctx.dim])]
-            b = grid.points[grid.nearest_index([+s / 2, offset, 0.0][: ctx.dim])]
-            src = [(a, 1.0 + 0.0j), (b, 1.0 + 0.0j)]
+        for s, src in pairs:
             u, _ = synthesize_data(fmap, src, noise, seed)
             res = l1_reconstruct(fmap, u, mu=_relative_mu(sep["mu_rel"], fmap, u),
                                  max_iters=sep["max_iters"], tol=sep["tol"])
@@ -445,7 +454,10 @@ def main(argv=None) -> int:
         raw = load_config(args.config)
         cfg = read_config(raw, required)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
         # each command returns its own manifest fields, tolerances included
         extra = func(cfg, out)
         tolerances = {"resonance_proximity": RESONANCE_TOL, **extra.pop("tolerances", {})}

@@ -8,6 +8,9 @@ from pathlib import Path
 
 
 def fmt(value) -> str:
+    """One CSV cell: None is empty, a bool true/false, a float to 17 digits."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -16,11 +19,10 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header, rows):
-    path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header and each row, one line at a time, to `path`."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def write_json(path, obj):

@@ -1,12 +1,16 @@
 """Non-Hermitian spectral data of the volume operator.
 
-Eigenvalues are sorted by descending modulus and grouped into clusters; each
-column of the mode matrix U carries a chain index, the tuple (j, l, k) of
-cluster, chain within the cluster and position within the chain, in
-lexicographic total order. That per-column table is the only record of the
-chain structure: a chain starts at each column with k = 1. The orthonormalized
-basis E is produced by QR in the weighted discrete L2(D) inner product, with
-change-of-basis matrices stored so that
+Eigenvalues are sorted by descending modulus, ties by ascending phase, and
+consecutive ones are grouped into clusters; `clusters` records the 1-based
+cluster of each column of the mode matrix U. The data is semisimple: each
+column is an eigenvector, M @ U = U @ diag(lambdas). Numerical Jordan
+detection is ill-posed, so a cluster whose eigenvector block is badly
+conditioned is only flagged in `warnings`. The paper's chain lemma stays the
+one formula behind R(z): resolvent_chain_coefficients gives it for chains of
+any length, and R(z) is built from its length-one case.
+
+The orthonormalized basis E is produced by QR in the weighted discrete L2(D)
+inner product, with change-of-basis matrices stored so that
 
     E = U @ A,    U = E @ B,    A @ B = I,
 
@@ -16,32 +20,25 @@ a_{gamma,gamma'} = A[gamma', gamma].
 
 Coefficient matrices (R(z), D(z)) are arrays C with C[gamma, gamma'] equal
 to the coefficient of basis element gamma' in the image of basis element gamma,
-so C acts on the grid as basis @ C.T (U for R, E for D). The operator
-itself acts as M @ U = U @ chain_matrix().
-
-Numerical Jordan detection is ill-posed: the default eigendecomposition path
-treats every eigenvector as a chain of length one and only flags suspicious
-clusters. Chains of length > 1 are exercised through exactly constructed
-synthetic systems (synthetic_jordan_system), for which the chain algebra is
-fully implemented.
+so C acts on the grid as basis @ C.T (U for R, E for D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
-from .volume import DiscreteOperator, operator_from_matrix, refuse_near_spectrum
+from .volume import DiscreteOperator, refuse_near_spectrum
 
 
 @dataclass
 class SpectralSystem:
     lambdas: np.ndarray                    # (N,) eigenvalue per total-order column
-    indices: List[Tuple[int, int, int]]    # (j, l, k) per column, 1-based, sorted
+    clusters: np.ndarray                   # (N,) 1-based cluster per column, nondecreasing
     U: np.ndarray                          # modes, columns in total order
     E: np.ndarray                          # weighted-orthonormal columns
     A: np.ndarray                          # E = U @ A
@@ -52,20 +49,6 @@ class SpectralSystem:
     @property
     def size(self) -> int:
         return self.U.shape[1]
-
-    def chain_starts(self) -> np.ndarray:
-        """First column (k = 1) of each chain, followed by N."""
-        return np.append(np.flatnonzero([k == 1 for _, _, k in self.indices]), self.size)
-
-    def chain_matrix(self) -> np.ndarray:
-        """Matrix T with M @ U = U @ T (upper bidiagonal per chain)."""
-        N = self.size
-        T = np.zeros((N, N), dtype=complex)
-        for pos, (_, _, k) in enumerate(self.indices):
-            T[pos, pos] = self.lambdas[pos]
-            if k > 1:
-                T[pos - 1, pos] = 1.0
-        return T
 
 
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
@@ -100,10 +83,10 @@ def _weighted_qr(U: np.ndarray, w: np.ndarray):
 def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     """Full complex eigendecomposition with deterministic ordering.
 
-    Semisimple default path: every eigenvector is its own chain of length one;
-    clusters whose eigenvector block is badly conditioned are flagged in
-    SpectralSystem.warnings. Eigenvalues within 1e-8 max(max |lambda|, 1) of
-    a cluster's first one join that cluster.
+    Semisimple: each column of U is an eigenvector; clusters whose eigenvector
+    block is badly conditioned are flagged in SpectralSystem.warnings. Eigenvalues
+    within 1e-8 max(max |lambda|, 1) of a cluster's first one join that
+    cluster.
     """
     M = op.matrix
     try:
@@ -120,16 +103,15 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     V = V[:, order]
 
     # cluster consecutive eigenvalues within tol of the cluster representative
-    clusters: List[List[int]] = []
+    members_of: List[List[int]] = []
     for pos in range(lam.size):
-        if clusters and abs(lam[pos] - lam[clusters[-1][0]]) <= tol:
-            clusters[-1].append(pos)
+        if members_of and abs(lam[pos] - lam[members_of[-1][0]]) <= tol:
+            members_of[-1].append(pos)
         else:
-            clusters.append([pos])
+            members_of.append([pos])
 
     warnings: List[str] = []
-    indices: List[Tuple[int, int, int]] = []
-    for j, members in enumerate(clusters, start=1):
+    for j, members in enumerate(members_of, start=1):
         if len(members) > 1:
             sub = V[:, members]
             cond = np.linalg.cond(sub.conj().T @ sub)
@@ -138,69 +120,28 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
                     f"cluster {j} (lambda~{lam[members[0]]:.3e}, size {len(members)}) "
                     "looks defective; semisimple treatment retained"
                 )
-        indices.extend((j, l, 1) for l in range(1, len(members) + 1))
+    clusters = np.repeat(np.arange(1, len(members_of) + 1), [len(m) for m in members_of])
 
-    # unit weighted norm + phase gauge (chains all length one, so safe)
+    # unit weighted norm + phase gauge
     w = op.weights
     norms = np.sqrt(np.sum(w[:, None] * np.abs(V) ** 2, axis=0))
     U = _fix_column_phases(V / norms[None, :])
     E, A, B = _weighted_qr(U, w)
-    return SpectralSystem(lambdas=lam, indices=indices, U=U, E=E, A=A, B=B,
+    return SpectralSystem(lambdas=lam, clusters=clusters, U=U, E=E, A=A, B=B,
                           cluster_tol=tol, warnings=warnings)
 
 
-def synthetic_jordan_system(chain_spec: Sequence[Tuple[complex, int]],
-                            V: Optional[np.ndarray] = None,
-                            rng: Optional[np.random.Generator] = None):
-    """Exactly constructed system with prescribed Jordan chains.
-
-    chain_spec lists (eigenvalue, chain_length) in the desired cluster order;
-    equal consecutive eigenvalues share a cluster. Returns (op, sys) where the
-    operator matrix is V T V^{-1} for the chain-structured T, on unit weights.
-    """
-    total = sum(n for _, n in chain_spec)
-    if V is None:
-        rng = rng or np.random.default_rng(0)
-        V = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
-        V += 2.0 * total * np.eye(total)  # keep well-conditioned
-    V = np.asarray(V, dtype=complex)
-
-    lambdas = np.zeros(total, dtype=complex)
-    indices: List[Tuple[int, int, int]] = []
-    pos = 0
-    j = 0
-    prev_lam = None
-    l = 0
-    for lam, length in chain_spec:
-        if prev_lam is None or lam != prev_lam:
-            j += 1
-            l = 1
-        else:
-            l += 1
-        prev_lam = lam
-        lambdas[pos:pos + length] = lam
-        indices.extend((j, l, k) for k in range(1, length + 1))
-        pos += length
-
-    E, A, B = _weighted_qr(V, np.ones(total))
-    sys = SpectralSystem(lambdas=lambdas, indices=indices, U=V, E=E, A=A, B=B,
-                         cluster_tol=1e-12, warnings=[])
-    M = V @ sys.chain_matrix() @ np.linalg.inv(V)
-    return operator_from_matrix(M), sys
-
-
 def verify_resonant_mode(sys: SpectralSystem, op: DiscreteOperator, pos: int):
-    """Chain residual of the mode in column `pos` and its dominant spatial frequency.
+    """Eigen-residual of the mode in column `pos` and its dominant spatial frequency.
 
-    Returns (residual, dominant_frequency); the frequency is None when the grid
-    carries no Cartesian lattice to Fourier-analyze (synthetic systems).
+    Returns (||M u - lambda u|| / ||u||, dominant_frequency); the frequency is
+    None when the grid carries no Cartesian lattice to Fourier-analyze.
     """
     lam = sys.lambdas[pos]
     if lam == 0:
         raise InvalidArgumentError("zero is not a point-spectrum eigenvalue")
     u = sys.U[:, pos]
-    pred = sys.U[:, pos - 1] if sys.indices[pos][2] > 1 else 0.0
-    resid = np.linalg.norm(op.matrix @ u - lam * u - pred) / np.linalg.norm(u)
+    resid = np.linalg.norm(op.matrix @ u - lam * u) / np.linalg.norm(u)
     freq = dominant_spatial_frequency(op, u)
     return float(resid), freq
 
@@ -246,20 +187,12 @@ def resolvent_chain_coefficients(lam: complex, chain_len: int, z: complex) -> np
 def build_r_matrix(sys: SpectralSystem, z: complex) -> np.ndarray:
     """(z - K)^{-1} K^2 in the mode basis; acts on the grid as U @ R.T.
 
+    Diagonal, with the length-one chain coefficient lam^2/(z - lam) per mode.
     Refused, by the rule of the direct solve's resonance check, when z lies
     within RESONANCE_TOL of the spectrum.
     """
     refuse_near_spectrum(z, sys.lambdas)
-    N = sys.size
-    R = np.zeros((N, N), dtype=complex)
-    starts = sys.chain_starts()
-    for pos, end in zip(starts[:-1], starts[1:]):
-        length = end - pos
-        c = resolvent_chain_coefficients(sys.lambdas[pos], length, z)
-        for k in range(length):
-            for m in range(k + 1):
-                R[pos + k, pos + k - m] = c[m]
-    return R
+    return np.diag([resolvent_chain_coefficients(lam, 1, z)[0] for lam in sys.lambdas])
 
 
 def build_d_matrix(sys: SpectralSystem, z: complex) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from resonat import WaveContext, build_disk_grid
 from resonat.spectral import eigendecompose
-from resonat.volume import assemble_kd
+from resonat.volume import assemble_kd, operator_from_matrix
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +34,15 @@ def disk20_k6():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture(scope="session")
+def nonnormal_op():
+    """Factory: the operator V diag(lambdas) V^-1 for a random, well-conditioned,
+    non-unitary V, so that its modes are not orthogonal."""
+    def make(lambdas, seed=0):
+        n = len(lambdas)
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2.0 * n * np.eye(n)
+        return operator_from_matrix(V @ np.diag(lambdas) @ np.linalg.inv(V))
+    return make

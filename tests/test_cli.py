@@ -13,7 +13,7 @@ from scipy.linalg import LinAlgWarning
 import resonat
 from resonat.cli import _COMMANDS, _operator, main, read_config
 from resonat.expansion import alpha_expansion, beta_expansion
-from resonat.io import fmt
+from resonat.io import fmt, write_csv
 from resonat.spectral import eigendecompose
 
 BASE = {
@@ -107,6 +107,29 @@ class TestConfigValidation:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run("spectrum", str(tmp_path / "nope.yaml"), tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("case", ["directory", "not_utf8"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, case):
+        path = tmp_path / "cfg"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"wave: {k: 1.0, dim: 2}\n# caf\xe9\n")
+        out = tmp_path / "o"
+        assert run("spectrum", str(path), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resonat: config error: ") and err.count("\n") == 1
+        assert str(path) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("taken\n")
+        assert run("spectrum", write_cfg(tmp_path, BASE), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resonat: config error: cannot create output directory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out.read_text() == "taken\n"
 
     @pytest.mark.parametrize("text", ["wave: {k: 1.0e300, dim: 2}",
                                       "wave: {k: 1.0, dim: 2}\npsf: {x0: [1e-1, 0.0]}"])
@@ -202,6 +225,12 @@ class TestSpectrum:
         assert len(rows) == man["n_modes"]
         mods = [abs(complex(float(r[3]), float(r[4]))) for r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(mods, mods[1:]))
+        # j numbers the clusters from 1, l counts the modes within each; the
+        # lattice symmetry pairs eigenvalues, so some cluster holds two
+        j, l = [int(r[0]) for r in rows], [int(r[1]) for r in rows]
+        assert j[0] == 1 and all(b - a in (0, 1) for a, b in zip(j, j[1:]))
+        assert l == [j[:i + 1].count(j[i]) for i in range(len(j))] and max(l) >= 2
+        assert {r[2] for r in rows} == {r[5] for r in rows} == {"1"}
 
     def test_radial_bump_3d_default_center(self, tmp_path):
         cfg = {"wave": {"k": 1.0, "dim": 3},
@@ -438,6 +467,22 @@ class TestHkCheck:
 
 
 class TestSweepSeparation:
+    def test_pair_on_one_node_exit_2_before_solve(self, tmp_path, capsys, monkeypatch):
+        # with 21 cells a node sits at the origin, and both sources of a 0.02
+        # separation on the axis snap to it
+        monkeypatch.setattr("resonat.cli.build_forward_map",
+                            lambda *a, **k: pytest.fail("solved before refusing"))
+        cfg = dict(TestImage.CFG, domain={"shape": "disk", "radius": 1.0, "cells": 21},
+                   separation={"values": [0.5, 0.02], "axis_offset": 0.0})
+        cfg.pop("methods")
+        cfg.pop("sources")
+        out = tmp_path / "o"
+        assert run("sweep-separation", write_cfg(tmp_path, cfg), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resonat: config error: separation 0.02 puts both sources")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "sweep.csv").exists()
+
     def test_empty_values_exit_2(self, tmp_path):
         cfg = dict(TestImage.CFG)
         cfg.pop("methods")
@@ -485,6 +530,14 @@ class TestSweepSeparation:
         assert (solve["iterations"] == 1) is (max_iters == 1)
         assert np.isfinite(solve["objective"]) and solve["objective"] > 0
         assert solve["gap"] >= 0 and solve["restarts"] >= 0
+
+
+def test_write_csv_cell_rendering(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["a", "b", "c", "d", "e", "f", "g", "h"],
+              [(None, True, False, -0.0, float("inf"), 0.1, 7, "homogeneous")])
+    assert path.read_text() == ("a,b,c,d,e,f,g,h\n"
+                                ",true,false,-0,inf,0.10000000000000001,7,homogeneous\n")
 
 
 def _src_env(**extra):

@@ -5,18 +5,18 @@ from resonat import (
     WaveContext,
     alpha_expansion,
     beta_expansion,
+    eigendecompose,
     green_matrix,
     expansion_errors,
     psf_from_samples,
     psf_profile,
-    synthetic_jordan_system,
     truncation_error_curve,
     truncation_ranks,
 )
 from resonat.errors import InvalidArgumentError
 from resonat.expansion import weighted_frobenius
 from resonat.kernels import im_g0_from_distance
-from resonat.volume import g0_matrix
+from resonat.volume import g0_matrix, operator_from_matrix
 
 TAU = 3.0
 
@@ -59,13 +59,14 @@ class TestAlpha:
 
 class TestBeta:
     def test_orthonormal_modes_beta_equals_alpha(self):
-        _, sys = synthetic_jordan_system([(0.5, 1), (0.2, 1), (0.1, 1)],
-                                          V=np.eye(3, dtype=complex))
+        sys = eigendecompose(operator_from_matrix(np.diag([0.5, 0.2, 0.1]).astype(complex)))
+        assert np.array_equal(sys.U, np.eye(3))
         alpha = alpha_expansion(sys, 1.5)
         assert np.allclose(beta_expansion(sys, alpha), alpha, atol=1e-13)
 
-    def test_synthetic_oracle(self, rng):
-        op, sys = synthetic_jordan_system([(0.6, 2), (0.3, 1), (0.1 + 0.05j, 2)], rng=rng)
+    def test_synthetic_oracle(self, nonnormal_op):
+        op = nonnormal_op([0.6, 0.5, 0.3, 0.1 + 0.05j, 0.05])
+        sys = eigendecompose(op)
         tau = 1.2
         beta = beta_expansion(sys, alpha_expansion(sys, tau))
         assert oracle_error(sys.U, beta, op, green_matrix(op, tau)) <= 1e-9

@@ -7,10 +7,10 @@ from resonat import (
     eigendecompose,
     operator_from_matrix,
     resolvent_chain_coefficients,
-    synthetic_jordan_system,
     verify_resonant_mode,
 )
 from resonat.errors import InvalidArgumentError, ResonanceProximityError
+from resonat.spectral import _weighted_qr
 
 
 def jordan_block(lam, n):
@@ -27,17 +27,16 @@ class TestEigendecompose:
         M = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
         op = operator_from_matrix(M)
         sys = eigendecompose(op)
-        T = sys.chain_matrix()
-        assert np.linalg.norm(M @ sys.U - sys.U @ T) <= 1e-9 * np.linalg.norm(M)
+        assert np.linalg.norm(M @ sys.U - sys.U * sys.lambdas) <= 1e-9 * np.linalg.norm(M)
 
     def test_hand_gram_schmidt(self):
         # modes (1,0) and (1,1): E is the identity basis, A/B the 2x2
         # triangular change of basis with A @ B = I
         V = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        _, sys = synthetic_jordan_system([(0.5, 1), (0.3, 1)], V=V)
-        assert np.allclose(sys.E, np.eye(2), atol=1e-14)
-        assert np.allclose(sys.A, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
-        assert np.allclose(sys.A @ sys.B, np.eye(2), atol=1e-14)
+        E, A, B = _weighted_qr(V, np.ones(2))
+        assert np.allclose(E, np.eye(2), atol=1e-14)
+        assert np.allclose(A, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
+        assert np.allclose(A @ B, np.eye(2), atol=1e-14)
 
     def test_orthonormality_and_inverse_pair(self, disk16, disk16_sys):
         _, _, op = disk16
@@ -65,7 +64,7 @@ class TestEigendecompose:
     def test_repeated_eigenvalue_clustering(self):
         op = operator_from_matrix(np.diag([0.5, 0.5, 0.2]).astype(complex))
         sys = eigendecompose(op)
-        assert sys.indices == [(1, 1, 1), (1, 2, 1), (2, 1, 1)]
+        assert sys.clusters.tolist() == [1, 1, 2]
 
     def test_gauge_determinism(self, rng):
         M = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
@@ -82,15 +81,12 @@ class TestVerifyResonantMode:
             resid, _ = verify_resonant_mode(sys, op, pos)
             assert resid <= 1e-8
 
-    def test_jordan_chain_member_residual(self):
-        op, sys = synthetic_jordan_system([(0.4 + 0.1j, 2)])
-        resid, _ = verify_resonant_mode(sys, op, 1)
-        assert resid <= 1e-12
-
     def test_zero_eigenvalue_rejected(self):
-        op, sys = synthetic_jordan_system([(0.0, 1), (0.5, 1)])
+        op = operator_from_matrix(np.diag([0.0, 0.5]).astype(complex))
+        sys = eigendecompose(op)
+        assert sys.lambdas[1] == 0
         with pytest.raises(InvalidArgumentError):
-            verify_resonant_mode(sys, op, 0)
+            verify_resonant_mode(sys, op, 1)
 
     def test_subwavelength_mode_frequency(self, disk20_k6):
         # smallest-|lambda| retained modes of the k=6 disk oscillate faster
@@ -151,8 +147,11 @@ class TestRMatrix:
         R = build_r_matrix(sys, z)
         assert np.allclose(R, np.diag(sys.lambdas**2 / (z - sys.lambdas)))
 
-    def test_synthetic_jordan_oracle(self):
-        op, sys = synthetic_jordan_system([(0.5, 2), (0.5, 1), (0.2 + 0.1j, 3)])
+    def test_grid_oracle(self, nonnormal_op):
+        # a double eigenvalue, so one cluster holds two modes
+        op = nonnormal_op([0.5, 0.5, 0.4, 0.2 + 0.1j, 0.1, -0.05j])
+        sys = eigendecompose(op)
+        assert sys.clusters.tolist() == [1, 1, 2, 3, 4, 5]
         V = sys.U
         z = 1.0 + 0.3j
         R = build_r_matrix(sys, z)
@@ -160,15 +159,15 @@ class TestRMatrix:
         X = np.linalg.solve(z * np.eye(6) - M, M @ M)
         assert np.linalg.norm(R.T - np.linalg.solve(V, X @ V)) <= 1e-11
 
-    def test_large_z_decay(self):
-        op, sys = synthetic_jordan_system([(0.5, 2), (0.1, 1)])
+    def test_large_z_decay(self, nonnormal_op):
+        sys = eigendecompose(nonnormal_op([0.5, 0.3, 0.1]))
         n1 = np.linalg.norm(build_r_matrix(sys, 1e3))
         n2 = np.linalg.norm(build_r_matrix(sys, 1e6))
         assert n2 == pytest.approx(1e-3 * n1, rel=0.01)
 
-    def test_resolvent_identity(self):
-        op, sys = synthetic_jordan_system([(0.6, 3), (0.2, 2)])
-        T = sys.chain_matrix()  # M @ U = U @ T, and R(z).T = (zI - T)^{-1} T^2
+    def test_resolvent_identity(self, nonnormal_op):
+        sys = eigendecompose(nonnormal_op([0.6, 0.5, 0.4 + 0.1j, 0.2, 0.1]))
+        T = np.diag(sys.lambdas)  # M @ U = U @ T, and R(z).T = (zI - T)^{-1} T^2
         z1, z2 = 1.5, 2.0 + 1.0j
         R1 = build_r_matrix(sys, z1)
         R2 = build_r_matrix(sys, z2)
@@ -183,14 +182,16 @@ class TestRMatrix:
 
 class TestDMatrix:
     def test_orthonormal_modes_reduce_to_r(self):
-        _, sys = synthetic_jordan_system([(0.5, 2), (0.2, 1)], V=np.eye(3, dtype=complex))
+        sys = eigendecompose(operator_from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)))
+        assert np.array_equal(sys.U, np.eye(3))
         z = 1.4
         R = build_r_matrix(sys, z)
         D = build_d_matrix(sys, z)
         assert np.allclose(D, R, atol=1e-13)
 
-    def test_grid_oracle_identity(self, rng):
-        op, sys = synthetic_jordan_system([(0.7, 1), (0.4, 2), (0.1 + 0.2j, 2)], rng=rng)
+    def test_grid_oracle_identity(self, nonnormal_op):
+        op = nonnormal_op([0.7, 0.4, 0.3 - 0.1j, 0.1 + 0.2j, 0.05], seed=1)
+        sys = eigendecompose(op)
         z = 1.3 - 0.2j
         D = build_d_matrix(sys, z)
         M = op.matrix
