@@ -32,8 +32,6 @@ from .volume import (
 )
 from .spectral import (
     SpectralSystem,
-    build_d_matrix,
-    build_r_matrix,
     eigendecompose,
     resolvent_chain_coefficients,
     verify_resonant_mode,

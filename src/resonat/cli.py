@@ -81,35 +81,11 @@ def _float(value):
     return out
 
 
-def _positive(value):
-    """a positive number"""
-    out = _float(value)
-    if not out > 0:
-        raise ValueError(out)
-    return out
-
-
 def _int(value):
     """an integer"""
     out = int(_of_type(value, (int, float)))
     if out != value:
         raise ValueError(value)
-    return out
-
-
-def _dim(value):
-    """2 or 3"""
-    out = _int(value)
-    if out not in (2, 3):
-        raise ValueError(out)
-    return out
-
-
-def _count(value):
-    """a non-negative integer"""
-    out = _int(value)
-    if out < 0:
-        raise ValueError(out)
     return out
 
 
@@ -124,19 +100,45 @@ def _complex(value):
     return complex(_float(re), _float(im))
 
 
-def _zeros(cfg):
+def _restricted(kind, test, doc):
+    """The converter `kind` that also refuses a value failing `test`; `doc`
+    names the values it takes."""
+    def convert(value):
+        out = kind(value)
+        if not test(out):
+            raise ValueError(out)
+        return out
+    convert.__doc__ = doc
+    return convert
+
+
+_positive = _restricted(_float, lambda x: x > 0, "a positive number")
+_nonnegative = _restricted(_float, lambda x: x >= 0, "a non-negative number")
+_dim = _restricted(_int, lambda x: x in (2, 3), "2 or 3")
+_count = _restricted(_int, lambda x: x >= 0, "a non-negative integer")
+_direction = _restricted(_vector, any, "a nonzero list of wave.dim numbers")
+
+
+def _zeros(cfg, table):
     return [0.0] * cfg["wave"]["dim"]
+
+
+def _required_in_mode(mode):
+    """The default of a key that must be given when the table's mode is `mode`."""
+    return lambda cfg, table: REQUIRED if table["mode"] == mode else None
 
 
 # The config format. Each table maps key -> (kind, default). A kind is a
 # converter, a tuple of allowed names, a sub-table (dict), or [kind] for a
-# non-empty list of that kind. A key that is not given takes its default: a
-# function of the config read so far (sections are read in table order), None,
-# REQUIRED, OPTIONAL, or a value read as if it had been given.
+# non-empty list of that kind. A key that is not given takes its default: None,
+# REQUIRED, OPTIONAL, a value read as if it had been given, or a function of
+# the config and of the key's table read so far (both are read in table order)
+# that returns one of these.
 _L1_SOLVE = {"mu_rel": (_positive, 0.02), "max_iters": (_count, 30000), "tol": (_positive, 1e-12)}
 _TABLE = {
     "wave": ({"k": (_float, 1.0), "dim": (_dim, 2)}, {}),
-    "domain": ({"shape": (("disk", "ball"), lambda c: "disk" if c["wave"]["dim"] == 2 else "ball"),
+    "domain": ({"shape": (("disk", "ball"),
+                          lambda c, t: "disk" if c["wave"]["dim"] == 2 else "ball"),
                 "radius": (_float, 1.0),
                 "cells": (_int, 16)}, {}),
     "profile": ({"kind": (("constant", "radial_bump"), "constant"),
@@ -150,12 +152,12 @@ _TABLE = {
                   "amplitude": (_complex, [1.0, 0.0])}], OPTIONAL),
     "methods": ({"time_reversal": ({}, OPTIONAL),
                  "l2": ({"mode": (("exact", "tikhonov", "morozov"), "exact"),
-                         "alpha": (_float, None),
-                         "delta_rel": (_positive, None)}, OPTIONAL),
+                         "alpha": (_nonnegative, _required_in_mode("tikhonov")),
+                         "delta_rel": (_positive, _required_in_mode("morozov"))}, OPTIONAL),
                  "l1": ({"mode": (("penalized", "normal_equation"), "penalized"),
                          **_L1_SOLVE}, OPTIONAL)}, {"time_reversal": {}}),
     "psf": ({"x0": (_vector, _zeros),
-             "direction": (_vector, lambda c: [1.0] + _zeros(c)[1:])}, {}),
+             "direction": (_direction, lambda c, t: [1.0] + _zeros(c, t)[1:])}, {}),
     "hk": ({"radii": ([_float], REQUIRED),
             "x": (_vector, _zeros),
             "y": (_vector, _zeros),
@@ -163,10 +165,10 @@ _TABLE = {
     # the default axis offset is half a cell; cells < 2 is refused by the grid
     "separation": ({"values": ([_positive], REQUIRED),
                     "media": ([("homogeneous", "high_contrast")], ["homogeneous", "high_contrast"]),
-                    "axis_offset": (_float, lambda c: c["domain"]["radius"]
+                    "axis_offset": (_float, lambda c, t: c["domain"]["radius"]
                                     / max(c["domain"]["cells"], 1)),
                     **_L1_SOLVE}, OPTIONAL),
-    "noise": ({"level": (_float, 0.0)}, {}),
+    "noise": ({"level": (_nonnegative, 0.0)}, {}),
     "seed": (_count, 0),
 }
 
@@ -223,7 +225,7 @@ def _read(kind, value, path, cfg):
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{path}' must be {kind.__doc__}, got {value!r}"
                           + _exponent_hint(value)) from None
-    if kind is _vector and len(out) != cfg["wave"]["dim"]:
+    if kind in (_vector, _direction) and len(out) != cfg["wave"]["dim"]:
         raise ConfigError(f"'{path}' must have wave.dim = {cfg['wave']['dim']} components, "
                           f"got {value!r}")
     return out
@@ -236,10 +238,11 @@ def _read_table(table, raw, prefix, cfg, out):
     for key, (kind, default) in table.items():
         if key in raw:
             out[key] = _read(kind, raw[key], prefix + key, cfg)
-        elif default is REQUIRED:
+            continue
+        value = default(cfg, out) if callable(default) else default
+        if value is REQUIRED:
             raise ConfigError(f"missing required config key '{prefix}{key}'")
-        elif default is not OPTIONAL:
-            value = default(cfg) if callable(default) else default
+        if value is not OPTIONAL:
             out[key] = None if value is None else _read(kind, value, prefix + key, cfg)
     return out
 
@@ -405,18 +408,19 @@ def cmd_sweep_separation(cfg, out: Path):
     sep = cfg["separation"]
     tau, seed, noise = cfg["contrast"]["tau"], cfg["seed"], cfg["noise"]["level"]
     offset = sep["axis_offset"]
-    pairs = []   # (separation, the two unit sources at the grid nodes they snap to)
+    pairs = []   # (requested and realized separation, the unit sources at the two nodes)
     for s in sep["values"]:
         a, b = (grid.nearest_index([x, offset, 0.0][: ctx.dim]) for x in (-s / 2, s / 2))
         if a == b:
             raise InvalidArgumentError(f"separation {s} puts both sources on grid node {a} "
                                        f"(cell size {grid.cell_size:.6g})")
-        pairs.append((s, [(grid.points[a], 1.0 + 0.0j), (grid.points[b], 1.0 + 0.0j)]))
+        pa, pb = grid.points[a], grid.points[b]
+        pairs.append((s, float(np.linalg.norm(pb - pa)), [(pa, 1.0 + 0.0j), (pb, 1.0 + 0.0j)]))
     rows, solves = [], []
     for medium in sep["media"]:
         t = 0.0 if medium == "homogeneous" else tau
         fmap = build_forward_map(grid, surface, ctx, tau=t, op=op)
-        for s, src in pairs:
+        for s, realized, src in pairs:
             u, _ = synthesize_data(fmap, src, noise, seed)
             res = l1_reconstruct(fmap, u, mu=_relative_mu(sep["mu_rel"], fmap, u),
                                  max_iters=sep["max_iters"], tol=sep["tol"])
@@ -424,7 +428,7 @@ def cmd_sweep_separation(cfg, out: Path):
             err = max(met.localization_errors) if met.localization_errors else float("inf")
             success = (not met.empty) and err <= grid.cell_size * (1 + 1e-9)
             rows.append((s, medium, err, success))
-            solves.append({"separation": s, "medium": medium,
+            solves.append({"separation": s, "realized_separation": realized, "medium": medium,
                            **{key: res.metadata[key] for key in
                               ("iterations", "converged", "objective", "gap", "restarts")}})
     write_csv(out / "sweep.csv",

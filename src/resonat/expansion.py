@@ -2,13 +2,14 @@
 
 The difference field G - G0 on the grid factorizes through the spectral data:
 
-    G - G0 = E @ C_alpha @ E^*T @ diag(1/n),   C_alpha = -(B R(z)^T A),  z = 1/tau
-    G - G0 = U @ C_beta  @ U^*T @ diag(1/n),   C_beta  = A C_alpha A^*T
+    G - G0 = E @ alpha @ E^*T @ diag(1/n),   alpha = -B diag(r) A,   z = 1/tau
+    G - G0 = U @ beta  @ U^*T @ diag(1/n),   beta  = A alpha A^*T
 
-where ^*T is plain (unconjugated-transpose of the conjugate) so that column
-gamma' pairs e_gamma(x) with conj(e_{gamma'}(x0)), and 1/n(x0) is never
-folded into the coefficient matrices. Truncated sums are accumulated rank by
-rank. All conventions are pinned by the dense direct-solve oracle.
+with one resolvent weight per mode, r_gamma = lambda_gamma^2/(z - lambda_gamma).
+^*T is the conjugate transpose, so that column gamma' pairs e_gamma(x) with
+conj(e_{gamma'}(x0)), and 1/n(x0) is never folded into the coefficient
+matrices. Truncated sums are accumulated rank by rank. All conventions are
+pinned by the dense direct-solve oracle.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .grids import DomainGrid
-from .spectral import SpectralSystem, build_d_matrix
-from .volume import DiscreteOperator, g0_matrix
+from .spectral import SpectralSystem, resolvent_chain_coefficients
+from .volume import DiscreteOperator, g0_matrix, refuse_near_spectrum
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,18 @@ def weighted_frobenius(X: np.ndarray, w: np.ndarray) -> float:
 
 
 def alpha_expansion(sys: SpectralSystem, tau: float) -> np.ndarray:
-    """Orthonormal-basis coefficients alpha of G - G0 at contrast tau."""
+    """Orthonormal-basis coefficients alpha = -B diag(r) A of G - G0 at contrast tau.
+
+    r_gamma = lambda_gamma^2/(z - lambda_gamma) at z = 1/tau is the length-one
+    chain coefficient. Refused, by the rule of the direct solve's resonance
+    check, when z lies within RESONANCE_TOL of the spectrum.
+    """
     if tau == 0:
         return np.zeros((sys.size, sys.size), dtype=complex)
-    return -build_d_matrix(sys, 1.0 / tau).T
+    z = 1.0 / tau
+    refuse_near_spectrum(z, sys.lambdas)
+    r = np.array([resolvent_chain_coefficients(lam, 1, z)[0] for lam in sys.lambdas])
+    return -(sys.B * r) @ sys.A
 
 
 def beta_expansion(sys: SpectralSystem, alpha: np.ndarray) -> np.ndarray:

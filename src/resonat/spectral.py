@@ -6,8 +6,9 @@ cluster of each column of the mode matrix U. The data is semisimple: each
 column is an eigenvector, M @ U = U @ diag(lambdas). Numerical Jordan
 detection is ill-posed, so a cluster whose eigenvector block is badly
 conditioned is only flagged in `warnings`. The paper's chain lemma stays the
-one formula behind R(z): resolvent_chain_coefficients gives it for chains of
-any length, and R(z) is built from its length-one case.
+one formula behind the resolvent: resolvent_chain_coefficients gives it for
+chains of any length, and each mode's weight lam^2/(z - lam) is its
+length-one case.
 
 The orthonormalized basis E is produced by QR in the weighted discrete L2(D)
 inner product, with change-of-basis matrices stored so that
@@ -17,10 +18,6 @@ inner product, with change-of-basis matrices stored so that
 both upper-triangular with positive-real diagonal on B. In index notation
 e_gamma = sum_{gamma' <= gamma} a_{gamma,gamma'} u_{gamma'} with
 a_{gamma,gamma'} = A[gamma', gamma].
-
-Coefficient matrices (R(z), D(z)) are arrays C with C[gamma, gamma'] equal
-to the coefficient of basis element gamma' in the image of basis element gamma,
-so C acts on the grid as basis @ C.T (U for R, E for D).
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
-from .volume import DiscreteOperator, refuse_near_spectrum
+from .volume import DiscreteOperator
 
 
 @dataclass
@@ -53,15 +50,10 @@ class SpectralSystem:
 
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
-    U = U.copy()
-    for c in range(U.shape[1]):
-        col = U[:, c]
-        mags = np.abs(col)
-        top = mags.max()
-        nz = np.nonzero(mags > 1e-12 * top)[0]
-        pivot = col[nz[0]]
-        U[:, c] = col * (np.abs(pivot) / pivot)
-    return U
+    mags = np.abs(U)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    pivot = U[first, np.arange(U.shape[1])]
+    return U * (np.abs(pivot) / pivot)
 
 
 def _weighted_qr(U: np.ndarray, w: np.ndarray):
@@ -147,19 +139,19 @@ def verify_resonant_mode(sys: SpectralSystem, op: DiscreteOperator, pos: int):
 
 
 def dominant_spatial_frequency(op: DiscreteOperator, values: np.ndarray):
-    """Peak angular frequency of a grid field via FFT on the embedding lattice."""
+    """Peak angular frequency of a grid field via FFT on the embedding lattice,
+    zero-padded to 4x its extent per axis."""
     grid = op.grid
-    shape = grid.lattice_shape
-    if not shape or min(shape) < 4:
+    if min(grid.lattice_shape) < 4:
         return None
+    # zero-padded to 4x the lattice per axis, so the frequency step is pi/(4R)
+    shape = tuple(4 * nc for nc in grid.lattice_shape)
     arr = np.zeros(shape, dtype=complex)
     arr[tuple(grid.lattice_index.T)] = values
     F = np.fft.fftn(arr)
     freqs = [2.0 * np.pi * np.fft.fftfreq(nc, d=grid.cell_size) for nc in shape]
-    mesh = np.meshgrid(*freqs, indexing="ij")
-    radial = np.sqrt(sum(m**2 for m in mesh))
     peak = np.unravel_index(int(np.argmax(np.abs(F))), F.shape)
-    return float(radial[peak])
+    return float(np.sqrt(sum(f[i] ** 2 for f, i in zip(freqs, peak))))
 
 
 def resolvent_chain_coefficients(lam: complex, chain_len: int, z: complex) -> np.ndarray:
@@ -183,21 +175,3 @@ def resolvent_chain_coefficients(lam: complex, chain_len: int, z: complex) -> np
         c[m] = lam**2 * s ** (m + 1) + 2.0 * lam * s**m + s ** (m - 1)
     return c
 
-
-def build_r_matrix(sys: SpectralSystem, z: complex) -> np.ndarray:
-    """(z - K)^{-1} K^2 in the mode basis; acts on the grid as U @ R.T.
-
-    Diagonal, with the length-one chain coefficient lam^2/(z - lam) per mode.
-    Refused, by the rule of the direct solve's resonance check, when z lies
-    within RESONANCE_TOL of the spectrum.
-    """
-    refuse_near_spectrum(z, sys.lambdas)
-    return np.diag([resolvent_chain_coefficients(lam, 1, z)[0] for lam in sys.lambdas])
-
-
-def build_d_matrix(sys: SpectralSystem, z: complex) -> np.ndarray:
-    """Same operator expressed against the orthonormal basis E.
-
-    Satisfies E @ D.T @ (E^H W) = (z I - M)^{-1} M^2 on the grid.
-    """
-    return sys.A.T @ build_r_matrix(sys, z) @ sys.B.T

@@ -74,6 +74,8 @@ MALFORMED = {
     "l1_mu_removed": ("image", {"methods": {"l1": {"mu": 1.0}}}),
     "l2_delta_rel_zero": ("image", {"methods": {"l2": {"mode": "morozov", "delta_rel": 0.0}}}),
     "l2_delta_removed": ("image", {"methods": {"l2": {"mode": "morozov", "delta": 1.0}}}),
+    "l2_tikhonov_alpha_negative": ("image",
+                                   {"methods": {"l2": {"mode": "tikhonov", "alpha": -1.0}}}),
     "separation_mu_rel_zero": ("sweep-separation",
                                {"separation": {"values": [0.5], "mu_rel": 0.0}}),
     "separation_max_iters_negative": ("sweep-separation",
@@ -370,10 +372,11 @@ class TestPsf:
 
     def test_zero_direction_exit_2(self, tmp_path, capsys):
         cfg = dict(BASE, psf={"x0": [0.0, 0.0], "direction": [0.0, 0.0]})
-        assert run("psf", write_cfg(tmp_path, cfg), tmp_path / "o") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("resonat: config error:") and err.count("\n") == 1
-        assert "Traceback" not in err
+        out = tmp_path / "o"
+        assert run("psf", write_cfg(tmp_path, cfg), out) == 2
+        assert capsys.readouterr().err == ("resonat: config error: 'psf.direction' must be "
+                                           "a nonzero list of wave.dim numbers, got [0.0, 0.0]\n")
+        assert not out.exists()
 
 
 class TestImage:
@@ -436,9 +439,20 @@ class TestImage:
 
     def test_negative_noise_level_exit_2(self, tmp_path, capsys):
         cfg = dict(self.CFG, noise={"level": -0.5})
-        assert run("image", write_cfg(tmp_path, cfg), tmp_path / "o") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("resonat: config error:") and err.count("\n") == 1
+        out = tmp_path / "o"
+        assert run("image", write_cfg(tmp_path, cfg), out) == 2
+        assert capsys.readouterr().err == ("resonat: config error: 'noise.level' must be "
+                                           "a non-negative number, got -0.5\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, key", [("tikhonov", "alpha"), ("morozov", "delta_rel")])
+    def test_l2_mode_key_missing_exit_2(self, tmp_path, capsys, mode, key):
+        cfg = dict(self.CFG, methods={"time_reversal": {}, "l2": {"mode": mode}})
+        out = tmp_path / "o"
+        assert run("image", write_cfg(tmp_path, cfg), out) == 2
+        assert capsys.readouterr().err == ("resonat: config error: missing required "
+                                           f"config key 'methods.l2.{key}'\n")
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = dict(self.CFG, noise={"level": 0.05}, seed=5)
@@ -483,6 +497,24 @@ class TestSweepSeparation:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "sweep.csv").exists()
 
+    def test_realized_separation_in_manifest(self, tmp_path):
+        # with 21 cells (h = 0.095) and the pair on the x axis, 0.1, 0.12 and
+        # 0.2 all snap to the nodes at x = -h and h
+        cfg = dict(TestImage.CFG, domain={"shape": "disk", "radius": 1.0, "cells": 21},
+                   separation={"values": [0.1, 0.12, 0.2, 0.5], "media": ["homogeneous"],
+                               "axis_offset": 0.0, "max_iters": 1})
+        cfg.pop("methods")
+        cfg.pop("sources")
+        out = tmp_path / "out"
+        assert run("sweep-separation", write_cfg(tmp_path, cfg), out) == 0
+        solves = json.loads((out / "manifest.json").read_text())["l1_solves"]
+        h = 2.0 / 21   # 0.5 snaps to the nodes at x = -3h and 3h
+        assert ([x["realized_separation"] for x in solves]
+                == pytest.approx([2 * h, 2 * h, 2 * h, 6 * h], rel=1e-12))
+        # sweep.csv keeps the requested separation
+        _, rows = read_rows(out / "sweep.csv")
+        assert [float(r[0]) for r in rows] == [0.1, 0.12, 0.2, 0.5]
+
     def test_empty_values_exit_2(self, tmp_path):
         cfg = dict(TestImage.CFG)
         cfg.pop("methods")
@@ -526,6 +558,7 @@ class TestSweepSeparation:
         assert run("sweep-separation", write_cfg(tmp_path, cfg), out) == 0
         [solve] = json.loads((out / "manifest.json").read_text())["l1_solves"]
         assert solve["separation"] == 0.3 and solve["medium"] == "homogeneous"
+        assert solve["realized_separation"] == pytest.approx(0.3)
         assert solve["converged"] is (max_iters is None)
         assert (solve["iterations"] == 1) is (max_iters == 1)
         assert np.isfinite(solve["objective"]) and solve["objective"] > 0

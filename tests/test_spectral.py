@@ -2,19 +2,28 @@ import numpy as np
 import pytest
 
 from resonat import (
-    build_d_matrix,
-    build_r_matrix,
+    alpha_expansion,
     eigendecompose,
     operator_from_matrix,
     resolvent_chain_coefficients,
     verify_resonant_mode,
 )
 from resonat.errors import InvalidArgumentError, ResonanceProximityError
-from resonat.spectral import _weighted_qr
+from resonat.spectral import _fix_column_phases, _weighted_qr, dominant_spatial_frequency
 
 
 def jordan_block(lam, n):
     return lam * np.eye(n, dtype=complex) + np.eye(n, k=1, dtype=complex)
+
+
+def alpha_at(sys, z):
+    """alpha_expansion at the contrast tau = 1/z."""
+    return alpha_expansion(sys, 1.0 / z)
+
+
+def r_matrix(sys, z):
+    """(z - K)^{-1} K^2 in the mode basis, -A alpha B = diag(r); acts on the grid as U @ R.T."""
+    return -sys.A @ alpha_at(sys, z) @ sys.B
 
 
 class TestEigendecompose:
@@ -72,6 +81,18 @@ class TestEigendecompose:
         s2 = eigendecompose(operator_from_matrix(M.copy()))
         assert np.array_equal(s1.U, s2.U) and np.array_equal(s1.E, s2.E)
 
+    def test_phase_gauge(self, rng, disk16_sys):
+        # the first entry above 1e-12 of its column's largest one is real positive
+        U = np.array([[1e-14, 1.0 + 1.0j], [1.0j, 2.0]])
+        assert np.allclose(_fix_column_phases(U),
+                           [[-1e-14j, np.sqrt(2.0)], [1.0, np.sqrt(2.0) * (1.0 - 1.0j)]])
+        M = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        for U in (eigendecompose(operator_from_matrix(M)).U, disk16_sys.U):
+            mags = np.abs(U)
+            pivot = U[np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0), np.arange(U.shape[1])]
+            assert np.all(pivot.real > 0)
+            assert np.all(np.abs(pivot.imag) <= 1e-15 * pivot.real)
+
 
 class TestVerifyResonantMode:
     def test_disk_modes_residual(self, disk16, disk16_sys):
@@ -100,6 +121,19 @@ class TestVerifyResonantMode:
         # scenarios/super_resolution.yaml
         _, freq = verify_resonant_mode(sys, op, int(np.argmin(np.abs(1.0 / 180.5 - sys.lambdas))))
         assert freq is not None and freq > ctx.k
+
+    @pytest.mark.parametrize("kappa, angle", [(5.0, 0.0), (7.8, np.pi / 4)])
+    def test_plane_wave_frequency(self, disk16, kappa, angle):
+        # the unpadded lattice steps in pi/R = pi and reads 6.28 and 8.89; padded
+        # to 4x, the step is pi/4
+        _, grid, op = disk16
+        direction = np.array([np.cos(angle), np.sin(angle)])
+        freq = dominant_spatial_frequency(op, np.exp(1j * kappa * grid.points @ direction))
+        assert abs(freq - kappa) <= np.pi / (4 * grid.radius)
+
+    def test_line_operator_has_no_frequency(self):
+        op = operator_from_matrix(np.diag([0.5, 0.3, 0.2, 0.1, 0.05]).astype(complex))
+        assert dominant_spatial_frequency(op, np.ones(5)) is None
 
 
 class TestResolventChainCoefficients:
@@ -144,7 +178,7 @@ class TestRMatrix:
         op = operator_from_matrix(np.diag([0.5, 0.3]).astype(complex))
         sys = eigendecompose(op)
         z = 1.2
-        R = build_r_matrix(sys, z)
+        R = r_matrix(sys, z)
         assert np.allclose(R, np.diag(sys.lambdas**2 / (z - sys.lambdas)))
 
     def test_grid_oracle(self, nonnormal_op):
@@ -154,56 +188,62 @@ class TestRMatrix:
         assert sys.clusters.tolist() == [1, 1, 2, 3, 4, 5]
         V = sys.U
         z = 1.0 + 0.3j
-        R = build_r_matrix(sys, z)
+        R = r_matrix(sys, z)
         M = op.matrix
         X = np.linalg.solve(z * np.eye(6) - M, M @ M)
         assert np.linalg.norm(R.T - np.linalg.solve(V, X @ V)) <= 1e-11
 
     def test_large_z_decay(self, nonnormal_op):
         sys = eigendecompose(nonnormal_op([0.5, 0.3, 0.1]))
-        n1 = np.linalg.norm(build_r_matrix(sys, 1e3))
-        n2 = np.linalg.norm(build_r_matrix(sys, 1e6))
+        n1 = np.linalg.norm(alpha_at(sys, 1e3))
+        n2 = np.linalg.norm(alpha_at(sys, 1e6))
         assert n2 == pytest.approx(1e-3 * n1, rel=0.01)
 
     def test_resolvent_identity(self, nonnormal_op):
         sys = eigendecompose(nonnormal_op([0.6, 0.5, 0.4 + 0.1j, 0.2, 0.1]))
         T = np.diag(sys.lambdas)  # M @ U = U @ T, and R(z).T = (zI - T)^{-1} T^2
         z1, z2 = 1.5, 2.0 + 1.0j
-        R1 = build_r_matrix(sys, z1)
-        R2 = build_r_matrix(sys, z2)
+        R1 = r_matrix(sys, z1)
+        R2 = r_matrix(sys, z2)
         I5 = np.eye(5)
         expect = (z2 - z1) * np.linalg.solve(z1 * I5 - T, np.linalg.solve(z2 * I5 - T, T @ T))
         assert np.linalg.norm((R1 - R2).T - expect) <= 1e-9
 
     def test_pole_proximity(self, disk16_sys):
         with pytest.raises(ResonanceProximityError):
-            build_r_matrix(disk16_sys, complex(disk16_sys.lambdas[3]))
+            alpha_at(disk16_sys, complex(disk16_sys.lambdas[3]))
 
 
 class TestDMatrix:
+    """The same operator against the orthonormal basis E: D = -alpha.T."""
+
     def test_orthonormal_modes_reduce_to_r(self):
         sys = eigendecompose(operator_from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)))
         assert np.array_equal(sys.U, np.eye(3))
         z = 1.4
-        R = build_r_matrix(sys, z)
-        D = build_d_matrix(sys, z)
-        assert np.allclose(D, R, atol=1e-13)
+        assert np.allclose(-alpha_at(sys, z), np.diag(sys.lambdas**2 / (z - sys.lambdas)),
+                           atol=1e-13)
 
     def test_grid_oracle_identity(self, nonnormal_op):
         op = nonnormal_op([0.7, 0.4, 0.3 - 0.1j, 0.1 + 0.2j, 0.05], seed=1)
         sys = eigendecompose(op)
         z = 1.3 - 0.2j
-        D = build_d_matrix(sys, z)
+        alpha = alpha_at(sys, z)
         M = op.matrix
         W = np.diag(op.weights)
-        lhs = sys.E @ D.T @ (sys.E.conj().T @ W)
-        rhs = np.linalg.solve(z * np.eye(M.shape[0]) - M, M @ M)
+        lhs = sys.E @ alpha @ (sys.E.conj().T @ W)
+        rhs = -np.linalg.solve(z * np.eye(M.shape[0]) - M, M @ M)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_far_z_bounded(self, disk16_sys):
-        D = build_d_matrix(disk16_sys, 10.0)
-        assert np.all(np.isfinite(D))
+        alpha = alpha_at(disk16_sys, 10.0)
+        assert np.all(np.isfinite(alpha))
         lam_max = np.abs(disk16_sys.lambdas[0])
         dist = 10.0 - lam_max
         cond = np.linalg.cond(disk16_sys.B)
-        assert np.linalg.norm(D, 2) <= 10.0 * cond * lam_max**2 / dist
+        assert np.linalg.norm(alpha, 2) <= 10.0 * cond * lam_max**2 / dist
+
+    def test_exactly_upper_triangular(self, disk16_sys):
+        # -B diag(r) A is a product of upper-triangular matrices
+        alpha = alpha_expansion(disk16_sys, 3.0)
+        assert np.array_equal(alpha, np.triu(alpha))

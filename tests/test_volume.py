@@ -19,8 +19,9 @@ from resonat import (
     singular_values,
 )
 from resonat.errors import InvalidArgumentError, ResonanceProximityError
+from resonat.expansion import alpha_expansion
 from resonat.kernels import g0_from_distance
-from resonat.spectral import build_r_matrix, eigendecompose
+from resonat.spectral import eigendecompose
 from resonat.volume import (
     _diag_kernel_integral,
     assemble_kd,
@@ -290,11 +291,11 @@ class TestResonanceCheck:
         op = operator_from_matrix(np.diag([3.0, 0.5, 0.2]).astype(complex))
         sys = eigendecompose(op)
         check_resonance_proximity(op, 0.5 + 3e-8)
-        build_r_matrix(sys, 0.5 + 3e-8)
+        alpha_expansion(sys, 1.0 / (0.5 + 3e-8))
         with pytest.raises(ResonanceProximityError):
             check_resonance_proximity(op, 0.5 + 1e-8)
         with pytest.raises(ResonanceProximityError):
-            build_r_matrix(sys, 0.5 + 1e-8)
+            alpha_expansion(sys, 1.0 / (0.5 + 1e-8))
 
     def test_zero_shift_rejected(self):
         op = operator_from_matrix(np.diag([0.5, 0.25]).astype(complex))
