@@ -52,7 +52,7 @@ from .imaging import (
     synthesize_data,
     time_reversal,
 )
-from .io import config_hash, write_csv, write_json
+from .io import config_hash, write_coefficients, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import eigendecompose, verify_resonant_mode
 from .volume import RESONANCE_TOL, assemble_kd, green_matrix
@@ -307,13 +307,8 @@ def cmd_expand(cfg, out: Path):
     sys_ = eigendecompose(op)
     alpha = alpha_expansion(sys_, tau)
     beta = beta_expansion(sys_, alpha)
-    # one Python int per index, shared by the rows: N^2 distinct ints would
-    # add 28 bytes a row to the writers' peak memory
-    index = np.arange(alpha.shape[0]).astype(object)
-    row, col = np.repeat(index, len(index)).tolist(), np.tile(index, len(index)).tolist()
-    for name, mat in (("alpha", alpha), ("beta", beta)):
-        rows = list(zip(row, col, mat.real.ravel().tolist(), mat.imag.ravel().tolist()))
-        write_csv(out / f"{name}.csv", ["gamma_row", "gamma_col", "re", "im"], rows)
+    write_coefficients(out / "alpha.csv", alpha)
+    write_coefficients(out / "beta.csv", beta)
     # solved after the writers, so that the N x N result is not alive at their peak
     direct = green_matrix(op, tau)
     N = sys_.size

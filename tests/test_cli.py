@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from scipy.linalg import LinAlgWarning
 import resonat
 from resonat.cli import _COMMANDS, _operator, main, read_config
 from resonat.expansion import alpha_expansion, beta_expansion
-from resonat.io import fmt, write_csv
+from resonat.io import fmt, write_coefficients, write_csv
 from resonat.spectral import eigendecompose
 
 BASE = {
@@ -571,6 +572,30 @@ def test_write_csv_cell_rendering(tmp_path):
               [(None, True, False, -0.0, float("inf"), 0.1, 7, "homogeneous")])
     assert path.read_text() == ("a,b,c,d,e,f,g,h\n"
                                 ",true,false,-0,inf,0.10000000000000001,7,homogeneous\n")
+
+
+def test_write_coefficients_edge_values(tmp_path):
+    # non-square, so a swapped row/column index shows; each edge value as re and im
+    values = [-0.0, 0.0, 5e-324, 1e-300, 1e300, float("inf"), float("nan"), 0.1]
+    m = np.array([complex(values[k % 8], -values[(3 * k) % 8]) for k in range(15)]).reshape(3, 5)
+    path = tmp_path / "coeff.csv"
+    write_coefficients(path, m)
+    assert path.read_text() == "gamma_row,gamma_col,re,im\n" + "".join(
+        f"{i},{j},{fmt(float(m[i, j].real))},{fmt(float(m[i, j].imag))}\n"
+        for i in range(3) for j in range(5))
+
+
+def test_write_coefficients_memory_is_one_row(tmp_path):
+    # a list of N^2 rows would peak at many times the matrix (1.44 MB here)
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    tracemalloc.start()
+    try:
+        write_coefficients(tmp_path / "coeff.csv", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def _src_env(**extra):
