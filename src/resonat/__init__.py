@@ -3,15 +3,6 @@ sub-wavelength inverse-source imaging."""
 
 __version__ = "0.1.0"
 
-import os
-
-# OpenBLAS and MKL read their thread counts once, when numpy loads, so the cap
-# is set before any submodule imports numpy. It has no effect on a process
-# that imported numpy before resonat.
-if os.environ.get("RESONAT_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["RESONAT_THREADS"])
-
 from .grids import (
     DomainGrid,
     MeasurementSurface,

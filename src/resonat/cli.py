@@ -323,6 +323,7 @@ def cmd_expand(cfg, out: Path):
         # >= ||A B||_F = sqrt(N); Frobenius norms, since 2-norms would need two more SVDs
         "eigenbasis_condition": float(np.linalg.norm(sys_.A) * np.linalg.norm(sys_.B)),
         "resonant_mode": _resonant_mode(sys_, op, tau),
+        "warnings": sys_.warnings,
     }
 
 
@@ -403,27 +404,26 @@ def cmd_sweep_separation(cfg, out: Path):
     sep = cfg["separation"]
     tau, seed, noise = cfg["contrast"]["tau"], cfg["seed"], cfg["noise"]["level"]
     offset = sep["axis_offset"]
-    pairs = []   # (requested and realized separation, the unit sources at the two nodes)
+    pairs = []   # (requested separation, the unit sources at the two nodes)
     for s in sep["values"]:
         a, b = (grid.nearest_index([x, offset, 0.0][: ctx.dim]) for x in (-s / 2, s / 2))
         if a == b:
             raise InvalidArgumentError(f"separation {s} puts both sources on grid node {a} "
                                        f"(cell size {grid.cell_size:.6g})")
-        pa, pb = grid.points[a], grid.points[b]
-        pairs.append((s, float(np.linalg.norm(pb - pa)), [(pa, 1.0 + 0.0j), (pb, 1.0 + 0.0j)]))
+        pairs.append((s, [(grid.points[a], 1.0 + 0.0j), (grid.points[b], 1.0 + 0.0j)]))
     rows, solves = [], []
     for medium in sep["media"]:
         t = 0.0 if medium == "homogeneous" else tau
         fmap = build_forward_map(grid, surface, ctx, tau=t, op=op)
-        for s, realized, src in pairs:
+        for s, src in pairs:
             u, _ = synthesize_data(fmap, src, noise, seed)
             res = l1_reconstruct(fmap, u, mu=_relative_mu(sep["mu_rel"], fmap, u),
                                  max_iters=sep["max_iters"], tol=sep["tol"])
             met = resolution_metrics(res.values, src, grid)
             err = max(met.localization_errors) if met.localization_errors else float("inf")
-            success = (not met.empty) and err <= grid.cell_size * (1 + 1e-9)
-            rows.append((s, medium, err, success))
-            solves.append({"separation": s, "realized_separation": realized, "medium": medium,
+            rows.append((s, medium, err, met.recovered))
+            solves.append({"separation": s, "realized_separation": met.separation,
+                           "medium": medium,
                            **{key: res.metadata[key] for key in
                               ("iterations", "converged", "objective", "gap", "restarts")}})
     write_csv(out / "sweep.csv",

@@ -277,6 +277,7 @@ class ResolutionMetrics:
     support_f1: float
     separation: float
     empty: bool = False
+    recovered: bool = False
 
 
 def find_peaks(values: np.ndarray, grid: DomainGrid) -> List[int]:
@@ -298,8 +299,9 @@ def find_peaks(values: np.ndarray, grid: DomainGrid) -> List[int]:
 
 
 def resolution_metrics(values: np.ndarray, truth, grid: DomainGrid) -> ResolutionMetrics:
-    """Per-source nearest-peak distances of an image and a one-cell-matching
-    F1 score; truth is a sequence of (location, amplitude) pairs."""
+    """Per-source nearest-peak distances of an image, a one-cell-matching F1
+    score and whether every source is matched (`recovered`); truth is a
+    sequence of (location, amplitude) pairs."""
     locs = [np.asarray(loc, dtype=float) for loc, _ in truth]
     if len(locs) >= 2:
         sep = min(float(np.linalg.norm(a - b))
@@ -326,4 +328,4 @@ def resolution_metrics(values: np.ndarray, truth, grid: DomainGrid) -> Resolutio
     recall = matched_truth / len(locs)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return ResolutionMetrics(localization_errors=tuple(errors), support_f1=float(f1),
-                             separation=sep)
+                             separation=sep, recovered=matched_truth == len(locs))

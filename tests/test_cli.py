@@ -111,6 +111,15 @@ class TestConfigValidation:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("spectrum", str(tmp_path / "nope.yaml"), tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("text", ["- 1\n", "3\n", ""], ids=["list", "scalar", "empty"])
+    def test_root_not_a_mapping_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert run("spectrum", str(path), out) == 2
+        assert capsys.readouterr().err == "resonat: config error: config root must be a mapping\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["directory", "not_utf8"])
     def test_unreadable_config_exit_2(self, tmp_path, capsys, case):
         path = tmp_path / "cfg"
@@ -312,6 +321,20 @@ class TestExpand:
         monkeypatch.setattr(resonat.volume, "_factor", counted)
         assert run("expand", write_cfg(tmp_path, BASE), tmp_path / "out") == 0
         assert calls == [BASE["contrast"]["tau"]]
+
+    def test_warnings_in_manifest(self, tmp_path, monkeypatch):
+        decompose = resonat.cli.eigendecompose
+
+        def flagged(op):
+            sys_ = decompose(op)
+            sys_.warnings.append("cluster 1 looks defective")
+            return sys_
+
+        monkeypatch.setattr("resonat.cli.eigendecompose", flagged)
+        out = tmp_path / "out"
+        assert run("expand", write_cfg(tmp_path, BASE), out) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["warnings"] == ["cluster 1 looks defective"]
 
     def test_coefficient_rows_match_loop(self, tmp_path):
         # row-major (gamma_row, gamma_col, re, im) rows, as a double loop writes them
@@ -564,6 +587,11 @@ class TestSweepSeparation:
         assert (solve["iterations"] == 1) is (max_iters == 1)
         assert np.isfinite(solve["objective"]) and solve["objective"] > 0
         assert solve["gap"] >= 0 and solve["restarts"] >= 0
+        # converged, a peak lies two cells (0.2) from its source; after one
+        # step each source has a peak within one cell (0.1)
+        _, [row] = read_rows(out / "sweep.csv")
+        assert row[2:] == (["0.10000000000000009", "true"] if max_iters
+                           else ["0.20000000000000007", "false"])
 
 
 def test_write_csv_cell_rendering(tmp_path):
@@ -598,14 +626,11 @@ def test_write_coefficients_memory_is_one_row(tmp_path):
     assert peak < 1e6
 
 
-def _src_env(**extra):
-    """The environment without BLAS thread caps, this checkout's package first on the path."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS", "GOTO_NUM_THREADS")}
+def _src_env():
+    """The environment with this checkout's package first on the path."""
     src = str(Path(resonat.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return {**env, **extra}
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_cli_import_skips_scipy_optimize():
@@ -615,29 +640,3 @@ def test_cli_import_skips_scipy_optimize():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False"]
-
-
-class TestThreads:
-    PROBE = """
-import ctypes, glob, os, pathlib
-import resonat
-import numpy
-print(os.environ["OPENBLAS_NUM_THREADS"])
-libs = pathlib.Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
-count = -1
-for path in glob.glob(str(libs / "libscipy_openblas64_*.so")):
-    fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
-    if fn is not None:
-        fn.restype = ctypes.c_int
-        count = fn()
-print(count)
-"""
-
-    def test_resonat_threads_caps_blas(self):
-        res = subprocess.run([sys.executable, "-c", self.PROBE], env=_src_env(RESONAT_THREADS="1"),
-                             capture_output=True, text=True, timeout=120)
-        assert res.returncode == 0, res.stderr
-        variable, count = res.stdout.split()
-        assert variable == "1"
-        if count != "-1":  # numpy's bundled OpenBLAS was reachable
-            assert count == "1"

@@ -14,9 +14,10 @@ from resonat import (
     time_reversal,
 )
 from resonat.errors import DiscrepancyInfeasibleError, InvalidArgumentError
+from resonat.expansion import psf_profile
 from resonat.grids import build_ball_grid
 from resonat.imaging import ForwardMap, contrast_hk_residual, find_peaks
-from resonat.kernels import g0_from_distance
+from resonat.kernels import g0_from_distance, sinc_psf
 from resonat.volume import assemble_kd, operator_from_matrix
 
 CTX2 = WaveContext(k=6.0, dim=2)
@@ -341,6 +342,11 @@ class TestResolutionMetrics:
         met = resolution_metrics(values, [(tuple(grid.points[i]), 1.0 + 0j)], grid)
         assert met.localization_errors == (0.0,)
         assert met.support_f1 == 1.0
+        assert met.recovered
+        # a second source with no peak near it is not recovered
+        met = resolution_metrics(values, [(tuple(grid.points[i]), 1.0 + 0j),
+                                          ((-0.3, -0.2), 1.0 + 0j)], grid)
+        assert not met.recovered
 
     def test_one_cell_shift(self, homog_setup):
         grid, _, _ = homog_setup
@@ -350,12 +356,14 @@ class TestResolutionMetrics:
         values[i] = 1.0
         met = resolution_metrics(values, [(tuple(true_loc), 1.0 + 0j)], grid)
         assert met.localization_errors[0] == pytest.approx(grid.cell_size, rel=1e-9)
+        assert met.recovered
 
     def test_empty_image(self, homog_setup):
         grid, _, _ = homog_setup
         values = np.zeros(grid.n_points, dtype=complex)
         met = resolution_metrics(values, [((0.0, 0.0), 1.0 + 0j)], grid)
         assert met.empty and met.support_f1 == 0.0
+        assert not met.recovered
 
     def test_find_peaks_threshold(self, homog_setup):
         grid, _, _ = homog_setup
@@ -364,3 +372,21 @@ class TestResolutionMetrics:
         values[a], values[b] = 1.0, 0.05   # second peak below the 10% threshold
         peaks = find_peaks(values, grid)
         assert a in peaks and b not in peaks
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: l1_reconstruct(matrix_map(np.eye(2)), np.ones(2), mu=0.1, mode="bogus"),
+     "unknown l1 mode 'bogus'"),
+    (lambda: l2_minimum_norm(matrix_map(np.eye(2)), np.ones(2), mode="bogus"),
+     "unknown l2 mode 'bogus'"),
+    (lambda: psf_profile(np.zeros(3), operator_from_matrix(np.eye(3)).grid, 0, [0.0, 0.0]),
+     "psf direction must be a nonzero vector"),
+    (lambda: sinc_psf(1.0, CTX2), "sinc_psf is defined for dim=3"),
+    (lambda: build_disk_grid(1.0, 1, CTX2), "cells_per_diameter must be at least 2"),
+    (lambda: operator_from_matrix(np.zeros((2, 3))), "matrix must be square"),
+], ids=["l1_mode", "l2_mode", "psf_zero_direction", "sinc_psf_2d", "one_cell_grid",
+        "non_square_matrix"])
+def test_library_refuses_invalid_argument(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert str(exc.value) == message

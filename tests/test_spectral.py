@@ -75,6 +75,13 @@ class TestEigendecompose:
         sys = eigendecompose(op)
         assert sys.clusters.tolist() == [1, 1, 2]
 
+    def test_defective_cluster_warned(self):
+        sys = eigendecompose(operator_from_matrix(jordan_block(0.5, 2)))
+        assert sys.clusters.tolist() == [1, 1]
+        [warning] = sys.warnings
+        assert warning.startswith("cluster 1 ")
+        assert warning.endswith("looks defective; semisimple treatment retained")
+
     def test_gauge_determinism(self, rng):
         M = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         s1 = eigendecompose(operator_from_matrix(M))
