@@ -7,7 +7,8 @@ CSV files plus a manifest.json that pins the config hash, library version,
 seed, and every tolerance used. Reruns with the same config are
 byte-identical.
 
-Exit codes: 0 success, 1 numeric/runtime failure, 2 configuration error.
+Exit codes: 0 success, 1 numeric/runtime failure or an output that cannot be
+written, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -470,6 +471,10 @@ def main(argv=None) -> int:
     except (ResonanceProximityError, NumericFailureError,
             DiscrepancyInfeasibleError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"resonat: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:   # the config was read above, so this is an output
+        print(f"resonat: cannot write {exc.filename or args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -11,11 +11,13 @@ chains of any length, and each mode's weight lam^2/(z - lam) is its
 length-one case.
 
 The orthonormalized basis E is produced by QR in the weighted discrete L2(D)
-inner product, with change-of-basis matrices stored so that
+inner product, with change-of-basis matrices such that
 
     E = U @ A,    U = E @ B,    A @ B = I,
 
-both upper-triangular with positive-real diagonal on B. In index notation
+both upper-triangular with positive-real diagonal on B. The three are built
+together on the first read of any of them, so a caller that needs only the
+eigenvalues and modes never pays for the QR. In index notation
 e_gamma = sum_{gamma' <= gamma} a_{gamma,gamma'} u_{gamma'} with
 a_{gamma,gamma'} = A[gamma', gamma].
 """
@@ -23,6 +25,7 @@ a_{gamma,gamma'} = A[gamma', gamma].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List
 
 import numpy as np
@@ -37,15 +40,32 @@ class SpectralSystem:
     lambdas: np.ndarray                    # (N,) eigenvalue per total-order column
     clusters: np.ndarray                   # (N,) 1-based cluster per column, nondecreasing
     U: np.ndarray                          # modes, columns in total order
-    E: np.ndarray                          # weighted-orthonormal columns
-    A: np.ndarray                          # E = U @ A
-    B: np.ndarray                          # U = E @ B
+    weights: np.ndarray                    # (N,) quadrature weights of the inner product
     cluster_tol: float
     warnings: List[str] = field(default_factory=list)
 
     @property
     def size(self) -> int:
         return self.U.shape[1]
+
+    @cached_property
+    def _basis(self):
+        return _weighted_qr(self.U, self.weights)
+
+    @property
+    def E(self) -> np.ndarray:
+        """Weighted-orthonormal columns; raises NumericFailureError if U is rank deficient."""
+        return self._basis[0]
+
+    @property
+    def A(self) -> np.ndarray:
+        """E = U @ A."""
+        return self._basis[1]
+
+    @property
+    def B(self) -> np.ndarray:
+        """U = E @ B."""
+        return self._basis[2]
 
 
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
@@ -78,7 +98,8 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     Semisimple: each column of U is an eigenvector; clusters whose eigenvector
     block is badly conditioned are flagged in SpectralSystem.warnings. Eigenvalues
     within 1e-8 max(max |lambda|, 1) of a cluster's first one join that
-    cluster.
+    cluster. The weighted-orthonormal basis E, A, B is not formed here but on
+    its first read, which is where a rank-deficient U is refused.
     """
     M = op.matrix
     try:
@@ -118,8 +139,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     w = op.weights
     norms = np.sqrt(np.sum(w[:, None] * np.abs(V) ** 2, axis=0))
     U = _fix_column_phases(V / norms[None, :])
-    E, A, B = _weighted_qr(U, w)
-    return SpectralSystem(lambdas=lam, clusters=clusters, U=U, E=E, A=A, B=B,
+    return SpectralSystem(lambdas=lam, clusters=clusters, U=U, weights=w,
                           cluster_tol=tol, warnings=warnings)
 
 

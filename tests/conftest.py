@@ -1,9 +1,23 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from resonat import WaveContext, build_disk_grid
 from resonat.spectral import eigendecompose
 from resonat.volume import assemble_kd, operator_from_matrix
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test after which a child process still runs; the benchmark
+    refuses a run that leaves one."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert left == [], f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

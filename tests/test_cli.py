@@ -1,4 +1,6 @@
+import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +16,8 @@ from scipy.linalg import LinAlgWarning
 import resonat
 from resonat.cli import _COMMANDS, _operator, main, read_config
 from resonat.expansion import alpha_expansion, beta_expansion
-from resonat.io import fmt, write_coefficients, write_csv
+from resonat.errors import NumericFailureError
+from resonat.io import _writer_count, fmt, write_coefficients, write_csv
 from resonat.spectral import eigendecompose
 
 BASE = {
@@ -361,6 +364,60 @@ class TestExpand:
         assert run("expand", write_cfg(tmp_path, cfg), tmp_path / "o") == 1
 
 
+    def test_basis_built_once_only_where_read(self, tmp_path, monkeypatch):
+        # the disk16 geometry; spectrum writes no basis, expand reads it through alpha
+        calls = []
+        qr = resonat.spectral._weighted_qr
+
+        def counted(U, w):
+            calls.append(U.shape)
+            return qr(U, w)
+
+        monkeypatch.setattr(resonat.spectral, "_weighted_qr", counted)
+        cfg_path = write_cfg(tmp_path, dict(BASE, domain={"shape": "disk", "radius": 1.0,
+                                                          "cells": 16}))
+        assert run("spectrum", cfg_path, tmp_path / "spec") == 0
+        assert calls == []
+        assert run("expand", cfg_path, tmp_path / "out") == 0
+        assert calls == [(208, 208)]
+
+    def test_rank_deficient_basis_refused_by_expand_only(self, tmp_path, capsys, monkeypatch):
+        def deficient(U, w):
+            raise NumericFailureError("mode matrix is numerically rank deficient")
+
+        monkeypatch.setattr(resonat.spectral, "_weighted_qr", deficient)
+        cfg_path = write_cfg(tmp_path, BASE)
+        assert run("spectrum", cfg_path, tmp_path / "spec") == 0
+        assert run("expand", cfg_path, tmp_path / "out") == 1
+        assert capsys.readouterr().err == "resonat: mode matrix is numerically rank deficient\n"
+
+
+class TestWriteErrors:
+    @pytest.mark.parametrize("command,name", [("expand", "alpha.csv"),
+                                              ("spectrum", "spectrum.csv")])
+    def test_output_is_a_directory_exit_1(self, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run(command, write_cfg(tmp_path, BASE), out) == 1
+        assert capsys.readouterr().err == f"resonat: cannot write {out / name}: Is a directory\n"
+
+    def test_writer_process_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        write_rows = resonat.io._write_rows
+
+        def failing(fh, mat, rows, cols):
+            if rows.start != 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_rows(fh, mat, rows, cols)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(resonat.io, "_write_rows", failing)
+        out = tmp_path / "out"
+        assert run("expand", write_cfg(tmp_path, BASE), out) == 1
+        assert capsys.readouterr().err == (f"resonat: cannot write {out / 'alpha.csv'}: "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
+        assert multiprocessing.active_children() == []
+
+
 class TestPsf:
     def test_report_fields(self, tmp_path):
         cfg = dict(BASE, wave={"k": 6.0, "dim": 2},
@@ -602,15 +659,72 @@ def test_write_csv_cell_rendering(tmp_path):
                                 ",true,false,-0,inf,0.10000000000000001,7,homogeneous\n")
 
 
-def test_write_coefficients_edge_values(tmp_path):
+def _serial_coefficients(m):
+    return "gamma_row,gamma_col,re,im\n" + "".join(
+        f"{i},{j},{fmt(float(m[i, j].real))},{fmt(float(m[i, j].imag))}\n"
+        for i in range(m.shape[0]) for j in range(m.shape[1]))
+
+
+CPUS = [1, 2, 3, 5]
+
+
+@pytest.fixture
+def cpus(request, monkeypatch):
+    """The number of CPUs the writer sees, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                        raising=False)
+    return request.param
+
+
+@pytest.mark.parametrize("cpus", CPUS, indirect=True)
+def test_write_coefficients_edge_values(tmp_path, cpus):
     # non-square, so a swapped row/column index shows; each edge value as re and im
     values = [-0.0, 0.0, 5e-324, 1e-300, 1e300, float("inf"), float("nan"), 0.1]
     m = np.array([complex(values[k % 8], -values[(3 * k) % 8]) for k in range(15)]).reshape(3, 5)
     path = tmp_path / "coeff.csv"
     write_coefficients(path, m)
-    assert path.read_text() == "gamma_row,gamma_col,re,im\n" + "".join(
-        f"{i},{j},{fmt(float(m[i, j].real))},{fmt(float(m[i, j].imag))}\n"
-        for i in range(3) for j in range(5))
+    assert path.read_text() == _serial_coefficients(m)
+    assert _writer_count(len(m)) == min(cpus, 3)
+
+
+@pytest.mark.parametrize("cpus", CPUS, indirect=True)
+def test_write_coefficients_triangular_matches_loop(tmp_path, cpus):
+    # alpha's shape: the rows are split by nonzero count, so the ranges are uneven
+    rng = np.random.default_rng(7)
+    m = np.triu(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    path = tmp_path / "coeff.csv"
+    write_coefficients(path, m)
+    assert path.read_text() == _serial_coefficients(m)
+    assert sorted(os.listdir(tmp_path)) == ["coeff.csv"]
+
+
+def test_write_coefficients_without_fork_is_serial(tmp_path, monkeypatch):
+    # where processes cannot be forked, no start method is looked up at all
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", None)
+    m = np.arange(12, dtype=complex).reshape(4, 3) * (1 + 0.5j)
+    write_coefficients(tmp_path / "coeff.csv", m)
+    assert (tmp_path / "coeff.csv").read_text() == _serial_coefficients(m)
+    assert _writer_count(len(m)) == 1
+
+
+@pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "No space left on device"),
+                                     ValueError("formatting failed")])
+def test_write_coefficients_child_failure_names_path(tmp_path, monkeypatch, failure):
+    write_rows = resonat.io._write_rows
+
+    def failing(fh, mat, rows, cols):
+        if rows.start != 0:
+            raise failure
+        write_rows(fh, mat, rows, cols)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(resonat.io, "_write_rows", failing)
+    path = tmp_path / "coeff.csv"
+    with pytest.raises(OSError) as info:
+        write_coefficients(path, np.ones((6, 4), dtype=complex))
+    assert info.value.filename == str(path)
+    assert multiprocessing.active_children() == []
 
 
 def test_write_coefficients_memory_is_one_row(tmp_path):

@@ -47,6 +47,12 @@ class TestEigendecompose:
         assert np.allclose(A, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
         assert np.allclose(A @ B, np.eye(2), atol=1e-14)
 
+    def test_basis_is_weighted_qr_of_modes(self, disk16_sys):
+        # E, A and B are built on first read, from U and the stored weights
+        E, A, B = _weighted_qr(disk16_sys.U, disk16_sys.weights)
+        for built, expected in ((disk16_sys.E, E), (disk16_sys.A, A), (disk16_sys.B, B)):
+            assert np.array_equal(built, expected)
+
     def test_orthonormality_and_inverse_pair(self, disk16, disk16_sys):
         _, _, op = disk16
         sys = disk16_sys
