@@ -287,7 +287,8 @@ def cmd_spectrum(cfg, out: Path):
             for j, l, lam in zip(clusters.tolist(), place.tolist(), sys_.lambdas)]
     write_csv(out / "spectrum.csv",
               ["j", "l", "k", "re", "im", "chain_len"], rows)
-    return {"n_modes": sys_.size, "cluster_tol": sys_.cluster_tol, "warnings": sys_.warnings}
+    return {"n_modes": sys_.size, "cluster_tol": sys_.cluster_tol,
+            "symmetry_blocks": sys_.symmetry_blocks, "warnings": sys_.warnings}
 
 
 def _resonant_mode(sys_, op, tau):
@@ -324,6 +325,7 @@ def cmd_expand(cfg, out: Path):
         # >= ||A B||_F = sqrt(N); Frobenius norms, since 2-norms would need two more SVDs
         "eigenbasis_condition": float(np.linalg.norm(sys_.A) * np.linalg.norm(sys_.B)),
         "resonant_mode": _resonant_mode(sys_, op, tau),
+        "symmetry_blocks": sys_.symmetry_blocks,
         "warnings": sys_.warnings,
     }
 

@@ -40,7 +40,8 @@ class DomainGrid:
 
     ``lattice_index`` holds the integer Cartesian indices of each kept cell and
     ``lattice_shape`` the full lattice extent, so point values can be embedded
-    back into a dense array (used for discrete Fourier diagnostics).
+    back into a dense array (used for discrete Fourier diagnostics) and lattice
+    symmetries turned into point permutations (used by the blocked eigensolver).
     """
 
     points: np.ndarray          # (N, dim)
@@ -57,6 +58,15 @@ class DomainGrid:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    def lattice_permutation(self, image: np.ndarray):
+        """The point permutation p with p[i] the kept cell at lattice index
+        image[i], for an (N, dim) index array inside lattice_shape, or None when
+        some image[i] is not a kept cell."""
+        lookup = np.full(self.lattice_shape, -1)
+        lookup[tuple(self.lattice_index.T)] = np.arange(self.n_points)
+        p = lookup[tuple(np.asarray(image).T)]
+        return None if np.any(p < 0) else p
 
     def contains(self, x) -> bool:
         return float(np.linalg.norm(np.asarray(x, dtype=float))) < self.radius

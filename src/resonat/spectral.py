@@ -10,14 +10,28 @@ one formula behind the resolvent: resolvent_chain_coefficients gives it for
 chains of any length, and each mode's weight lam^2/(z - lam) is its
 length-one case.
 
+M is block-diagonalized by the lattice symmetries it commutes with bit for
+bit: the reflection of each lattice axis and, where axes 0 and 1 have the
+same extent, their swap. The symmetry classes are the reflection parities,
+each one that the swap maps onto itself split by its swap parity. Each class
+is solved by one eig on its block in an orthonormal basis of lattice orbits;
+a class that the swap maps onto another is not solved, its modes are the
+swapped modes of that other class. An operator without symmetry is the
+one-class case. `classes` records the class of each mode column,
+`symmetry_blocks` the size of every class, in the order of the classes, and
+`orbits` the basis of each class: per point, the column of its orbit and its
+entry in that orbit's unit vector.
+
 The orthonormalized basis E is produced by QR in the weighted discrete L2(D)
-inner product, with change-of-basis matrices such that
+inner product, one QR per symmetry class on the modes' orbit coordinates,
+with change-of-basis matrices such that
 
     E = U @ A,    U = E @ B,    A @ B = I,
 
-both upper-triangular with positive-real diagonal on B. The three are built
-together on the first read of any of them, so a caller that needs only the
-eigenvalues and modes never pays for the QR. In index notation
+both upper-triangular with positive-real diagonal on B, and exactly zero
+between modes of different classes. The three are built together on the
+first read of any of them, so a caller that needs only the eigenvalues and
+modes never pays for the QR. In index notation
 e_gamma = sum_{gamma' <= gamma} a_{gamma,gamma'} u_{gamma'} with
 a_{gamma,gamma'} = A[gamma', gamma].
 """
@@ -26,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import List
 
 import numpy as np
@@ -42,15 +57,34 @@ class SpectralSystem:
     U: np.ndarray                          # modes, columns in total order
     weights: np.ndarray                    # (N,) quadrature weights of the inner product
     cluster_tol: float
+    classes: np.ndarray                    # (N,) symmetry class per column, 0-based
+    orbits: list                           # per class: (column, entry), each (N,)
     warnings: List[str] = field(default_factory=list)
 
     @property
     def size(self) -> int:
         return self.U.shape[1]
 
+    @property
+    def symmetry_blocks(self) -> List[int]:
+        """The number of modes of each symmetry class."""
+        return np.bincount(self.classes, minlength=len(self.orbits)).tolist()
+
     @cached_property
     def _basis(self):
-        return _weighted_qr(self.U, self.weights)
+        """One weighted QR per class, of its modes at one point per orbit,
+        divided by the point's entry; the weights are constant on orbits."""
+        N = self.size
+        E, A, B = (np.zeros((N, N), dtype=complex) for _ in range(3))
+        for c, (column, entry) in enumerate(self.orbits):
+            cols = np.flatnonzero(self.classes == c)
+            rows = np.flatnonzero(column >= 0)
+            _, first = np.unique(column[rows], return_index=True)
+            points = rows[first]
+            Ez, A[np.ix_(cols, cols)], B[np.ix_(cols, cols)] = _weighted_qr(
+                self.U[np.ix_(points, cols)] / entry[points, None], self.weights[points])
+            E[np.ix_(rows, cols)] = entry[rows, None] * Ez[column[rows]]
+        return E, A, B
 
     @property
     def E(self) -> np.ndarray:
@@ -92,8 +126,72 @@ def _weighted_qr(U: np.ndarray, w: np.ndarray):
     return E, A, B
 
 
+def _symmetries(op: DiscreteOperator):
+    """The lattice symmetries that M and the weights keep bit for bit, as point
+    permutations: returns the axes whose reflection is kept, those reflections
+    in axis order, and the swap of axes 0 and 1, or None where it is not kept."""
+    grid, M = op.grid, op.matrix
+    index, shape = grid.lattice_index, grid.lattice_shape
+
+    def kept(image):
+        p = grid.lattice_permutation(image)
+        if p is None or np.array_equal(p, np.arange(p.size)):
+            return None
+        keeps = np.array_equal(op.weights[p], op.weights) and np.array_equal(M[np.ix_(p, p)], M)
+        return p if keeps else None
+
+    reflections = {}
+    for a, s in enumerate(shape):
+        image = index.copy()
+        image[:, a] = s - 1 - image[:, a]
+        reflections[a] = kept(image)
+    swap = None
+    if len(shape) > 1 and shape[0] == shape[1]:
+        swap = kept(index[:, [1, 0, *range(2, len(shape))]])
+    reflections = {a: p for a, p in reflections.items() if p is not None}
+    return list(reflections), list(reflections.values()), swap
+
+
+def _group(N: int, reflections, parities, swap, swap_parity):
+    """Permutations and character values of the group generated by the
+    reflections, with the given parities, and by the swap unless swap_parity is
+    None; the product of two elements p, q is p[q]."""
+    perms, chars = [np.arange(N)], [1]
+    for p, parity in zip(reflections, parities):
+        perms, chars = perms + [p[q] for q in perms], chars + [parity * c for c in chars]
+    if swap_parity is not None:
+        perms, chars = perms + [q[swap] for q in perms], chars + [swap_parity * c for c in chars]
+    return np.array(perms), np.array(chars)
+
+
+def _solve_class(M: np.ndarray, perms: np.ndarray, chars: np.ndarray):
+    """Eigenpairs of M on one symmetry class, given by the group and character.
+
+    The basis vector of an orbit with representative r is sum_g chars[g]
+    e_{perms[g, r]}, normalized; it is zero where the character is not trivial
+    on the stabilizer of r. Returns the eigenvalues, the block eigenvectors Y,
+    and per point the column of its orbit (-1 off the class) and its entry in
+    that orbit's unit basis vector, so the modes are entry[:, None] * Y[column].
+    """
+    N = perms.shape[1]
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(N))
+    stab = np.sum((perms[:, reps] == reps) * chars[:, None], axis=0)
+    reps, stab = reps[stab > 0], stab[stab > 0]
+    block = sum(c * M[np.ix_(reps, p[reps])] for p, c in zip(perms, chars))
+    try:
+        lam, Y = scipy.linalg.eig(block / np.sqrt(np.outer(stab, stab)), overwrite_a=True)
+    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
+        raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
+    column, entry = np.full(N, -1), np.zeros(N)
+    for p, c in zip(perms, chars):
+        column[p[reps]] = np.arange(reps.size)
+        entry[p[reps]] = c * np.sqrt(stab / len(perms))
+    return lam, Y, column, entry
+
+
 def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
-    """Full complex eigendecomposition with deterministic ordering.
+    """Full complex eigendecomposition with deterministic ordering, one eig per
+    symmetry class of the lattice.
 
     Semisimple: each column of U is an eigenvector; clusters whose eigenvector
     block is badly conditioned are flagged in SpectralSystem.warnings. Eigenvalues
@@ -102,18 +200,39 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     its first read, which is where a rank-deficient U is refused.
     """
     M = op.matrix
-    try:
-        lam, V = scipy.linalg.eig(M)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
+    N = M.shape[0]
+    axes, reflections, swap = _symmetries(op)
+    # the swap exchanges the parities of axes 0 and 1, which are kept together
+    mirror = (lambda s: (s[1], s[0], *s[2:])) if axes[:2] == [0, 1] else (lambda s: s)
+    solved = {}
+    parts = []   # per class, as _solve_class returns it
+    for parities in product((1, -1), repeat=len(axes)):
+        if swap is not None and mirror(parities) in solved:
+            # the swapped modes of a solved class: the same eigenvalues and Y
+            lam, Y, column, entry = parts[solved[mirror(parities)]]
+            parts.append((lam, Y, column[swap], entry[swap]))
+            continue
+        solved[parities] = len(parts)
+        swap_parities = (1, -1) if swap is not None and mirror(parities) == parities else (None,)
+        for e in swap_parities:
+            parts.append(_solve_class(M, *_group(N, reflections, parities, swap, e)))
+
+    sizes = [part[0].size for part in parts]
+    lam = np.concatenate([part[0] for part in parts])
+    classes = np.repeat(np.arange(len(parts)), sizes)
     scale = float(np.max(np.abs(lam))) if lam.size else 1.0
     tol = 1e-8 * max(scale, 1.0)
 
     # deterministic total order: descending modulus, ties by ascending phase
     ang = np.mod(np.angle(lam), 2.0 * np.pi)
     order = np.lexsort((ang, -np.abs(lam)))
-    lam = lam[order]
-    V = V[:, order]
+    lam, classes = lam[order], classes[order]
+    V = np.zeros((N, N), dtype=complex)
+    first = np.cumsum([0] + sizes)
+    for c, (_, Y, column, entry) in enumerate(parts):
+        cols = np.flatnonzero(classes == c)
+        rows = np.flatnonzero(column >= 0)
+        V[np.ix_(rows, cols)] = entry[rows, None] * Y[np.ix_(column[rows], order[cols] - first[c])]
 
     # cluster consecutive eigenvalues within tol of the cluster representative
     members_of: List[List[int]] = []
@@ -137,10 +256,11 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
 
     # unit weighted norm + phase gauge
     w = op.weights
-    norms = np.sqrt(np.sum(w[:, None] * np.abs(V) ** 2, axis=0))
-    U = _fix_column_phases(V / norms[None, :])
-    return SpectralSystem(lambdas=lam, clusters=clusters, U=U, weights=w,
-                          cluster_tol=tol, warnings=warnings)
+    V /= np.sqrt(np.sum(w[:, None] * np.abs(V) ** 2, axis=0))
+    U = _fix_column_phases(V)
+    return SpectralSystem(lambdas=lam, clusters=clusters, U=U, weights=w, cluster_tol=tol,
+                          classes=classes, orbits=[part[2:] for part in parts],
+                          warnings=warnings)
 
 
 def verify_resonant_mode(sys: SpectralSystem, op: DiscreteOperator, pos: int):

@@ -262,6 +262,18 @@ class TestSpectrum:
         assert err.startswith("resonat: ") and err.count("\n") == 1
         assert "N=268" in err and "GB" in err
 
+    @pytest.mark.parametrize("profile,blocks", [
+        ({"kind": "constant", "value": 1.0}, [16, 12, 28, 28, 16, 12]),
+        ({"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5, "peak": 2.0}, [112]),
+    ], ids=["constant", "off_center_bump"])
+    def test_symmetry_blocks_in_manifest(self, tmp_path, profile, blocks):
+        # every class block, solved or mapped; a medium without symmetry is one block
+        cfg_path = write_cfg(tmp_path, dict(BASE, profile=profile))
+        for command in ("spectrum", "expand"):
+            assert run(command, cfg_path, tmp_path / command) == 0
+            man = json.loads((tmp_path / command / "manifest.json").read_text())
+            assert man["symmetry_blocks"] == blocks
+
     def test_tau_independent(self, tmp_path):
         cfg = {k: v for k, v in BASE.items() if k != "contrast"}
         out = tmp_path / "out"
@@ -365,7 +377,8 @@ class TestExpand:
 
 
     def test_basis_built_once_only_where_read(self, tmp_path, monkeypatch):
-        # the disk16 geometry; spectrum writes no basis, expand reads it through alpha
+        # the disk16 geometry; spectrum writes no basis, expand reads it through
+        # alpha, one QR per symmetry class of the modes
         calls = []
         qr = resonat.spectral._weighted_qr
 
@@ -379,7 +392,9 @@ class TestExpand:
         assert run("spectrum", cfg_path, tmp_path / "spec") == 0
         assert calls == []
         assert run("expand", cfg_path, tmp_path / "out") == 0
-        assert calls == [(208, 208)]
+        blocks = json.loads((tmp_path / "out" / "manifest.json").read_text())["symmetry_blocks"]
+        assert blocks == [29, 23, 52, 52, 29, 23]
+        assert calls == [(size, size) for size in blocks]   # one row per orbit, one column per mode
 
     def test_rank_deficient_basis_refused_by_expand_only(self, tmp_path, capsys, monkeypatch):
         def deficient(U, w):

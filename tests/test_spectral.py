@@ -1,10 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from resonat import (
+    WaveContext,
     alpha_expansion,
+    assemble_kd,
+    beta_expansion,
+    build_ball_grid,
+    build_disk_grid,
     eigendecompose,
     operator_from_matrix,
+    radial_bump,
     resolvent_chain_coefficients,
     verify_resonant_mode,
 )
@@ -48,10 +58,17 @@ class TestEigendecompose:
         assert np.allclose(A @ B, np.eye(2), atol=1e-14)
 
     def test_basis_is_weighted_qr_of_modes(self, disk16_sys):
-        # E, A and B are built on first read, from U and the stored weights
-        E, A, B = _weighted_qr(disk16_sys.U, disk16_sys.weights)
-        for built, expected in ((disk16_sys.E, E), (disk16_sys.A, A), (disk16_sys.B, B)):
-            assert np.array_equal(built, expected)
+        # E, A and B are built on first read, one weighted QR per symmetry class
+        # of the class's modes, taken in orbit coordinates; the weighted QR of the
+        # modes at every point is the reference
+        sys = disk16_sys
+        assert len(sys.orbits) == 6
+        for c in range(len(sys.orbits)):
+            cols = np.flatnonzero(sys.classes == c)
+            E, A, B = _weighted_qr(sys.U[:, cols], sys.weights)
+            for built, expected in ((sys.E[:, cols], E), (sys.A[np.ix_(cols, cols)], A),
+                                    (sys.B[np.ix_(cols, cols)], B)):
+                assert np.max(np.abs(built - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_orthonormality_and_inverse_pair(self, disk16, disk16_sys):
         _, _, op = disk16
@@ -105,6 +122,72 @@ class TestEigendecompose:
             pivot = U[np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0), np.arange(U.shape[1])]
             assert np.all(pivot.real > 0)
             assert np.all(np.abs(pivot.imag) <= 1e-15 * pivot.real)
+
+
+def _medium(dim, cells, k, center=None):
+    """The unit disk or ball with n = 1, or with a radial bump (width 0.5, peak 2) at `center`."""
+    ctx = WaveContext(k=k, dim=dim)
+    grid = (build_disk_grid if dim == 2 else build_ball_grid)(1.0, cells, ctx)
+    n = np.ones(grid.n_points) if center is None else radial_bump(grid.points, center, 0.5, 2.0)
+    return assemble_kd(grid, n, ctx)
+
+
+def _line_matrix():
+    # the reversal of the line lattice maps it onto itself; the entries do not follow
+    rng = np.random.default_rng(3)
+    return operator_from_matrix((rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))) / 40)
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("make,blocks", [
+        (lambda: _medium(2, 16, 1.0), [29, 23, 52, 52, 29, 23]),
+        (lambda: _medium(3, 10, 1.0), [42, 27, 42, 27, 69, 69, 69, 69, 42, 27, 42, 27]),
+        # h = 0.1 is not a power of two, so the bump keeps only the axis swap
+        (lambda: _medium(2, 20, 6.0, center=[0.0, 0.0]), [165, 151]),
+        (lambda: _medium(2, 20, 6.0, center=[0.3, 0.1]), [316]),
+        # odd extents: cells on the mirror lines, fixed by part of the group, and empty classes
+        (lambda: _medium(2, 3, 1.0), [3, 1, 2, 2, 1, 0]),
+        (lambda: _medium(3, 5, 1.0), [13, 7, 8, 4, 12, 7, 12, 7, 5, 2, 3, 1]),
+        (_line_matrix, [40]),
+    ], ids=["disk16", "ball10", "centered_bump20", "off_center_bump20", "disk3", "ball5", "line"])
+    def test_blocked_spectrum_matches_full(self, make, blocks):
+        op = make()
+        M = op.matrix
+        sys = eigendecompose(op)
+        assert sys.symmetry_blocks == blocks
+        want = scipy.linalg.eigvals(M)
+        cost = np.abs(sys.lambdas[:, None] - want[None, :])
+        assert cost[linear_sum_assignment(cost)].max() <= 1e-12 * np.abs(want).max()
+        residual = np.linalg.norm(M @ sys.U - sys.U * sys.lambdas, axis=0)
+        assert np.all(residual <= 1e-13 * np.linalg.norm(sys.U, axis=0))
+
+    def test_line_reversal_kept_only_with_matrix_and_weights(self):
+        M = _line_matrix().matrix
+        op = operator_from_matrix(M + M[::-1, ::-1])
+        assert eigendecompose(op).symmetry_blocks == [20, 20]
+        uneven = replace(op, grid=replace(op.grid, weights=np.linspace(1.0, 2.0, 40)))
+        assert eigendecompose(uneven).symmetry_blocks == [40]
+
+    def test_classes_are_exact(self, disk16_sys):
+        # modes vanish off their class's points, and the basis is zero across classes
+        sys = disk16_sys
+        across = sys.classes[:, None] != sys.classes[None, :]
+        assert not np.any(sys.A[across]) and not np.any(sys.B[across])
+        assert np.array_equal(sys.E != 0, sys.U != 0)
+
+    def test_coefficients_stable_under_rounding_of_n(self, disk20_k6):
+        # n one ulp above 1 moves M at rounding level; each exactly degenerate
+        # pair is a mode and its swap, so alpha and beta move at rounding level too
+        ctx, grid, op = disk20_k6
+        other = assemble_kd(grid, np.full(grid.n_points, np.nextafter(1.0, 2.0)), ctx)
+        assert not np.array_equal(other.matrix, op.matrix)
+        coefficients = []
+        for o in (op, other):
+            sys = eigendecompose(o)
+            alpha = alpha_expansion(sys, 180.5)
+            coefficients.append((alpha, beta_expansion(sys, alpha)))
+        for a, b in zip(*coefficients):
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a))
 
 
 class TestVerifyResonantMode:
