@@ -1,6 +1,5 @@
 import errno
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,7 +16,7 @@ import resonat
 from resonat.cli import _COMMANDS, _operator, main, read_config
 from resonat.expansion import alpha_expansion, beta_expansion
 from resonat.errors import NumericFailureError
-from resonat.io import _writer_count, fmt, write_coefficients, write_csv
+from resonat.io import fmt, write_coefficients, write_csv
 from resonat.spectral import eigendecompose
 
 BASE = {
@@ -416,21 +415,18 @@ class TestWriteErrors:
         assert run(command, write_cfg(tmp_path, BASE), out) == 1
         assert capsys.readouterr().err == f"resonat: cannot write {out / name}: Is a directory\n"
 
-    def test_writer_process_failure_exit_1(self, tmp_path, capsys, monkeypatch):
-        write_rows = resonat.io._write_rows
-
-        def failing(fh, mat, rows, cols):
-            if rows.start != 0:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            write_rows(fh, mat, rows, cols)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(resonat.io, "_write_rows", failing)
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command,name", [("spectrum", "spectrum.csv"),
+                                              ("expand", "beta.csv"),
+                                              ("spectrum", "manifest.json")])
+    def test_full_disk_names_the_file_exit_1(self, tmp_path, capsys, command, name):
+        # a write that fails after open carries no file name of its own
         out = tmp_path / "out"
-        assert run("expand", write_cfg(tmp_path, BASE), out) == 1
-        assert capsys.readouterr().err == (f"resonat: cannot write {out / 'alpha.csv'}: "
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        assert run(command, write_cfg(tmp_path, BASE), out) == 1
+        assert capsys.readouterr().err == (f"resonat: cannot write {out / name}: "
                                            f"{os.strerror(errno.ENOSPC)}\n")
-        assert multiprocessing.active_children() == []
 
 
 class TestPsf:
@@ -680,66 +676,37 @@ def _serial_coefficients(m):
         for i in range(m.shape[0]) for j in range(m.shape[1]))
 
 
-CPUS = [1, 2, 3, 5]
-
-
-@pytest.fixture
-def cpus(request, monkeypatch):
-    """The number of CPUs the writer sees, whatever this machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
-                        raising=False)
-    return request.param
-
-
-@pytest.mark.parametrize("cpus", CPUS, indirect=True)
-def test_write_coefficients_edge_values(tmp_path, cpus):
-    # non-square, so a swapped row/column index shows; each edge value as re and im
+@pytest.mark.parametrize("cols", [1, 2, 3, 5])
+def test_write_coefficients_edge_values(tmp_path, cols):
+    # never square, so a swapped row/column index shows; the column count sets the
+    # per-column templates; each edge value as re and im; entries 20-23 pair the
+    # signed zeros, of which only (+0, +0) is printed without formatting, and
+    # entries 25-29 are all +0 (whole rows of them at 1 and 5 columns)
     values = [-0.0, 0.0, 5e-324, 1e-300, 1e300, float("inf"), float("nan"), 0.1]
-    m = np.array([complex(values[k % 8], -values[(3 * k) % 8]) for k in range(15)]).reshape(3, 5)
+    m = np.array([complex(values[k % 8], -values[(3 * k) % 8]) for k in range(20)]
+                 + [complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+                    complex(-0.0, -0.0), 0.1j]
+                 + [0j] * 5).reshape(-1, cols)
     path = tmp_path / "coeff.csv"
     write_coefficients(path, m)
     assert path.read_text() == _serial_coefficients(m)
-    assert _writer_count(len(m)) == min(cpus, 3)
+    tail = ["0,0", "0,-0", "-0,0", "-0,-0", "0,0.10000000000000001"] + ["0,0"] * 5
+    assert path.read_text().splitlines()[21:] == [
+        f"{k // cols},{k % cols},{reim}" for k, reim in enumerate(tail, start=20)]
 
 
-@pytest.mark.parametrize("cpus", CPUS, indirect=True)
-def test_write_coefficients_triangular_matches_loop(tmp_path, cpus):
-    # alpha's shape: the rows are split by nonzero count, so the ranges are uneven
+@pytest.mark.parametrize("classes", [1, 2, 3, 5])
+def test_write_coefficients_triangular_matches_loop(tmp_path, classes):
+    # alpha's shape: the rows hold ever fewer nonzero entries, and entries between
+    # two symmetry classes (here i % classes) are exact zeros
     rng = np.random.default_rng(7)
     m = np.triu(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    k = np.arange(64) % classes
+    m[k[:, None] != k[None, :]] = 0
     path = tmp_path / "coeff.csv"
     write_coefficients(path, m)
     assert path.read_text() == _serial_coefficients(m)
     assert sorted(os.listdir(tmp_path)) == ["coeff.csv"]
-
-
-def test_write_coefficients_without_fork_is_serial(tmp_path, monkeypatch):
-    # where processes cannot be forked, no start method is looked up at all
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", None)
-    m = np.arange(12, dtype=complex).reshape(4, 3) * (1 + 0.5j)
-    write_coefficients(tmp_path / "coeff.csv", m)
-    assert (tmp_path / "coeff.csv").read_text() == _serial_coefficients(m)
-    assert _writer_count(len(m)) == 1
-
-
-@pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "No space left on device"),
-                                     ValueError("formatting failed")])
-def test_write_coefficients_child_failure_names_path(tmp_path, monkeypatch, failure):
-    write_rows = resonat.io._write_rows
-
-    def failing(fh, mat, rows, cols):
-        if rows.start != 0:
-            raise failure
-        write_rows(fh, mat, rows, cols)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(resonat.io, "_write_rows", failing)
-    path = tmp_path / "coeff.csv"
-    with pytest.raises(OSError) as info:
-        write_coefficients(path, np.ones((6, 4), dtype=complex))
-    assert info.value.filename == str(path)
-    assert multiprocessing.active_children() == []
 
 
 def test_write_coefficients_memory_is_one_row(tmp_path):
