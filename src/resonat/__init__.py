@@ -43,6 +43,7 @@ from .imaging import (
     build_forward_map,
     homogeneous_hk_residual,
     l1_reconstruct,
+    l1_zero_threshold,
     l2_minimum_norm,
     resolution_metrics,
     synthesize_data,

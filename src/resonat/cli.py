@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from .imaging import (
     build_forward_map,
     homogeneous_hk_residual,
     l1_reconstruct,
+    l1_zero_threshold,
     l2_minimum_norm,
     resolution_metrics,
     synthesize_data,
@@ -174,17 +176,30 @@ _TABLE = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe loader, with YAML 1.2's decimal ints and floats for YAML 1.1's (010 is 10)."""
+    yaml_implicit_resolvers = {c: [r for r in rs if not r[0].endswith((":int", ":float"))]
+                               for c, rs in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+
+
+for _tag, _pattern in (("int", r"[-+]?[0-9]+"),
+                       ("float", r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")):
+    _Loader.add_implicit_resolver(f"tag:yaml.org,2002:{_tag}", re.compile(f"^{_pattern}$"),
+                                  list("-+.0123456789"))
+_Loader.add_constructor("tag:yaml.org,2002:int", lambda ld, node: int(ld.construct_scalar(node)))
+
+
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, _Loader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"config file is not UTF-8 text: {path}") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:   # ValueError: a bad !!int or !!float
         mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
         # PyYAML's own message spans several lines; a config error is one line
         detail = (f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
@@ -193,19 +208,6 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     return cfg
-
-
-def _exponent_hint(value) -> str:
-    """A hint for a number in exponent form that YAML 1.1 read as a string."""
-    for v in value if isinstance(value, list) else [value]:
-        if isinstance(v, str) and "e" in v.lower():
-            try:
-                float(v)
-            except ValueError:
-                continue
-            return (" (YAML 1.1 reads a number with an exponent as a string unless it has "
-                    "a dot and a signed exponent: write 1.0e+300, not 1.0e300 or 1e+300)")
-    return ""
 
 
 def _read(kind, value, path, cfg):
@@ -224,8 +226,7 @@ def _read(kind, value, path, cfg):
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"'{path}' must be {kind.__doc__}, got {value!r}"
-                          + _exponent_hint(value)) from None
+        raise ConfigError(f"'{path}' must be {kind.__doc__}, got {value!r}") from None
     if kind in (_vector, _direction) and len(out) != cfg["wave"]["dim"]:
         raise ConfigError(f"'{path}' must have wave.dim = {cfg['wave']['dim']} components, "
                           f"got {value!r}")
@@ -270,11 +271,6 @@ def _operator(cfg):
     n = (np.full(grid.n_points, p["value"]) if p["kind"] == "constant" else
          radial_bump(grid.points, p["center"], p["width"], p["peak"]))
     return ctx, grid, assemble_kd(grid, n, ctx)
-
-
-def _relative_mu(mu_rel, fmap, u):
-    """The L1 weight mu_rel * max|A^H u|; at mu_rel = 1 the solution is zero."""
-    return mu_rel * float(np.max(np.abs(fmap.matrix.conj().T @ u)))
 
 
 def cmd_spectrum(cfg, out: Path):
@@ -370,7 +366,8 @@ def cmd_image(cfg, out: Path):
             delta = p["delta_rel"] and p["delta_rel"] * float(np.linalg.norm(u) ** 2)
             res = l2_minimum_norm(fmap, u, mode=p["mode"], alpha=p["alpha"], delta=delta)
         else:
-            res = l1_reconstruct(fmap, u, mu=_relative_mu(p["mu_rel"], fmap, u), mode=p["mode"],
+            mu = p["mu_rel"] * l1_zero_threshold(fmap, u, p["mode"])
+            res = l1_reconstruct(fmap, u, mu=mu, mode=p["mode"],
                                  max_iters=p["max_iters"], tol=p["tol"])
         write_csv(out / f"result_{name}.csv", ["index", "re", "im", "magnitude"],
                   _result_rows(res.values))
@@ -420,7 +417,7 @@ def cmd_sweep_separation(cfg, out: Path):
         fmap = build_forward_map(grid, surface, ctx, tau=t, op=op)
         for s, src in pairs:
             u, _ = synthesize_data(fmap, src, noise, seed)
-            res = l1_reconstruct(fmap, u, mu=_relative_mu(sep["mu_rel"], fmap, u),
+            res = l1_reconstruct(fmap, u, mu=sep["mu_rel"] * l1_zero_threshold(fmap, u),
                                  max_iters=sep["max_iters"], tol=sep["tol"])
             met = resolution_metrics(res.values, src, grid)
             err = max(met.localization_errors) if met.localization_errors else float("inf")
@@ -470,9 +467,9 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"resonat: config error: {exc}", file=sys.stderr)
         return 2
-    except (ResonanceProximityError, NumericFailureError,
-            DiscrepancyInfeasibleError, np.linalg.LinAlgError, ArithmeticError) as exc:
-        print(f"resonat: {exc}", file=sys.stderr)
+    except (ResonanceProximityError, NumericFailureError, DiscrepancyInfeasibleError,
+            np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
+        print(f"resonat: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except OSError as exc:   # the config was read above, so this is an output
         print(f"resonat: cannot write {exc.filename or args.out}: {exc.strerror or exc}",

@@ -10,7 +10,9 @@ class SingularEvaluationError(InvalidArgumentError):
 
 
 class ResonanceProximityError(RuntimeError):
-    """1/tau (or z) falls within the cluster tolerance of the spectrum.
+    """1/tau (or z) is refused by the resonance rule of
+    volume.refuse_near_spectrum: |z - lambda| < RESONANCE_TOL (1 + |lambda|)
+    for an eigenvalue lambda. The cluster tolerance only groups eigenvalues.
 
     Carries the offending eigenvalue so callers can report or re-tune tau.
     """

@@ -175,9 +175,6 @@ def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",
         if discrepancy_sq(lo) > 1.1 * delta:
             raise DiscrepancyInfeasibleError(
                 f"delta={delta} below the minimum achievable discrepancy {discrepancy_sq(lo)}")
-        if discrepancy_sq(hi) < 0.9 * delta:
-            raise DiscrepancyInfeasibleError(
-                f"delta={delta} above the maximum bracketed discrepancy {discrepancy_sq(hi)}")
         a = None
         for _ in range(200):
             mid = np.sqrt(lo * hi)
@@ -207,6 +204,23 @@ def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return x * scale
 
 
+def _l1_system(W: np.ndarray, u: np.ndarray, mode: str):
+    """The (A, b) of the L1 functional (1/2)||A g - b||^2 + mu ||g||_1 of
+    `mode`, for the forward matrix W and the data u."""
+    if mode == "penalized":
+        return W, u
+    if mode == "normal_equation":
+        return W.conj().T @ W, W.conj().T @ u
+    raise InvalidArgumentError(f"unknown l1 mode {mode!r}")
+
+
+def l1_zero_threshold(fmap: ForwardMap, u: np.ndarray, mode: str = "penalized") -> float:
+    """max|A^H b| of the L1 functional of `mode` (see l1_reconstruct): g = 0
+    is its minimizer exactly when mu >= this."""
+    A, b = _l1_system(fmap.matrix, u, mode)
+    return float(np.max(np.abs(A.conj().T @ b)))
+
+
 def l1_reconstruct(fmap: ForwardMap, u: np.ndarray, mu: float,
                    mode: str = "penalized", max_iters: int = 2000,
                    tol: float = 1e-10) -> ImagingResult:
@@ -225,12 +239,7 @@ def l1_reconstruct(fmap: ForwardMap, u: np.ndarray, mu: float,
     if mu <= 0:
         raise InvalidArgumentError("mu must be positive")
     W = fmap.matrix
-    if mode == "penalized":
-        A, b = W, u
-    elif mode == "normal_equation":
-        A, b = W.conj().T @ W, W.conj().T @ u
-    else:
-        raise InvalidArgumentError(f"unknown l1 mode {mode!r}")
+    A, b = _l1_system(W, u, mode)
     L = float(np.linalg.norm(A, 2) ** 2)
     if L == 0:
         raise InvalidArgumentError("forward map is identically zero")

@@ -13,7 +13,7 @@ import yaml
 from scipy.linalg import LinAlgWarning
 
 import resonat
-from resonat.cli import _COMMANDS, _operator, main, read_config
+from resonat.cli import _COMMANDS, _operator, load_config, main, read_config
 from resonat.expansion import alpha_expansion, beta_expansion
 from resonat.errors import NumericFailureError
 from resonat.io import fmt, write_coefficients, write_csv
@@ -145,22 +145,44 @@ class TestConfigValidation:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert out.read_text() == "taken\n"
 
-    @pytest.mark.parametrize("text", ["wave: {k: 1.0e300, dim: 2}",
-                                      "wave: {k: 1.0, dim: 2}\npsf: {x0: [1e-1, 0.0]}"])
-    def test_unsigned_exponent_hint(self, tmp_path, capsys, text):
-        path = tmp_path / "exp.yaml"
-        path.write_text(text + "\ndomain: {shape: disk, radius: 1.0, cells: 8}\n")
+    @pytest.mark.parametrize("text, value", [
+        ("1e-13", 1e-13), ("1.0e300", 1e300), ("1e+300", 1e300), (".5e-3", 5e-4), ("010", 10),
+    ])
+    def test_number_reads_as_yaml_1_2(self, tmp_path, text, value):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"contrast: {{tau: {text}}}\n")
+        tau = load_config(path)["contrast"]["tau"]
+        assert tau == value and type(tau) is type(value)
+
+    @pytest.mark.parametrize("text", ["1:30", "0b11", "1_000", "0x10", "0o10"])
+    def test_non_decimal_number_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"wave: {{k: 1.0, dim: 2}}\ndomain: {{cells: {text}}}\n")
         out = tmp_path / "o"
-        assert run("psf", str(path), out) == 2
+        assert run("spectrum", str(path), out) == 2
+        assert capsys.readouterr().err == ("resonat: config error: 'domain.cells' must be "
+                                           f"an integer, got '{text}'\n")
+        assert not out.exists()
+
+    def test_safe_load_keeps_yaml_1_1(self):
+        assert yaml.safe_load("[010, 1:30, 1e-13]") == [8, 90, "1e-13"]
+
+    @pytest.mark.parametrize("text", ["!!int 0x10", "!!float abc"])
+    def test_bad_explicit_number_tag_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"wave: {{k: 1.0, dim: 2}}\ndomain: {{cells: {text}}}\n")
+        out = tmp_path / "o"
+        assert run("spectrum", str(path), out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("resonat: config error: ") and err.count("\n") == 1
-        assert "YAML 1.1" in err and "1.0e+300" in err
+        assert err.startswith("resonat: config error: config is not valid YAML: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
     def test_quoted_number_has_no_exponent_hint(self, tmp_path, capsys):
         cfg = dict(BASE, contrast={"tau": "3.0"})
         assert run("expand", write_cfg(tmp_path, cfg), tmp_path / "o") == 2
-        assert "YAML 1.1" not in capsys.readouterr().err
+        assert capsys.readouterr().err == ("resonat: config error: 'contrast.tau' must be "
+                                           "a finite number, got '3.0'\n")
 
     def test_yaml_syntax_error_one_line(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -209,7 +231,7 @@ class TestConfigValidation:
 
     def test_shipped_scenarios_read(self):
         for path in sorted(SCENARIOS.glob("*.yaml")):
-            raw = yaml.safe_load(path.read_text())
+            raw = load_config(path)
             readers = [required for _, required in _COMMANDS.values()
                        if set(required) <= set(raw)]
             assert readers, path.name
@@ -260,6 +282,23 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("resonat: ") and err.count("\n") == 1
         assert "N=268" in err and "GB" in err
+
+    # an allocation the system refuses, e.g. the lattice of domain.cells = 200000
+    # or surface.points = 2e9, raises before assemble_kd's memory guard runs
+    @pytest.mark.parametrize("command, builder", [
+        ("spectrum", "resonat.grids._lattice_grid"),
+        ("image", "resonat.cli.build_measurement_surface"),
+    ], ids=["lattice", "surface"])
+    @pytest.mark.parametrize("message", ["Unable to allocate 298. GiB for an array", ""],
+                             ids=["numpy", "bare"])
+    def test_refused_allocation_exit_1(self, tmp_path, capsys, monkeypatch, command, builder,
+                                       message):
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(builder, refuse)
+        base = BASE if command == "spectrum" else TestImage.CFG
+        assert run(command, write_cfg(tmp_path, base), tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"resonat: {message or 'MemoryError'}\n"
 
     @pytest.mark.parametrize("profile,blocks", [
         ({"kind": "constant", "value": 1.0}, [16, 12, 28, 28, 16, 12]),
@@ -529,6 +568,16 @@ class TestImage:
         assert l1["converged"] and 0 <= l1["gap"] <= 1e-4
         assert isinstance(l1["restarts"], int) and l1["restarts"] >= 0
 
+    @pytest.mark.parametrize("mode", ["penalized", "normal_equation"])
+    def test_l1_mu_rel_of_the_modes_own_threshold(self, tmp_path, mode):
+        # mu_rel = 1 is where g = 0 becomes the minimizer of the mode's own functional
+        for mu_rel, empty in [(0.02, False), (1.000001, True)]:
+            cfg = dict(self.CFG, methods={"l1": {"mode": mode, "mu_rel": mu_rel}})
+            out = tmp_path / f"{mu_rel}"
+            assert run("image", write_cfg(tmp_path, cfg), out) == 0
+            _, rows = read_rows(out / "result_l1.csv")
+            assert (not any(float(r[3]) for r in rows)) == empty, mu_rel
+
     def test_negative_noise_level_exit_2(self, tmp_path, capsys):
         cfg = dict(self.CFG, noise={"level": -0.5})
         out = tmp_path / "o"
@@ -554,6 +603,35 @@ class TestImage:
         assert run("image", p, out2) == 0
         for name in ("result_time_reversal.csv", "metrics.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestOffCenterBump:
+    """The shipped medium without lattice symmetry, end to end: one eig over
+    all N modes, and an n that differs from node to node in assembly and
+    radiation."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("off_center_bump")
+        for command in ("psf", "expand", "image"):
+            assert main([command, "--config", str(SCENARIOS / "off_center_bump.yaml"),
+                         "--out", str(out / command)]) == 0, command
+        return out
+
+    def test_psf_narrows(self, runs):
+        assert json.loads((runs / "psf" / "fwhm_report.json").read_text())["ratio"] < 1
+
+    def test_expand_one_class_meets_oracle(self, runs):
+        man = json.loads((runs / "expand" / "manifest.json").read_text())
+        _, nodes = read_rows(runs / "image" / "result_l1.csv")   # one row per grid node
+        assert man["symmetry_blocks"] == [len(nodes)]
+        assert man["oracle_rel_error_alpha"] <= 1e-7
+        assert man["oracle_rel_error_beta"] <= 1e-6
+
+    def test_l1_localizes_both_sources(self, runs):
+        l1 = json.loads((runs / "image" / "metrics.json").read_text())["methods"]["l1"]
+        assert len(l1["localization_errors"]) == 2
+        assert max(l1["localization_errors"]) <= 2.0 / 20   # one cell
 
 
 class TestHkCheck:

@@ -8,6 +8,7 @@ from resonat import (
     build_measurement_surface,
     homogeneous_hk_residual,
     l1_reconstruct,
+    l1_zero_threshold,
     l2_minimum_norm,
     resolution_metrics,
     synthesize_data,
@@ -249,6 +250,16 @@ class TestL1:
         mu = 1.001 * np.max(np.abs(A.conj().T @ u))
         res = l1_reconstruct(fmap, plain_data(u), mu=mu)
         assert np.all(res.values == 0)
+
+    @pytest.mark.parametrize("mode", ["penalized", "normal_equation"])
+    def test_zero_threshold_of_the_mode(self, rng, mode):
+        A = rng.normal(size=(8, 5))
+        fmap, u = matrix_map(A), plain_data(rng.normal(size=8))
+        A_mode, b = (A, u) if mode == "penalized" else (A.T @ A, A.T @ u)
+        mu0 = l1_zero_threshold(fmap, u, mode)
+        assert mu0 == pytest.approx(np.max(np.abs(A_mode.T @ b)), rel=1e-12)
+        assert np.all(l1_reconstruct(fmap, u, mu=1.001 * mu0, mode=mode).values == 0)
+        assert np.any(l1_reconstruct(fmap, u, mu=0.999 * mu0, mode=mode).values != 0)
 
     def test_subgradient_optimality(self, rng):
         A = rng.normal(size=(50, 120)) + 1j * rng.normal(size=(50, 120))
