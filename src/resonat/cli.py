@@ -177,9 +177,14 @@ _TABLE = {
 
 
 class _Loader(yaml.SafeLoader):
-    """The safe loader, with YAML 1.2's decimal ints and floats for YAML 1.1's (010 is 10)."""
-    yaml_implicit_resolvers = {c: [r for r in rs if not r[0].endswith((":int", ":float"))]
-                               for c, rs in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+    """The safe loader narrowed to the YAML types a config holds: str, null, seq, map and
+    YAML 1.2's decimal ints and floats (010 is 10). Any other tag, !!bool and !!timestamp
+    included, has no constructor, and a plain true or 2001-12-14 reads as a string."""
+    yaml_implicit_resolvers = {
+        c: [r for r in rs if not r[0].endswith((":bool", ":int", ":float", ":timestamp"))]
+        for c, rs in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+    yaml_constructors = {t: c for t, c in yaml.SafeLoader.yaml_constructors.items()
+                         if t is None or t.endswith((":null", ":float", ":str", ":seq", ":map"))}
 
 
 for _tag, _pattern in (("int", r"[-+]?[0-9]+"),
@@ -350,6 +355,13 @@ def _result_rows(values):
             for i, v in enumerate(values)]
 
 
+def _l1_solve(fmap, u, p, mode="penalized"):
+    """l1_reconstruct of `mode` with mu = mu_rel times its zero threshold and the
+    _L1_SOLVE keys of the table p."""
+    mu = p["mu_rel"] * l1_zero_threshold(fmap, u, mode)
+    return l1_reconstruct(fmap, u, mu=mu, mode=mode, max_iters=p["max_iters"], tol=p["tol"])
+
+
 def cmd_image(cfg, out: Path):
     ctx, grid, op = _operator(cfg)
     surface = build_measurement_surface(cfg["surface"]["radius"], cfg["surface"]["points"], ctx)
@@ -366,9 +378,7 @@ def cmd_image(cfg, out: Path):
             delta = p["delta_rel"] and p["delta_rel"] * float(np.linalg.norm(u) ** 2)
             res = l2_minimum_norm(fmap, u, mode=p["mode"], alpha=p["alpha"], delta=delta)
         else:
-            mu = p["mu_rel"] * l1_zero_threshold(fmap, u, p["mode"])
-            res = l1_reconstruct(fmap, u, mu=mu, mode=p["mode"],
-                                 max_iters=p["max_iters"], tol=p["tol"])
+            res = _l1_solve(fmap, u, p, p["mode"])
         write_csv(out / f"result_{name}.csv", ["index", "re", "im", "magnitude"],
                   _result_rows(res.values))
         met = resolution_metrics(res.values, sources, grid)
@@ -417,8 +427,7 @@ def cmd_sweep_separation(cfg, out: Path):
         fmap = build_forward_map(grid, surface, ctx, tau=t, op=op)
         for s, src in pairs:
             u, _ = synthesize_data(fmap, src, noise, seed)
-            res = l1_reconstruct(fmap, u, mu=sep["mu_rel"] * l1_zero_threshold(fmap, u),
-                                 max_iters=sep["max_iters"], tol=sep["tol"])
+            res = _l1_solve(fmap, u, sep)
             met = resolution_metrics(res.values, src, grid)
             err = max(met.localization_errors) if met.localization_errors else float("inf")
             rows.append((s, medium, err, met.recovered))

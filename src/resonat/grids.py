@@ -9,11 +9,21 @@ clipping), which gives an O(h) boundary error in the total measure.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericFailureError
+
+
+def _require_memory(need: int, what: str) -> None:
+    """Refuse `what`, whose working set is `need` bytes, when that is more than
+    physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise NumericFailureError(f"{what} needs at least {need / 1e9:.1f} GB, more than "
+                                  f"the {have / 1e9:.1f} GB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -136,18 +146,23 @@ def radial_bump(points: np.ndarray, center, width: float, peak: float) -> np.nda
 
 def build_measurement_surface(R: float, m: int, ctx: WaveContext) -> MeasurementSurface:
     """Far-field quadrature surface: equispaced circle (2D) or a Gauss-Legendre
-    x uniform-azimuth product rule on the sphere (3D, >= m points)."""
+    x uniform-azimuth product rule on the sphere (3D, >= m points). Refuses a
+    surface that, with a Helmholtz-Kirchhoff residual over it, is larger than
+    physical memory."""
     if not (R > 0):
         raise InvalidArgumentError(f"surface radius must be positive, got {R}")
     if m < 4:
         raise InvalidArgumentError(f"need at least 4 surface points, got {m}")
+    n_theta = max(4, int(np.ceil(np.sqrt(m / 2.0))))   # polar nodes of the sphere
+    n = m if ctx.dim == 2 else 2 * n_theta**2
+    # homogeneous_hk_residual peaks at 40 (dim + 1) bytes a point, the surface included
+    _require_memory(40 * (ctx.dim + 1) * n, f"measurement surface of {n} points")
     if ctx.dim == 2:
         theta = 2.0 * np.pi * np.arange(m) / m
         pts = R * np.column_stack([np.cos(theta), np.sin(theta)])
         w = np.full(m, 2.0 * np.pi * R / m)
         return MeasurementSurface(points=pts, weights=w)
     # sphere: polar nodes from Gauss-Legendre in cos(theta), uniform azimuth
-    n_theta = max(4, int(np.ceil(np.sqrt(m / 2.0))))
     n_phi = 2 * n_theta
     mu, gw = np.polynomial.legendre.leggauss(n_theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi

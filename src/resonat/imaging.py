@@ -143,11 +143,8 @@ def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",
     if s[0] == 0:
         raise InvalidArgumentError("forward map is identically zero")
     coefs = Us.conj().T @ u
-    out_of_range = float(np.linalg.norm(u) ** 2 - np.linalg.norm(coefs) ** 2)
-    out_of_range = max(out_of_range, 0.0)
-
-    def tikhonov_solution(a):
-        return Vh.conj().T @ (s / (s**2 + a) * coefs)
+    unorm2 = float(np.linalg.norm(u) ** 2)
+    out_of_range = max(unorm2 - float(np.linalg.norm(coefs) ** 2), 0.0)
 
     def discrepancy_sq(a):
         return float(np.sum((a / (s**2 + a)) ** 2 * np.abs(coefs) ** 2) + out_of_range)
@@ -155,19 +152,18 @@ def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",
     meta = {"singular_value_max": float(s[0])}
     if mode == "exact":
         keep = s > 1e-12 * s[0]
-        g = Vh.conj().T @ np.where(keep, coefs / np.where(keep, s, 1.0), 0.0)
+        filtered = np.where(keep, coefs / np.where(keep, s, 1.0), 0.0)
         meta["truncated"] = int(np.sum(~keep))
         # the noise amplification of the pseudoinverse: s is sorted descending
         meta["condition_kept"] = float(s[0] / s[keep][-1])
     elif mode == "tikhonov":
         if alpha is None or alpha < 0:
             raise InvalidArgumentError("tikhonov mode needs alpha >= 0")
-        g = tikhonov_solution(alpha)
+        filtered = s / (s**2 + alpha) * coefs
         meta["alpha"] = float(alpha)
     elif mode == "morozov":
         if delta is None or delta <= 0:
             raise InvalidArgumentError("morozov mode needs delta > 0")
-        unorm2 = float(np.linalg.norm(u) ** 2)
         if delta >= unorm2:
             raise DiscrepancyInfeasibleError(
                 f"delta={delta} >= ||u||^2={unorm2}: the zero solution already over-fits")
@@ -188,12 +184,13 @@ def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",
                 lo = mid
         if a is None:
             raise DiscrepancyInfeasibleError("Morozov bisection failed to settle")
-        g = tikhonov_solution(a)
+        filtered = s / (s**2 + a) * coefs
         meta["alpha"] = float(a)
         meta["delta"] = float(delta)
         meta["discrepancy_sq"] = discrepancy_sq(a)
     else:
         raise InvalidArgumentError(f"unknown l2 mode {mode!r}")
+    g = Vh.conj().T @ filtered
     meta["residual"] = float(np.linalg.norm(A @ g - u))
     return ImagingResult(values=g, metadata=meta)
 

@@ -46,9 +46,7 @@ def sinc_psf(r, ctx: WaveContext):
     """Homogeneous 3D time-reversal point spread function -sin(kr)/(4 pi k r)."""
     if ctx.dim != 3:
         raise InvalidArgumentError("sinc_psf is defined for dim=3")
-    r = np.asarray(r, dtype=float)
-    out = -np.sinc(ctx.k * r / np.pi) / (4.0 * np.pi)
-    return out if out.ndim else float(out)
+    return im_g0_from_distance(r, ctx) / ctx.k
 
 
 def sinc_psf_fwhm(ctx: WaveContext) -> float:

@@ -16,7 +16,6 @@ direct solver and by the expansion module.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -24,8 +23,8 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.special import hankel1
 
-from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
-from .grids import DomainGrid, WaveContext
+from .errors import InvalidArgumentError, ResonanceProximityError
+from .grids import DomainGrid, WaveContext, _require_memory
 from .kernels import g0_between, g0_from_distance
 
 # Arnoldi steps of the resonance check; the nearest eigenvalues converge first
@@ -95,12 +94,7 @@ def assemble_kd(grid: DomainGrid, n: np.ndarray, ctx: WaveContext) -> DiscreteOp
     N = grid.n_points
     shape = np.array(grid.lattice_shape)
     table_shape = 2 * shape - 1
-    need = 24 * N**2 + 16 * int(np.prod(table_shape))
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise NumericFailureError(f"dense operator of size N={N} needs at least "
-                                  f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB "
-                                  "of physical memory")
+    _require_memory(24 * N**2 + 16 * int(np.prod(table_shape)), f"dense operator of size N={N}")
     # flat table positions: offset(i, j) = index_i - index_j + (s - 1) is at row[i] - col[j]
     col = np.ravel_multi_index(grid.lattice_index.T, table_shape)
     row = np.ravel_multi_index((grid.lattice_index + shape - 1).T, table_shape)

@@ -1,3 +1,4 @@
+import datetime
 import errno
 import json
 import os
@@ -13,7 +14,7 @@ import yaml
 from scipy.linalg import LinAlgWarning
 
 import resonat
-from resonat.cli import _COMMANDS, _operator, load_config, main, read_config
+from resonat.cli import _COMMANDS, _Loader, _operator, load_config, main, read_config
 from resonat.expansion import alpha_expansion, beta_expansion
 from resonat.errors import NumericFailureError
 from resonat.io import fmt, write_coefficients, write_csv
@@ -154,7 +155,9 @@ class TestConfigValidation:
         tau = load_config(path)["contrast"]["tau"]
         assert tau == value and type(tau) is type(value)
 
-    @pytest.mark.parametrize("text", ["1:30", "0b11", "1_000", "0x10", "0o10"])
+    # YAML 1.1 numbers, bools and dates that a config reads as strings
+    @pytest.mark.parametrize("text", ["1:30", "0b11", "1_000", "0x10", "0o10",
+                                      "true", "yes", "2001-12-14"])
     def test_non_decimal_number_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.yaml"
         path.write_text(f"wave: {{k: 1.0, dim: 2}}\ndomain: {{cells: {text}}}\n")
@@ -166,9 +169,17 @@ class TestConfigValidation:
 
     def test_safe_load_keeps_yaml_1_1(self):
         assert yaml.safe_load("[010, 1:30, 1e-13]") == [8, 90, "1e-13"]
+        assert yaml.safe_load("[010, true, 2001-12-14]") == [8, True, datetime.date(2001, 12, 14)]
 
-    @pytest.mark.parametrize("text", ["!!int 0x10", "!!float abc"])
-    def test_bad_explicit_number_tag_exit_2(self, tmp_path, capsys, text):
+    def test_loader_builds_only_config_types(self):
+        tags = {None, *(f"tag:yaml.org,2002:{t}" for t in ("null", "int", "float", "str",
+                                                              "seq", "map"))}
+        assert set(_Loader.yaml_constructors) == tags
+
+    @pytest.mark.parametrize("text", ["!!int 0x10", "!!float abc", "!!bool maybe",
+                                      "!!timestamp abc", "!!bool true", "!!set {}",
+                                      "!!binary AAAA"])
+    def test_bad_explicit_tag_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.yaml"
         path.write_text(f"wave: {{k: 1.0, dim: 2}}\ndomain: {{cells: {text}}}\n")
         out = tmp_path / "o"
@@ -283,8 +294,8 @@ class TestSpectrum:
         assert err.startswith("resonat: ") and err.count("\n") == 1
         assert "N=268" in err and "GB" in err
 
-    # an allocation the system refuses, e.g. the lattice of domain.cells = 200000
-    # or surface.points = 2e9, raises before assemble_kd's memory guard runs
+    # an allocation the system refuses, e.g. the lattice of domain.cells = 200000,
+    # raises before assemble_kd's memory guard runs
     @pytest.mark.parametrize("command, builder", [
         ("spectrum", "resonat.grids._lattice_grid"),
         ("image", "resonat.cli.build_measurement_surface"),
@@ -648,6 +659,20 @@ class TestHkCheck:
     def test_empty_radii_exit_2(self, tmp_path):
         cfg = {"wave": {"k": 1.0, "dim": 3}, "hk": {"radii": []}}
         assert run("hk-check", write_cfg(tmp_path, cfg), tmp_path / "o") == 2
+
+    def test_surface_beyond_memory_exit_1(self, tmp_path, capsys, monkeypatch):
+        # 1 002 528 sphere points at 160 bytes each, about 160 MB, against 64 MB
+        sysconf = os.sysconf
+        pages = 64 * 2**20 // sysconf("SC_PAGE_SIZE")
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+        cfg = {"wave": {"k": 1.0, "dim": 3}, "hk": {"radii": [50.0], "points": 1000000}}
+        out = tmp_path / "o"
+        assert run("hk-check", write_cfg(tmp_path, cfg), out) == 1
+        assert capsys.readouterr().err == ("resonat: measurement surface of 1002528 points "
+                                           "needs at least 0.2 GB, more than the 0.1 GB of "
+                                           "physical memory\n")
+        assert not (out / "hk.csv").exists()
 
 
 class TestSweepSeparation:
