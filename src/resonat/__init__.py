@@ -25,7 +25,6 @@ from .spectral import (
     SpectralSystem,
     eigendecompose,
     resolvent_chain_coefficients,
-    verify_resonant_mode,
 )
 from .expansion import (
     PsfProfile,

@@ -57,7 +57,7 @@ from .imaging import (
 )
 from .io import config_hash, write_coefficients, write_csv, write_json
 from .kernels import im_g0_from_distance
-from .spectral import eigendecompose, verify_resonant_mode
+from .spectral import dominant_spatial_frequency, eigendecompose
 from .volume import RESONANCE_TOL, assemble_kd, green_matrix
 
 
@@ -293,15 +293,17 @@ def cmd_spectrum(cfg, out: Path):
 
 
 def _resonant_mode(sys_, op, tau):
-    """The mode of the eigenvalue nearest 1/tau and the resonance rule's distance to it."""
+    """The mode of the eigenvalue nearest 1/tau, the resonance rule's distance to
+    it, the mode's eigen-residual ||M u - lambda u|| / ||u|| and its dominant
+    spatial frequency (None without a lattice to Fourier-analyze)."""
     if tau == 0:
         return None
     pos = int(np.argmin(np.abs(1.0 / tau - sys_.lambdas)))
-    lam = sys_.lambdas[pos]
-    residual, frequency = verify_resonant_mode(sys_, op, pos)
+    lam, u = sys_.lambdas[pos], sys_.U[:, pos]
     return {"index": pos, "eigenvalue": [float(lam.real), float(lam.imag)],
             "proximity": float(abs(1.0 / tau - lam) / (1.0 + abs(lam))),
-            "residual": residual, "dominant_frequency": frequency}
+            "residual": float(np.linalg.norm(op.matrix @ u - lam * u) / np.linalg.norm(u)),
+            "dominant_frequency": dominant_spatial_frequency(op, u)}
 
 
 def cmd_expand(cfg, out: Path):
@@ -369,6 +371,8 @@ def cmd_image(cfg, out: Path):
     fmap = build_forward_map(grid, surface, ctx, tau=tau, op=op)
     sources = [(s["location"], s["amplitude"]) for s in cfg["sources"]]
     u, noise_norm = synthesize_data(fmap, sources, noise, seed)
+    if not np.any(u):
+        raise InvalidArgumentError("the far-field data of 'sources' are identically zero")
     metrics = {"noise_level": noise, "seed": seed, "tau": tau,
                "noise_norm": noise_norm, "methods": {}}
     for name, p in cfg["methods"].items():
@@ -405,7 +409,7 @@ def cmd_hk_check(cfg, out: Path):
         rows.append((R, resid, ratio))
         prev = resid
     write_csv(out / "hk.csv", ["R", "residual", "ratio"], rows)
-    return {"m": hk["points"]}
+    return {"m": surf.n_points}
 
 
 def cmd_sweep_separation(cfg, out: Path):

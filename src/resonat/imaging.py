@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DiscrepancyInfeasibleError, InvalidArgumentError
-from .grids import DomainGrid, MeasurementSurface, WaveContext
+from .grids import DomainGrid, MeasurementSurface, WaveContext, _require_memory
 from .kernels import g0_between, im_g0_from_distance
 from .volume import DiscreteOperator, check_exterior, green_matrix, radiate_matrix
 
@@ -50,15 +50,21 @@ def build_forward_map(grid: DomainGrid, surface: MeasurementSurface,
                       ctx: WaveContext, tau: float = 0.0,
                       op: Optional[DiscreteOperator] = None) -> ForwardMap:
     """Assemble the far-field map; tau != 0 radiates through the contrast
-    medium of `op`, which must be assembled on this grid and wave context."""
+    medium of `op`, which must be assembled on this grid and wave context.
+    Refuses a map that, with the largest command's use of it, is larger than
+    physical memory."""
     if op is not None and (op.ctx != ctx or not np.array_equal(op.grid.points, grid.points)):
         raise InvalidArgumentError("the volume operator is assembled on another grid "
                                    "or wave context than the forward map")
+    if tau != 0.0 and op is None:
+        raise InvalidArgumentError("high-contrast forward map needs the volume operator")
+    m, N = surface.n_points, grid.n_points
+    # building the map peaks at 16 (dim + 1) bytes a pair, and the largest commands at
+    # one complex m x N array more: sweep-separation keeps the other medium's map alive
+    _require_memory(16 * (ctx.dim + 2) * m * N, f"{m} x {N} forward map")
     if tau == 0.0:
         check_exterior(grid, surface.points)
         K = g0_between(surface.points, grid.points, ctx)
-    elif op is None:
-        raise InvalidArgumentError("high-contrast forward map needs the volume operator")
     else:
         K = radiate_matrix(op, surface.points, tau)
     return ForwardMap(kernel=K, grid=grid, surface=surface, ctx=ctx, tau=tau)
@@ -159,8 +165,6 @@ def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",
     elif mode == "tikhonov":
         if alpha is None or alpha < 0:
             raise InvalidArgumentError("tikhonov mode needs alpha >= 0")
-        filtered = s / (s**2 + alpha) * coefs
-        meta["alpha"] = float(alpha)
     elif mode == "morozov":
         if delta is None or delta <= 0:
             raise InvalidArgumentError("morozov mode needs delta > 0")
@@ -171,25 +175,24 @@ def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",
         if discrepancy_sq(lo) > 1.1 * delta:
             raise DiscrepancyInfeasibleError(
                 f"delta={delta} below the minimum achievable discrepancy {discrepancy_sq(lo)}")
-        a = None
         for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            d = discrepancy_sq(mid)
+            alpha = np.sqrt(lo * hi)
+            d = discrepancy_sq(alpha)
             if 0.9 * delta <= d <= 1.1 * delta:
-                a = mid
                 break
             if d > delta:
-                hi = mid
+                hi = alpha
             else:
-                lo = mid
-        if a is None:
+                lo = alpha
+        else:
             raise DiscrepancyInfeasibleError("Morozov bisection failed to settle")
-        filtered = s / (s**2 + a) * coefs
-        meta["alpha"] = float(a)
         meta["delta"] = float(delta)
-        meta["discrepancy_sq"] = discrepancy_sq(a)
+        meta["discrepancy_sq"] = d
     else:
         raise InvalidArgumentError(f"unknown l2 mode {mode!r}")
+    if mode != "exact":
+        filtered = s / (s**2 + alpha) * coefs
+        meta["alpha"] = float(alpha)
     g = Vh.conj().T @ filtered
     meta["residual"] = float(np.linalg.norm(A @ g - u))
     return ImagingResult(values=g, metadata=meta)

@@ -20,7 +20,7 @@ swapped modes of that other class. An operator without symmetry is the
 one-class case. `classes` records the class of each mode column,
 `symmetry_blocks` the size of every class, in the order of the classes, and
 `orbits` the basis of each class: per point, the column of its orbit and its
-entry in that orbit's unit vector.
+entry in that orbit's unit vector, and one point of each orbit.
 
 The orthonormalized basis E is produced by QR in the weighted discrete L2(D)
 inner product, one QR per symmetry class on the modes' orbit coordinates,
@@ -58,7 +58,7 @@ class SpectralSystem:
     weights: np.ndarray                    # (N,) quadrature weights of the inner product
     cluster_tol: float
     classes: np.ndarray                    # (N,) symmetry class per column, 0-based
-    orbits: list                           # per class: (column, entry), each (N,)
+    orbits: list                           # per class: column, entry (N,), a point per orbit
     warnings: List[str] = field(default_factory=list)
 
     @property
@@ -76,11 +76,9 @@ class SpectralSystem:
         divided by the point's entry; the weights are constant on orbits."""
         N = self.size
         E, A, B = (np.zeros((N, N), dtype=complex) for _ in range(3))
-        for c, (column, entry) in enumerate(self.orbits):
+        for c, (column, entry, points) in enumerate(self.orbits):
             cols = np.flatnonzero(self.classes == c)
             rows = np.flatnonzero(column >= 0)
-            _, first = np.unique(column[rows], return_index=True)
-            points = rows[first]
             Ez, A[np.ix_(cols, cols)], B[np.ix_(cols, cols)] = _weighted_qr(
                 self.U[np.ix_(points, cols)] / entry[points, None], self.weights[points])
             E[np.ix_(rows, cols)] = entry[rows, None] * Ez[column[rows]]
@@ -170,8 +168,9 @@ def _solve_class(M: np.ndarray, perms: np.ndarray, chars: np.ndarray):
     The basis vector of an orbit with representative r is sum_g chars[g]
     e_{perms[g, r]}, normalized; it is zero where the character is not trivial
     on the stabilizer of r. Returns the eigenvalues, the block eigenvectors Y,
-    and per point the column of its orbit (-1 off the class) and its entry in
-    that orbit's unit basis vector, so the modes are entry[:, None] * Y[column].
+    per point the column of its orbit (-1 off the class) and its entry in that
+    orbit's unit basis vector, so the modes are entry[:, None] * Y[column], and
+    the representatives.
     """
     N = perms.shape[1]
     reps = np.flatnonzero(perms.min(axis=0) == np.arange(N))
@@ -186,7 +185,7 @@ def _solve_class(M: np.ndarray, perms: np.ndarray, chars: np.ndarray):
     for p, c in zip(perms, chars):
         column[p[reps]] = np.arange(reps.size)
         entry[p[reps]] = c * np.sqrt(stab / len(perms))
-    return lam, Y, column, entry
+    return lam, Y, column, entry, reps
 
 
 def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
@@ -209,8 +208,8 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     for parities in product((1, -1), repeat=len(axes)):
         if swap is not None and mirror(parities) in solved:
             # the swapped modes of a solved class: the same eigenvalues and Y
-            lam, Y, column, entry = parts[solved[mirror(parities)]]
-            parts.append((lam, Y, column[swap], entry[swap]))
+            lam, Y, column, entry, reps = parts[solved[mirror(parities)]]
+            parts.append((lam, Y, column[swap], entry[swap], swap[reps]))
             continue
         solved[parities] = len(parts)
         swap_parities = (1, -1) if swap is not None and mirror(parities) == parities else (None,)
@@ -229,7 +228,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     lam, classes = lam[order], classes[order]
     V = np.zeros((N, N), dtype=complex)
     first = np.cumsum([0] + sizes)
-    for c, (_, Y, column, entry) in enumerate(parts):
+    for c, (_, Y, column, entry, _) in enumerate(parts):
         cols = np.flatnonzero(classes == c)
         rows = np.flatnonzero(column >= 0)
         V[np.ix_(rows, cols)] = entry[rows, None] * Y[np.ix_(column[rows], order[cols] - first[c])]
@@ -261,21 +260,6 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     return SpectralSystem(lambdas=lam, clusters=clusters, U=U, weights=w, cluster_tol=tol,
                           classes=classes, orbits=[part[2:] for part in parts],
                           warnings=warnings)
-
-
-def verify_resonant_mode(sys: SpectralSystem, op: DiscreteOperator, pos: int):
-    """Eigen-residual of the mode in column `pos` and its dominant spatial frequency.
-
-    Returns (||M u - lambda u|| / ||u||, dominant_frequency); the frequency is
-    None when the grid carries no Cartesian lattice to Fourier-analyze.
-    """
-    lam = sys.lambdas[pos]
-    if lam == 0:
-        raise InvalidArgumentError("zero is not a point-spectrum eigenvalue")
-    u = sys.U[:, pos]
-    resid = np.linalg.norm(op.matrix @ u - lam * u) / np.linalg.norm(u)
-    freq = dominant_spatial_frequency(op, u)
-    return float(resid), freq
 
 
 def dominant_spatial_frequency(op: DiscreteOperator, values: np.ndarray):

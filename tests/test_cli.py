@@ -89,6 +89,15 @@ MALFORMED = {
 }
 
 
+@pytest.fixture
+def memory_64mb(monkeypatch):
+    """os.sysconf reporting 64 MB of physical memory."""
+    sysconf = os.sysconf
+    pages = 64 * 2**20 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+
+
 def read_rows(path):
     lines = Path(path).read_text().strip().split("\n")
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
@@ -606,6 +615,30 @@ class TestImage:
                                            f"config key 'methods.l2.{key}'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sources, methods", [
+        ([{"location": [0.2, -0.1], "amplitude": [0.0, 0.0]}], {"time_reversal": {}, "l1": {}}),
+        ([{"location": [0.2, -0.1], "amplitude": [1.0, 0.0]},
+          {"location": [0.2, -0.1], "amplitude": [-1.0, 0.0]}],
+         {"time_reversal": {}, "l2": {"mode": "morozov", "delta_rel": 0.0025}}),
+    ], ids=["zero_amplitude", "cancelling_pair"])
+    def test_zero_data_exit_2(self, tmp_path, capsys, sources, methods):
+        cfg = dict(self.CFG, sources=sources, methods=methods)
+        out = tmp_path / "o"
+        assert run("image", write_cfg(tmp_path, cfg), out) == 2
+        err = capsys.readouterr().err
+        assert "sources" in err and err.count("\n") == 1 and "Traceback" not in err
+        assert not any(out.iterdir())
+
+    def test_forward_map_beyond_memory_exit_1(self, tmp_path, capsys, memory_64mb):
+        # 20 000 x 316 pairs at 64 bytes each, about 0.4 GB, against 64 MB
+        cfg = yaml.safe_load((SCENARIOS / "imaging_quarter_wavelength.yaml").read_text())
+        cfg.update(surface={"radius": 100.0, "points": 20000}, methods={"time_reversal": {}})
+        out = tmp_path / "o"
+        assert run("image", write_cfg(tmp_path, cfg), out) == 1
+        assert capsys.readouterr().err == ("resonat: 20000 x 316 forward map needs at least "
+                                           "0.4 GB, more than the 0.1 GB of physical memory\n")
+        assert not any(out.iterdir())
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = dict(self.CFG, noise={"level": 0.05}, seed=5)
         p = write_cfg(tmp_path, cfg)
@@ -660,12 +693,15 @@ class TestHkCheck:
         cfg = {"wave": {"k": 1.0, "dim": 3}, "hk": {"radii": []}}
         assert run("hk-check", write_cfg(tmp_path, cfg), tmp_path / "o") == 2
 
-    def test_surface_beyond_memory_exit_1(self, tmp_path, capsys, monkeypatch):
+    def test_manifest_m_is_the_surface_size(self, tmp_path):
+        # the sphere rounds 2000 points up to 2 * 32^2
+        cfg = {"wave": {"k": 1.0, "dim": 3}, "hk": {"radii": [50.0]}}
+        out = tmp_path / "out"
+        assert run("hk-check", write_cfg(tmp_path, cfg), out) == 0
+        assert json.loads((out / "manifest.json").read_text())["m"] == 2048
+
+    def test_surface_beyond_memory_exit_1(self, tmp_path, capsys, memory_64mb):
         # 1 002 528 sphere points at 160 bytes each, about 160 MB, against 64 MB
-        sysconf = os.sysconf
-        pages = 64 * 2**20 // sysconf("SC_PAGE_SIZE")
-        monkeypatch.setattr(os, "sysconf",
-                            lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
         cfg = {"wave": {"k": 1.0, "dim": 3}, "hk": {"radii": [50.0], "points": 1000000}}
         out = tmp_path / "o"
         assert run("hk-check", write_cfg(tmp_path, cfg), out) == 1
