@@ -281,13 +281,12 @@ def _operator(cfg):
 def cmd_spectrum(cfg, out: Path):
     _, _, op = _operator(cfg)
     sys_ = eigendecompose(op)
-    # j is the cluster, l the column's place in it; every chain has length one
+    # j is the cluster, l the column's place in it, class the mode's symmetry class
     clusters = sys_.clusters
     place = np.arange(sys_.size) - np.searchsorted(clusters, clusters) + 1
-    rows = [(j, l, 1, float(lam.real), float(lam.imag), 1)
-            for j, l, lam in zip(clusters.tolist(), place.tolist(), sys_.lambdas)]
-    write_csv(out / "spectrum.csv",
-              ["j", "l", "k", "re", "im", "chain_len"], rows)
+    rows = [(j, l, c, float(lam.real), float(lam.imag)) for j, l, c, lam in
+            zip(clusters.tolist(), place.tolist(), sys_.classes.tolist(), sys_.lambdas)]
+    write_csv(out / "spectrum.csv", ["j", "l", "class", "re", "im"], rows)
     return {"n_modes": sys_.size, "cluster_tol": sys_.cluster_tol,
             "symmetry_blocks": sys_.symmetry_blocks, "warnings": sys_.warnings}
 
@@ -439,6 +438,7 @@ def cmd_sweep_separation(cfg, out: Path):
                            "medium": medium,
                            **{key: res.metadata[key] for key in
                               ("iterations", "converged", "objective", "gap", "restarts")}})
+        del fmap  # so that the next medium's map is not built beside this one
     write_csv(out / "sweep.csv",
               ["separation", "medium_tag", "localization_error", "success_flag"], rows)
     return {"tolerances": {"l1_tol": sep["tol"]}, "l1_solves": solves}

@@ -20,15 +20,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, eigvals, lu_factor, lu_solve, qr
+from scipy.linalg.blas import zgemm
 from scipy.special import hankel1
 
 from .errors import InvalidArgumentError, ResonanceProximityError
 from .grids import DomainGrid, WaveContext, _require_memory
 from .kernels import g0_between, g0_from_distance
 
-# Arnoldi steps of the resonance check; the nearest eigenvalues converge first
-ARNOLDI_STEPS = 20
+# columns of the resonance check's block; the nearest eigenvalues converge first
+RITZ_BLOCK_COLUMNS = 20
 # relative distance from 1/tau to an eigenvalue below which a solve is refused
 RESONANCE_TOL = 1e-8
 
@@ -153,40 +154,32 @@ def _factor(op: DiscreteOperator, tau: float):
 
 
 def _dominant_ritz_values(lu) -> np.ndarray:
-    """Ritz values of S^{-1} from ARNOLDI_STEPS Arnoldi steps, S given by its LU.
+    """Ritz values of S^{-1}, S given by its LU, from one step of subspace
+    iteration with Rayleigh-Ritz: Q = qr(S^{-1} X) for a block X of
+    RITZ_BLOCK_COLUMNS columns, then the eigenvalues of Q^H S^{-1} Q.
 
-    The start vector is fixed, so reruns are byte-identical. It is
+    The start block is fixed, so reruns are byte-identical. It is
     pseudo-random rather than constant because a constant vector is invariant
-    under the grid's symmetries, and its Krylov space would miss every mode of
+    under the grid's symmetries, and its span would miss every mode of
     another symmetry class.
     """
     N = lu[0].shape[0]
-    m = min(ARNOLDI_STEPS, N)
-    V = np.zeros((N, m + 1), dtype=complex)
-    H = np.zeros((m + 1, m), dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(N)
-    V[:, 0] = v0 / np.linalg.norm(v0)
-    for j in range(m):
-        w = lu_solve(lu, V[:, j], check_finite=False)
-        scale = np.linalg.norm(w)
-        for _ in range(2):  # classical Gram-Schmidt, repeated to keep V orthonormal
-            h = V[:, : j + 1].conj().T @ w
-            w -= V[:, : j + 1] @ h
-            H[: j + 1, j] += h
-        H[j + 1, j] = np.linalg.norm(w)
-        if H[j + 1, j].real <= 1e-14 * scale:
-            m = j + 1  # the Krylov space is invariant: its Ritz values are exact
-            break
-        V[:, j + 1] = w / H[j + 1, j]
-    return np.linalg.eigvals(H[:m, :m])
+    block = (N, min(RITZ_BLOCK_COLUMNS, N))
+    # X and S^{-1} X are temporaries, so neither outlives its use. Every step runs in
+    # scipy's BLAS: numpy has its own, and on two cores each switch between the two
+    # libraries' thread pools costs milliseconds, more than the step itself at N = 316
+    Q = qr(lu_solve(lu, np.random.default_rng(0).standard_normal(block), check_finite=False),
+           mode="economic", overwrite_a=True, check_finite=False)[0]
+    return eigvals(zgemm(1.0, Q, lu_solve(lu, Q, check_finite=False), trans_a=2),
+                   overwrite_a=True, check_finite=False)
 
 
 def check_resonance_proximity(op: DiscreteOperator, z: complex, lu=None):
     """Raise if z lies within RESONANCE_TOL of the spectrum of the matrix.
 
     The eigenvalues of M nearest z are the dominant eigenvalues of
-    (I - M/z)^{-1} (shift-invert), so a short Arnoldi iteration on the LU of
-    I - M/z finds them: lambda = z (1 - 1/nu) for each Ritz value nu. `lu` is
+    (I - M/z)^{-1} (shift-invert), so one block Rayleigh-Ritz step on the LU
+    of I - M/z finds them: lambda = z (1 - 1/nu) for each Ritz value nu. `lu` is
     that factorization as returned by scipy.linalg.lu_factor, passed when the
     caller has already built it for a solve; z must be nonzero.
     """

@@ -1,11 +1,13 @@
 import datetime
 import errno
+import gc
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -276,7 +278,7 @@ class TestSpectrum:
         out = tmp_path / "out"
         assert run("spectrum", write_cfg(tmp_path, BASE), out) == 0
         header, rows = read_rows(out / "spectrum.csv")
-        assert header == ["j", "l", "k", "re", "im", "chain_len"]
+        assert header == ["j", "l", "class", "re", "im"]
         man = json.loads((out / "manifest.json").read_text())
         assert len(rows) == man["n_modes"]
         mods = [abs(complex(float(r[3]), float(r[4]))) for r in rows]
@@ -286,7 +288,10 @@ class TestSpectrum:
         j, l = [int(r[0]) for r in rows], [int(r[1]) for r in rows]
         assert j[0] == 1 and all(b - a in (0, 1) for a, b in zip(j, j[1:]))
         assert l == [j[:i + 1].count(j[i]) for i in range(len(j))] and max(l) >= 2
-        assert {r[2] for r in rows} == {r[5] for r in rows} == {"1"}
+        # class is the mode's symmetry class, in the order of the eigenvalues
+        sys_ = eigendecompose(_operator(read_config(BASE))[2])
+        assert [int(r[2]) for r in rows] == sys_.classes.tolist()
+        assert len(set(r[2] for r in rows)) == len(sys_.symmetry_blocks) > 1
 
     def test_radial_bump_3d_default_center(self, tmp_path):
         cfg = {"wave": {"k": 1.0, "dim": 3},
@@ -727,6 +732,27 @@ class TestSweepSeparation:
         assert err.startswith("resonat: config error: separation 0.02 puts both sources")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "sweep.csv").exists()
+
+    def test_previous_map_dead_before_next_build(self, tmp_path, monkeypatch):
+        # one forward map per medium; the previous medium's map must be garbage
+        # when the next is built, so that two are never alive at once
+        build, maps, alive = resonat.cli.build_forward_map, [], []
+
+        def recording_build(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in maps])
+            fmap = build(*args, **kwargs)
+            maps.append(weakref.ref(fmap))
+            return fmap
+
+        monkeypatch.setattr("resonat.cli.build_forward_map", recording_build)
+        cfg = dict(TestImage.CFG, contrast={"tau": 3.0},
+                   separation={"values": [0.5], "media": ["homogeneous", "high_contrast"],
+                               "max_iters": 1})
+        cfg.pop("methods")
+        cfg.pop("sources")
+        assert run("sweep-separation", write_cfg(tmp_path, cfg), tmp_path / "o") == 0
+        assert alive == [[], [False]]
 
     def test_realized_separation_in_manifest(self, tmp_path):
         # with 21 cells (h = 0.095) and the pair on the x axis, 0.1, 0.12 and

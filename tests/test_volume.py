@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning
+from scipy.linalg import LinAlgWarning, lu_solve
 
 import resonat.volume
 from resonat import (
@@ -242,6 +242,39 @@ class TestResonanceCheck:
     def test_matches_dense_rule_disk(self, disk16, which, factor):
         _, _, op = disk16
         self._compare(op, op.matrix, which, factor)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("which", ["outer", "inner"])
+    def test_matches_dense_rule_degenerate_pair(self, disk16, which, factor):
+        # the axis swap maps a mode odd in x onto one odd in y: their eigenvalues
+        # are one double eigenvalue, equal in floating point to ~1e-14
+        _, _, op = disk16
+        lam = np.linalg.eigvals(op.matrix)
+        lam = lam[np.argsort(-np.abs(lam))]
+        pairs = np.flatnonzero(np.abs(np.diff(lam)) < 1e-12 * np.abs(lam[1:]))
+        target = lam[pairs[0] if which == "outer" else pairs[len(pairs) // 3]]
+        z = target + factor * 1e-8 * (1.0 + abs(target)) * np.exp(0.7j)
+        expect, nearest = dense_rule(op.matrix, z)
+        got, reported = shift_invert_rule(op, z)
+        assert got == expect == (factor < 1)
+        if got:
+            assert abs(reported - nearest) <= 1e-10 * abs(nearest)
+
+    @pytest.mark.parametrize("N", [5, 208])
+    def test_two_block_solves(self, disk16, monkeypatch, N):
+        # one solve gives the block's basis, one its Rayleigh quotient
+        op = disk16[2] if N == 208 else operator_from_matrix(random_nonnormal(N, 0))
+        z = 3.0 + 1.0j
+        lu = resonat.volume._factor(op, 1.0 / z)
+        widths = []
+
+        def counting_solve(lu, b, **kwargs):
+            widths.append(b.shape)
+            return lu_solve(lu, b, **kwargs)
+
+        monkeypatch.setattr(resonat.volume, "lu_solve", counting_solve)
+        check_resonance_proximity(op, z, lu)
+        assert widths == [(N, min(20, N))] * 2
 
     @staticmethod
     def _compare(op, M, which, factor):
