@@ -104,7 +104,8 @@ class MeasurementSurface:
 def _lattice_grid(radius: float, cells_per_diameter: int, ctx: WaveContext, dim: int,
                   name: str) -> DomainGrid:
     """Cells of the cells^dim lattice over [-radius, radius]^dim whose center
-    lies strictly inside the disk/ball, each weighted by the full cell measure."""
+    lies strictly inside the disk/ball, each weighted by the full cell measure;
+    refuses a cell measure that is zero, subnormal or infinite."""
     if ctx.dim != dim:
         raise InvalidArgumentError(f"{name} requires ctx.dim == {dim}")
     if not (radius > 0):
@@ -112,15 +113,17 @@ def _lattice_grid(radius: float, cells_per_diameter: int, ctx: WaveContext, dim:
     if cells_per_diameter < 2:
         raise InvalidArgumentError("cells_per_diameter must be at least 2")
     h = 2.0 * radius / cells_per_diameter
-    c = -radius + (np.arange(cells_per_diameter) + 0.5) * h
-    coords = np.meshgrid(*[c] * dim, indexing="ij")
+    with np.errstate(over="ignore", under="ignore"):
+        w = float(np.float64(h) ** dim)
+    if not np.finfo(float).tiny <= w < np.inf:
+        raise InvalidArgumentError(f"cell measure {w} of radius {radius} is not a normal float")
     lattice = np.meshgrid(*[np.arange(cells_per_diameter)] * dim, indexing="ij")
-    inside = sum(x**2 for x in coords) < radius**2
-    pts = np.column_stack([x[inside] for x in coords])
+    # center strictly inside, in half-cell units: sum (2 i + 1 - cells)^2 < cells^2
+    inside = sum((2 * i + 1 - cells_per_diameter) ** 2 for i in lattice) < cells_per_diameter**2
+    index = np.column_stack([i[inside] for i in lattice])
     return DomainGrid(
-        points=pts, weights=np.full(pts.shape[0], h**dim), cell_size=h, radius=radius,
-        lattice_index=np.column_stack([i[inside] for i in lattice]),
-        lattice_shape=(cells_per_diameter,) * dim,
+        points=-radius + (index + 0.5) * h, weights=np.full(index.shape[0], w), cell_size=h,
+        radius=radius, lattice_index=index, lattice_shape=(cells_per_diameter,) * dim,
     )
 
 

@@ -175,19 +175,14 @@ def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",
         if discrepancy_sq(lo) > 1.1 * delta:
             raise DiscrepancyInfeasibleError(
                 f"delta={delta} below the minimum achievable discrepancy {discrepancy_sq(lo)}")
-        for _ in range(200):
-            alpha = np.sqrt(lo * hi)
-            d = discrepancy_sq(alpha)
-            if 0.9 * delta <= d <= 1.1 * delta:
-                break
-            if d > delta:
+        # bisect log alpha to rounding: the root, or the bracket end nearest it
+        while lo < (alpha := np.sqrt(lo * hi)) < hi:
+            if discrepancy_sq(alpha) > delta:
                 hi = alpha
             else:
                 lo = alpha
-        else:
-            raise DiscrepancyInfeasibleError("Morozov bisection failed to settle")
         meta["delta"] = float(delta)
-        meta["discrepancy_sq"] = d
+        meta["discrepancy_sq"] = discrepancy_sq(alpha)
     else:
         raise InvalidArgumentError(f"unknown l2 mode {mode!r}")
     if mode != "exact":

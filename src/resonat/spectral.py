@@ -111,7 +111,7 @@ def _fix_column_phases(U: np.ndarray) -> np.ndarray:
 def _weighted_qr(U: np.ndarray, w: np.ndarray):
     """QR in the weighted inner product; returns E, A, B with E = U A, U = E B."""
     s = np.sqrt(w)
-    Q, R = np.linalg.qr(s[:, None] * U)
+    Q, R = scipy.linalg.qr(s[:, None] * U, mode="economic", check_finite=False)
     d = np.diag(R).copy()
     if np.any(np.abs(d) == 0):
         raise NumericFailureError("mode matrix is numerically rank deficient")

@@ -24,7 +24,7 @@ from scipy.linalg import LinAlgWarning, eigvals, lu_factor, lu_solve, qr
 from scipy.linalg.blas import zgemm
 from scipy.special import hankel1
 
-from .errors import InvalidArgumentError, ResonanceProximityError
+from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
 from .grids import DomainGrid, WaveContext, _require_memory
 from .kernels import g0_between, g0_from_distance
 
@@ -74,6 +74,8 @@ def _offset_table(grid: DomainGrid, ctx: WaveContext) -> np.ndarray:
     r.flat[0] = 1.0  # placeholder, overwritten below
     folded = w * g0_from_distance(r, ctx)
     folded.flat[0] = _diag_kernel_integral(w, ctx)
+    if not np.all(np.isfinite(folded)):
+        raise NumericFailureError(f"the kernel at cell size h = {h} is not finite")
     return folded[np.ix_(*[np.abs(np.arange(1 - s, s)) for s in grid.lattice_shape])]
 
 

@@ -901,3 +901,16 @@ def test_cli_import_skips_scipy_optimize():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "psf"])
+@pytest.mark.parametrize("radius, code", [(1e-200, 2), (1e-158, 2), (1e150, 1), (1e155, 2)])
+def test_extreme_radius_one_line(tmp_path, command, radius, code):
+    # a cell measure h^2 that is zero, subnormal or infinite exits 2, a kernel
+    # that is not finite exits 1: one line each, no warning, no traceback
+    cfg = dict(BASE, domain={"shape": "disk", "radius": radius, "cells": 12})
+    res = subprocess.run([sys.executable, "-m", "resonat.cli", command, "--config",
+                          write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")],
+                         env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert res.returncode == code
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("resonat: ")

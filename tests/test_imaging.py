@@ -226,6 +226,14 @@ class TestL2:
         res = l2_minimum_norm(fmap, u, mode="morozov", delta=delta)
         assert 0.9 * delta <= res.metadata["discrepancy_sq"] <= 1.1 * delta
 
+    def test_morozov_alpha_is_the_root(self, homog_setup):
+        # Morozov's alpha solves ||A g_alpha - u||^2 = delta, not a window around it
+        _, _, fmap = homog_setup
+        u, noise_norm = synthesize_data(fmap, [((0.2, 0.1), 1.0 + 0j)], 0.05, seed=11)
+        delta = noise_norm**2
+        res = l2_minimum_norm(fmap, u, mode="morozov", delta=delta)
+        assert abs(res.metadata["discrepancy_sq"] - delta) <= 1e-12 * delta
+
     def test_morozov_monotone_discrepancy(self):
         fmap = diag_map([3.0, 2.0, 1.0])
         u = plain_data([1.0, 1.0, 1.0])
