@@ -7,8 +7,8 @@ CSV files plus a manifest.json that pins the config hash, library version,
 seed, and every tolerance used. Reruns with the same config are
 byte-identical.
 
-Exit codes: 0 success, 1 numeric/runtime failure or an output that cannot be
-written, 2 configuration error.
+Exit codes: 0 success, 1 a NumericFailureError, a floating-point overflow, division
+by zero or invalid operation, or an unwritable output, 2 an InvalidArgumentError.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import (
-    DiscrepancyInfeasibleError,
-    InvalidArgumentError,
-    NumericFailureError,
-    ResonanceProximityError,
-)
+from .errors import InvalidArgumentError, NumericFailureError
 from .expansion import (
     alpha_expansion,
     beta_expansion,
@@ -59,10 +54,6 @@ from .io import config_hash, write_coefficients, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import dominant_spatial_frequency, eigendecompose
 from .volume import RESONANCE_TOL, assemble_kd, green_matrix
-
-
-class ConfigError(Exception):
-    pass
 
 
 REQUIRED = object()   # default of a key that must be given
@@ -199,63 +190,63 @@ def load_config(path) -> dict:
         with open(path, encoding="utf-8") as fh:
             cfg = yaml.load(fh, _Loader)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise InvalidArgumentError(f"config file not found: {path}")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        raise InvalidArgumentError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
-        raise ConfigError(f"config file is not UTF-8 text: {path}") from None
+        raise InvalidArgumentError(f"config file is not UTF-8 text: {path}") from None
     except (yaml.YAMLError, ValueError) as exc:   # ValueError: a bad !!int or !!float
         mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
         # PyYAML's own message spans several lines; a config error is one line
         detail = (f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
                   if mark and problem else " ".join(str(exc).split()))
-        raise ConfigError(f"config is not valid YAML: {detail}") from None
+        raise InvalidArgumentError(f"config is not valid YAML: {detail}") from None
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a mapping")
+        raise InvalidArgumentError("config root must be a mapping")
     return cfg
 
 
 def _read(kind, value, path, cfg):
     if isinstance(kind, dict):
         if not isinstance(value, dict):
-            raise ConfigError(f"'{path}' must be a mapping, got {value!r}")
+            raise InvalidArgumentError(f"'{path}' must be a mapping, got {value!r}")
         return _read_table(kind, value, path + ".", cfg, {})
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"'{path}' must be a non-empty list, got {value!r}")
+            raise InvalidArgumentError(f"'{path}' must be a non-empty list, got {value!r}")
         return [_read(kind[0], v, f"{path}[{i}]", cfg) for i, v in enumerate(value)]
     if isinstance(kind, tuple):
         if value not in kind:
-            raise ConfigError(f"'{path}' must be one of {', '.join(kind)}, got {value!r}")
+            raise InvalidArgumentError(f"'{path}' must be one of {', '.join(kind)}, got {value!r}")
         return value
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"'{path}' must be {kind.__doc__}, got {value!r}") from None
+        raise InvalidArgumentError(f"'{path}' must be {kind.__doc__}, got {value!r}") from None
     if kind in (_vector, _direction) and len(out) != cfg["wave"]["dim"]:
-        raise ConfigError(f"'{path}' must have wave.dim = {cfg['wave']['dim']} components, "
-                          f"got {value!r}")
+        raise InvalidArgumentError(f"'{path}' must have wave.dim = {cfg['wave']['dim']} "
+                                   f"components, got {value!r}")
     return out
 
 
 def _read_table(table, raw, prefix, cfg, out):
     for key in raw:
         if key not in table:
-            raise ConfigError(f"unknown config key '{prefix}{key}'")
+            raise InvalidArgumentError(f"unknown config key '{prefix}{key}'")
     for key, (kind, default) in table.items():
         if key in raw:
             out[key] = _read(kind, raw[key], prefix + key, cfg)
             continue
         value = default(cfg, out) if callable(default) else default
         if value is REQUIRED:
-            raise ConfigError(f"missing required config key '{prefix}{key}'")
+            raise InvalidArgumentError(f"missing required config key '{prefix}{key}'")
         if value is not OPTIONAL:
             out[key] = None if value is None else _read(kind, value, prefix + key, cfg)
     return out
 
 
 def read_config(raw: dict, required=()) -> dict:
-    """The typed, default-filled config of a YAML mapping; raises ConfigError.
+    """The typed, default-filled config of a YAML mapping; raises InvalidArgumentError.
 
     `required` names the sections a command needs. A section that is not
     given reads as empty, except hk, separation and sources, which are then
@@ -263,7 +254,7 @@ def read_config(raw: dict, required=()) -> dict:
     """
     for name in required:
         if name not in raw:
-            raise ConfigError(f"missing required config section '{name}'")
+            raise InvalidArgumentError(f"missing required config section '{name}'")
     cfg = {}
     return _read_table(_TABLE, raw, "", cfg, cfg)
 
@@ -469,19 +460,20 @@ def main(argv=None) -> int:
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
-        # each command returns its own manifest fields, tolerances included
-        extra = func(cfg, out)
+            raise InvalidArgumentError(f"cannot create output directory {out}: "
+                                       f"{exc.strerror}") from None
+        # each command returns its manifest fields, tolerances included; numpy FP errors raise
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            extra = func(cfg, out)
         tolerances = {"resonance_proximity": RESONANCE_TOL, **extra.pop("tolerances", {})}
         write_json(out / "manifest.json",
                    {"command": args.command, "config_hash": config_hash(raw),
                     "version": __version__, "seed": cfg["seed"], "tolerances": tolerances,
                     **extra})
-    except (ConfigError, InvalidArgumentError) as exc:
+    except InvalidArgumentError as exc:
         print(f"resonat: config error: {exc}", file=sys.stderr)
         return 2
-    except (ResonanceProximityError, NumericFailureError, DiscrepancyInfeasibleError,
-            np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
+    except (NumericFailureError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
         print(f"resonat: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except OSError as exc:   # the config was read above, so this is an output

@@ -1,15 +1,17 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, one per exit code of the CLI."""
 
 
 class InvalidArgumentError(ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition (CLI exit code 2)."""
 
 
-class SingularEvaluationError(InvalidArgumentError):
-    """A kernel was evaluated at its singular point."""
+class NumericFailureError(RuntimeError):
+    """No trustworthy result (CLI exit code 1): 1/tau is refused by the resonance
+    rule, a Morozov discrepancy target cannot be met, or a dense linear-algebra
+    routine failed to converge or cannot fit its matrices in memory."""
 
 
-class ResonanceProximityError(RuntimeError):
+class ResonanceProximityError(NumericFailureError):
     """1/tau (or z) is refused by the resonance rule of
     volume.refuse_near_spectrum: |z - lambda| < RESONANCE_TOL (1 + |lambda|)
     for an eigenvalue lambda. The cluster tolerance only groups eigenvalues.
@@ -23,12 +25,3 @@ class ResonanceProximityError(RuntimeError):
         super().__init__(
             f"evaluation point z={z} is within tolerance of eigenvalue {eigenvalue}"
         )
-
-
-class DiscrepancyInfeasibleError(RuntimeError):
-    """Morozov's principle cannot be satisfied for the requested delta."""
-
-
-class NumericFailureError(RuntimeError):
-    """A dense linear-algebra routine failed to converge, or its matrices
-    cannot fit in memory."""

@@ -123,10 +123,10 @@ def psf_profile(column: np.ndarray, grid: DomainGrid, x0_index: int,
     """Im G(x, x0) sampled along the grid line through x0 in the given
     nonzero direction; `column` is the grid column G(., x0)."""
     d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm == 0:
+    if not np.any(d):
         raise InvalidArgumentError("psf direction must be a nonzero vector")
-    d = d / norm
+    d = d / np.max(np.abs(d))   # first, so that the norm of [1e300, 1e300] is finite
+    d = d / np.linalg.norm(d)
     x0 = grid.points[x0_index]
     rel = grid.points - x0[None, :]
     t = rel @ d

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DiscrepancyInfeasibleError, InvalidArgumentError
+from .errors import InvalidArgumentError, NumericFailureError
 from .grids import DomainGrid, MeasurementSurface, WaveContext, _require_memory
 from .kernels import g0_between, im_g0_from_distance
 from .volume import DiscreteOperator, check_exterior, green_matrix, radiate_matrix
@@ -169,11 +169,11 @@ def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",
         if delta is None or delta <= 0:
             raise InvalidArgumentError("morozov mode needs delta > 0")
         if delta >= unorm2:
-            raise DiscrepancyInfeasibleError(
+            raise NumericFailureError(
                 f"delta={delta} >= ||u||^2={unorm2}: the zero solution already over-fits")
         lo, hi = 1e-14 * s[0] ** 2, 1e6 * s[0] ** 2
         if discrepancy_sq(lo) > 1.1 * delta:
-            raise DiscrepancyInfeasibleError(
+            raise NumericFailureError(
                 f"delta={delta} below the minimum achievable discrepancy {discrepancy_sq(lo)}")
         # bisect log alpha to rounding: the root, or the bracket end nearest it
         while lo < (alpha := np.sqrt(lo * hi)) < hi:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import hankel1, j0
 
-from .errors import InvalidArgumentError, SingularEvaluationError
+from .errors import InvalidArgumentError
 from .grids import WaveContext
 
 
@@ -18,7 +18,7 @@ def g0_from_distance(r, ctx: WaveContext):
     """Kernel value as a function of the separation distance r > 0 (vectorized)."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
-        raise SingularEvaluationError("free-space kernel evaluated at zero separation")
+        raise InvalidArgumentError("free-space kernel evaluated at zero separation")
     if ctx.dim == 3:
         return -np.exp(1j * ctx.k * r) / (4.0 * np.pi * r)
     return -0.25j * hankel1(0, ctx.k * r)

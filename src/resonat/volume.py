@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, eigvals, lu_factor, lu_solve, qr
 from scipy.linalg.blas import zgemm
-from scipy.special import hankel1
+from scipy.special import factorial, hankel1, j1
 
 from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
 from .grids import DomainGrid, WaveContext, _require_memory
@@ -49,13 +49,24 @@ class DiscreteOperator:
 
 
 def _diag_kernel_integral(w: float, ctx: WaveContext) -> complex:
-    """Integral of g0(x, .) over the disk/ball of measure w centered at x."""
+    """Integral of g0(x, .) over the disk/ball of measure w centered at x. The
+    closed forms cancel two O(1/k^2) terms, so below x = k rho = 0.1 the part
+    that cancels is summed as a power series in x."""
     k = ctx.k
     if ctx.dim == 2:
         rho = np.sqrt(w / np.pi)
+        if (x := k * rho) < 0.1:  # Re (pi rho/2k) Y1(x) + 1/k^2 by series; psi(m+1) = H_m - gamma
+            m = np.arange(12)
+            psi = np.cumsum(1.0 / np.maximum(m, 1)) - 1.0 - np.euler_gamma
+            s = (-1.0) ** m * (2 * psi + 1 / (m + 1)) * (x / 2) ** (2 * m + 2)
+            re = x * np.log(x / 2) * j1(x) - np.sum(s / (factorial(m) * factorial(m + 1)))
+            return complex(re / k**2, -0.5 * np.pi * rho / k * j1(x))
         # int_{|y|<rho} -(i/4) H0(kr) dy = -(i pi rho / 2k) H1(k rho) + 1/k^2
         return complex(-0.5j * np.pi * rho / k * hankel1(1, k * rho) + 1.0 / k**2)
     rho = (3.0 * w / (4.0 * np.pi)) ** (1.0 / 3.0)
+    if (x := k * rho) < 0.1:  # rho^2 sum_{m >= 2} (m - 1) i^m x^(m - 2) / m!
+        m = np.arange(2, 20)
+        return complex(rho**2 * np.sum((m - 1) * 1j**m * x ** (m - 2) / factorial(m)))
     # int_{|y|<rho} -e^{ikr}/(4 pi r) dy = (e^{ik rho}(ik rho - 1) + 1)/k^2
     return complex((np.exp(1j * k * rho) * (1j * k * rho - 1.0) + 1.0) / k**2)
 

@@ -903,14 +903,52 @@ def test_cli_import_skips_scipy_optimize():
     assert res.stdout.split() == ["False"]
 
 
+def _run_cli(tmp_path, command, cfg, out="o"):
+    return subprocess.run([sys.executable, "-m", "resonat.cli", command, "--config",
+                           write_cfg(tmp_path, cfg, f"{out}.yaml"), "--out", str(tmp_path / out)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("command", ["spectrum", "psf"])
 @pytest.mark.parametrize("radius, code", [(1e-200, 2), (1e-158, 2), (1e150, 1), (1e155, 2)])
 def test_extreme_radius_one_line(tmp_path, command, radius, code):
     # a cell measure h^2 that is zero, subnormal or infinite exits 2, a kernel
     # that is not finite exits 1: one line each, no warning, no traceback
-    cfg = dict(BASE, domain={"shape": "disk", "radius": radius, "cells": 12})
-    res = subprocess.run([sys.executable, "-m", "resonat.cli", command, "--config",
-                          write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")],
-                         env=_src_env(), capture_output=True, text=True, timeout=120)
+    res = _run_cli(tmp_path, command,
+                   dict(BASE, domain={"shape": "disk", "radius": radius, "cells": 12}))
     assert res.returncode == code
     assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("resonat: ")
+
+
+# k = 6 disk of 8 cells, tau = 3, a 16-point surface of radius 10, two sources
+HAZARD_BASE = dict(BASE, wave={"k": 6.0, "dim": 2},
+                   domain={"shape": "disk", "radius": 1.0, "cells": 8},
+                   surface={"radius": 10.0, "points": 16},
+                   sources=[{"location": [0.2, -0.1]}, {"location": [-0.3, 0.2]}],
+                   methods={"time_reversal": {}, "l2": {"mode": "exact"}, "l1": {}},
+                   separation={"values": [0.5]})
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("image", {"noise": {"level": 1e300}}),
+    ("sweep-separation", {"noise": {"level": 1e300}}),
+    ("image", {"sources": [{"location": [0.2, -0.1], "amplitude": [1e300, 1e300]}]}),
+    ("image", {"surface": {"radius": 1e300, "points": 16}}),
+    ("spectrum", {"profile": {"kind": "radial_bump", "width": 1e-300}}),
+], ids=["image_noise", "sweep_noise", "image_amplitude", "image_surface", "spectrum_width"])
+def test_floating_point_hazard_one_line(tmp_path, command, sections):
+    # a numpy overflow or invalid operation stops the command: exit 1, one line
+    res = _run_cli(tmp_path, command, dict(HAZARD_BASE, **sections))
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("resonat: ")
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+
+
+def test_psf_huge_direction_same_as_unit(tmp_path):
+    # the direction is scaled by its largest entry before its norm is taken
+    for out, d in (("huge", 1e300), ("unit", 1.0)):
+        cfg = dict(HAZARD_BASE, psf={"x0": [0.0, 0.0], "direction": [d, d]})
+        res = _run_cli(tmp_path, "psf", cfg, out)
+        assert res.returncode == 0, res.stderr
+    for name in ("fwhm_report.json", "psf_homogeneous.csv", "psf_high_contrast.csv"):
+        assert (tmp_path / "huge" / name).read_bytes() == (tmp_path / "unit" / name).read_bytes()

@@ -14,7 +14,7 @@ from resonat import (
     synthesize_data,
     time_reversal,
 )
-from resonat.errors import DiscrepancyInfeasibleError, InvalidArgumentError
+from resonat.errors import InvalidArgumentError, NumericFailureError
 from resonat.expansion import psf_profile
 from resonat.grids import build_ball_grid
 from resonat.imaging import ForwardMap, contrast_hk_residual, find_peaks
@@ -214,7 +214,7 @@ class TestL2:
         assert np.linalg.norm(res.values) <= 1e-10
 
     def test_morozov_infeasible_delta_too_large(self):
-        with pytest.raises(DiscrepancyInfeasibleError):
+        with pytest.raises(NumericFailureError):
             l2_minimum_norm(diag_map([2.0, 1.0]), plain_data([2.0, 1.0]),
                             mode="morozov", delta=100.0)
 

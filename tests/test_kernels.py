@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from resonat import WaveContext, g0_between, sinc_psf, sinc_psf_fwhm
-from resonat.errors import SingularEvaluationError
+from resonat.errors import InvalidArgumentError
 from resonat.kernels import g0_from_distance, im_g0_from_distance
 
 CTX3 = WaveContext(k=1.0, dim=3)
@@ -25,7 +25,7 @@ class TestG0:
         assert v.imag == pytest.approx(-0.25, abs=1e-6)
 
     def test_coincident_points_error(self):
-        with pytest.raises(SingularEvaluationError):
+        with pytest.raises(InvalidArgumentError):
             g0_between([[0.0, 0.0], [1.0, 2.0]], [[1.0, 2.0]], CTX2)
 
     def test_reciprocity_exact(self):

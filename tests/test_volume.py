@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning, lu_solve
+from scipy.special import hankel1
 
 import resonat.volume
 from resonat import (
@@ -121,6 +122,75 @@ class TestLatticeAssembly:
         assemble_kd(grid, n, ctx)
         cells = grid.lattice_shape[0]
         assert 0 < sum(counted) <= (2 * cells - 1) ** dim < grid.n_points**2
+
+
+# (dim, k, h, Re, Im) of the integral of g0 over the disk/ball of measure w = h^dim,
+# to 50 digits (mpmath: the Hankel closed form in 2D, the power series in 3D)
+DIAG_50_DIGITS = [
+    (2, 0.001, 0.1, "-1.6549944522949561482870246935976365876619821508586e-2",
+     "-2.4999999990052820915301556215367932328812138576913e-3"),
+    (2, 0.001, 0.001, "-2.3879300518802793911650346092288671405685514862692e-6",
+     "-2.4999999999999004150308471314549386368931208032439e-7"),
+    (2, 0.001, 1e-05, "-3.1208656507598074896291190518146609860502953097852e-10",
+     "-2.5000000000000004042507361240273272619784712431850e-11"),
+    (2, 0.001, 1e-07, "-3.8538012496392341395909953413963951214448790451230e-14",
+     "-2.4999999999999996026168260574995196913977978674913e-15"),
+    (2, 1.0, 0.1, "-5.5532253683548433889811581934329538316535029504691e-3",
+     "-2.4990054135255522332380698516278996201174803288553e-3"),
+    (2, 1.0, 0.001, "-1.2885265975429613348111397151367661220107658913891e-6",
+     "-2.4999999005281617737219403058913541198331768676846e-7"),
+    (2, 1.0, 1e-05, "-2.0214622524321476265851962381034477367758430688143e-10",
+     "-2.4999999999900532302546897983516053101478029349626e-11"),
+    (2, 1.0, 1e-07, "-2.7543978513200915629154121436934947735838029442871e-14",
+     "-2.4999999999999986078994264515484436367631539864009e-15"),
+    (2, 6.0, 0.1, "-2.6487146136681642052893841892752610484965716438755e-3",
+     "-2.4643607097023596193490818286015650514898941977599e-3"),
+    (2, 6.0, 0.001, "-1.0033576690168997573878808643083691862077413985848e-6",
+     "-2.4999964190154901137913298830656842957856447733242e-7"),
+    (2, 6.0, 1e-05, "-1.7362948758155061087333676205794532105771180754978e-10",
+     "-2.4999999996419017922582533928710737861583213698473e-11"),
+    (2, 6.0, 1e-07, "-2.4692304749606999870648206539175995088273736453950e-14",
+     "-2.4999999999999637927556250996256596963828519981446e-15"),
+    (3, 0.001, 0.1, "-1.9241736559444110870855114364806243717294012932297e-3",
+     "-7.9577471515323513556803378860710741038024979016810e-8"),
+    (3, 0.001, 0.001, "-1.9241736577954478721851279201129894432158185949238e-7",
+     "-7.9577471545944612079702296510768586324509442156532e-14"),
+    (3, 0.001, 1e-05, "-1.9241736577956332486557938108569190596629200762084e-11",
+     "-7.9577471545947691112227336661830234450992392711156e-20"),
+    (3, 0.001, 1e-07, "-1.9241736577956327958934801557164210789086930448847e-15",
+     "-7.9577471545947662183014389706534644387386318154357e-26"),
+    (3, 1.0, 0.1, "-1.9223228314107535646557378461536158281514815208376e-3",
+     "-7.9546851579763676582474256462508780369392868149776e-5"),
+    (3, 1.0, 0.001, "-1.9241734726734236845258062704387195382896687781622e-7",
+     "-7.9577468483530224876937110262395694677493690287548e-11"),
+    (3, 1.0, 1e-05, "-1.9241736577771210458412815822360734835994322360471e-11",
+     "-7.9577471545641448012925221786445813654019698305106e-17"),
+    (3, 1.0, 1e-07, "-1.9241736577956309446731987005370028537805522100146e-15",
+     "-7.9577471545947629902331216747058020575368890280517e-23"),
+    (3, 6.0, 0.1, "-1.8580408264541068797633779709772037990564091363885e-3",
+     "-4.7088265297215152355669803570941709655270351857354e-4"),
+    (3, 6.0, 0.001, "-1.9241669934010847392173766262711776886804554609028e-7",
+     "-4.7746416779383547844271701104766382438861161337191e-10"),
+    (3, 6.0, 1e-05, "-1.9241736571291932994554761635189513354871574494348e-11",
+     "-4.7746482920953792078969021728287799848384665446657e-16"),
+    (3, 6.0, 1e-07, "-1.9241736577955661518985549951123492351414001046354e-15",
+     "-4.7746482927567934833725818736706636631069794008422e-22"),
+]
+
+
+@pytest.mark.parametrize("dim, k, h, re, im", DIAG_50_DIGITS,
+                         ids=[f"{d}d-k{k}-h{h}" for d, k, h, _, _ in DIAG_50_DIGITS])
+def test_diag_kernel_integral_to_rounding(dim, k, h, re, im):
+    w = h**dim
+    D = _diag_kernel_integral(w, WaveContext(k=k, dim=dim))
+    rho = np.sqrt(w / np.pi) if dim == 2 else (3.0 * w / (4.0 * np.pi)) ** (1.0 / 3.0)
+    if k * rho < 0.1:   # the series: no cancellation
+        exact = complex(float(re), float(im))
+        assert abs(D - exact) <= 5e-15 * abs(exact)
+    elif dim == 2:      # the closed form, bit for bit
+        assert D == complex(-0.5j * np.pi * rho / k * hankel1(1, k * rho) + 1.0 / k**2)
+    else:
+        assert D == complex((np.exp(1j * k * rho) * (1j * k * rho - 1.0) + 1.0) / k**2)
 
 
 class TestApply:
