@@ -53,7 +53,7 @@ from .imaging import (
 from .io import config_hash, write_coefficients, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import dominant_spatial_frequency, eigendecompose
-from .volume import RESONANCE_TOL, assemble_kd, green_matrix
+from .volume import RESONANCE_TOL, assemble_kd, green_matrix, symmetry_blocks
 
 
 REQUIRED = object()   # default of a key that must be given
@@ -339,7 +339,7 @@ def cmd_psf(cfg, out: Path):
     if report.get("fwhm_high_contrast") is not None and report["fwhm_homogeneous"]:
         report["ratio"] = report["fwhm_high_contrast"] / report["fwhm_homogeneous"]
     write_json(out / "fwhm_report.json", report)
-    return {"x0_index": x0_index}
+    return {"x0_index": x0_index, "symmetry_blocks": symmetry_blocks(op)}
 
 
 def _result_rows(values):
@@ -382,9 +382,10 @@ def cmd_image(cfg, out: Path):
         entry["separation"] = met.separation if np.isfinite(met.separation) else None
         metrics["methods"][name] = entry
     write_json(out / "metrics.json", metrics)
+    extra = {"symmetry_blocks": symmetry_blocks(op)}
     if "l1" in cfg["methods"]:
-        return {"tolerances": {"l1_tol": cfg["methods"]["l1"]["tol"]}}
-    return {}
+        extra["tolerances"] = {"l1_tol": cfg["methods"]["l1"]["tol"]}
+    return extra
 
 
 def cmd_hk_check(cfg, out: Path):
@@ -432,7 +433,8 @@ def cmd_sweep_separation(cfg, out: Path):
         del fmap  # so that the next medium's map is not built beside this one
     write_csv(out / "sweep.csv",
               ["separation", "medium_tag", "localization_error", "success_flag"], rows)
-    return {"tolerances": {"l1_tol": sep["tol"]}, "l1_solves": solves}
+    return {"tolerances": {"l1_tol": sep["tol"]}, "l1_solves": solves,
+            "symmetry_blocks": symmetry_blocks(op)}
 
 
 _COMMANDS = {

@@ -51,7 +51,8 @@ class DomainGrid:
     ``lattice_index`` holds the integer Cartesian indices of each kept cell and
     ``lattice_shape`` the full lattice extent, so point values can be embedded
     back into a dense array (used for discrete Fourier diagnostics) and lattice
-    symmetries turned into point permutations (used by the blocked eigensolver).
+    symmetries turned into point permutations (used by the blocked eigensolver
+    and direct solve).
     """
 
     points: np.ndarray          # (N, dim)

@@ -10,14 +10,11 @@ one formula behind the resolvent: resolvent_chain_coefficients gives it for
 chains of any length, and each mode's weight lam^2/(z - lam) is its
 length-one case.
 
-M is block-diagonalized by the lattice symmetries it commutes with bit for
-bit: the reflection of each lattice axis and, where axes 0 and 1 have the
-same extent, their swap. The symmetry classes are the reflection parities,
-each one that the swap maps onto itself split by its swap parity. Each class
-is solved by one eig on its block in an orthonormal basis of lattice orbits;
-a class that the swap maps onto another is not solved, its modes are the
-swapped modes of that other class. An operator without symmetry is the
-one-class case. `classes` records the class of each mode column,
+M is block-diagonal over the lattice-symmetry classes of the volume module.
+Each class is solved by one eig on its block in an orthonormal basis of
+lattice orbits; a class that the swap maps onto another is not solved, its
+modes are the swapped modes of that other class. An operator without symmetry
+is the one-class case. `classes` records the class of each mode column,
 `symmetry_blocks` the size of every class, in the order of the classes, and
 `orbits` the basis of each class: per point, the column of its orbit and its
 entry in that orbit's unit vector, and one point of each orbit.
@@ -40,14 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from typing import List
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
-from .volume import DiscreteOperator
+from .volume import DiscreteOperator, _class_block, _symmetry_classes
 
 
 @dataclass
@@ -124,70 +120,6 @@ def _weighted_qr(U: np.ndarray, w: np.ndarray):
     return E, A, B
 
 
-def _symmetries(op: DiscreteOperator):
-    """The lattice symmetries that M and the weights keep bit for bit, as point
-    permutations: returns the axes whose reflection is kept, those reflections
-    in axis order, and the swap of axes 0 and 1, or None where it is not kept."""
-    grid, M = op.grid, op.matrix
-    index, shape = grid.lattice_index, grid.lattice_shape
-
-    def kept(image):
-        p = grid.lattice_permutation(image)
-        if p is None or np.array_equal(p, np.arange(p.size)):
-            return None
-        keeps = np.array_equal(op.weights[p], op.weights) and np.array_equal(M[np.ix_(p, p)], M)
-        return p if keeps else None
-
-    reflections = {}
-    for a, s in enumerate(shape):
-        image = index.copy()
-        image[:, a] = s - 1 - image[:, a]
-        reflections[a] = kept(image)
-    swap = None
-    if len(shape) > 1 and shape[0] == shape[1]:
-        swap = kept(index[:, [1, 0, *range(2, len(shape))]])
-    reflections = {a: p for a, p in reflections.items() if p is not None}
-    return list(reflections), list(reflections.values()), swap
-
-
-def _group(N: int, reflections, parities, swap, swap_parity):
-    """Permutations and character values of the group generated by the
-    reflections, with the given parities, and by the swap unless swap_parity is
-    None; the product of two elements p, q is p[q]."""
-    perms, chars = [np.arange(N)], [1]
-    for p, parity in zip(reflections, parities):
-        perms, chars = perms + [p[q] for q in perms], chars + [parity * c for c in chars]
-    if swap_parity is not None:
-        perms, chars = perms + [q[swap] for q in perms], chars + [swap_parity * c for c in chars]
-    return np.array(perms), np.array(chars)
-
-
-def _solve_class(M: np.ndarray, perms: np.ndarray, chars: np.ndarray):
-    """Eigenpairs of M on one symmetry class, given by the group and character.
-
-    The basis vector of an orbit with representative r is sum_g chars[g]
-    e_{perms[g, r]}, normalized; it is zero where the character is not trivial
-    on the stabilizer of r. Returns the eigenvalues, the block eigenvectors Y,
-    per point the column of its orbit (-1 off the class) and its entry in that
-    orbit's unit basis vector, so the modes are entry[:, None] * Y[column], and
-    the representatives.
-    """
-    N = perms.shape[1]
-    reps = np.flatnonzero(perms.min(axis=0) == np.arange(N))
-    stab = np.sum((perms[:, reps] == reps) * chars[:, None], axis=0)
-    reps, stab = reps[stab > 0], stab[stab > 0]
-    block = sum(c * M[np.ix_(reps, p[reps])] for p, c in zip(perms, chars))
-    try:
-        lam, Y = scipy.linalg.eig(block / np.sqrt(np.outer(stab, stab)), overwrite_a=True)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
-    column, entry = np.full(N, -1), np.zeros(N)
-    for p, c in zip(perms, chars):
-        column[p[reps]] = np.arange(reps.size)
-        entry[p[reps]] = c * np.sqrt(stab / len(perms))
-    return lam, Y, column, entry, reps
-
-
 def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     """Full complex eigendecomposition with deterministic ordering, one eig per
     symmetry class of the lattice.
@@ -198,23 +130,17 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     cluster. The weighted-orthonormal basis E, A, B is not formed here but on
     its first read, which is where a rank-deficient U is refused.
     """
-    M = op.matrix
-    N = M.shape[0]
-    axes, reflections, swap = _symmetries(op)
-    # the swap exchanges the parities of axes 0 and 1, which are kept together
-    mirror = (lambda s: (s[1], s[0], *s[2:])) if axes[:2] == [0, 1] else (lambda s: s)
-    solved = {}
-    parts = []   # per class, as _solve_class returns it
-    for parities in product((1, -1), repeat=len(axes)):
-        if swap is not None and mirror(parities) in solved:
-            # the swapped modes of a solved class: the same eigenvalues and Y
-            lam, Y, column, entry, reps = parts[solved[mirror(parities)]]
-            parts.append((lam, Y, column[swap], entry[swap], swap[reps]))
+    N = op.matrix.shape[0]
+    symmetry = _symmetry_classes(op)
+    parts = []   # per class, its eigenvalues and block eigenvectors Y
+    for i, c in enumerate(symmetry):
+        if c.source != i:   # the swapped modes of a solved class: the same eigenvalues and Y
+            parts.append(parts[c.source])
             continue
-        solved[parities] = len(parts)
-        swap_parities = (1, -1) if swap is not None and mirror(parities) == parities else (None,)
-        for e in swap_parities:
-            parts.append(_solve_class(M, *_group(N, reflections, parities, swap, e)))
+        try:
+            parts.append(scipy.linalg.eig(_class_block(op.matrix, c), overwrite_a=True))
+        except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
+            raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
 
     sizes = [part[0].size for part in parts]
     lam = np.concatenate([part[0] for part in parts])
@@ -228,10 +154,13 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     lam, classes = lam[order], classes[order]
     V = np.zeros((N, N), dtype=complex)
     first = np.cumsum([0] + sizes)
-    for c, (_, Y, column, entry, _) in enumerate(parts):
-        cols = np.flatnonzero(classes == c)
+    orbits = []   # per class: column, entry and a point per orbit
+    for i, (c, (_, Y)) in enumerate(zip(symmetry, parts)):
+        column, entry = c.orbit_entries(N)
+        orbits.append((column, entry, c.points[0]))
+        cols = np.flatnonzero(classes == i)
         rows = np.flatnonzero(column >= 0)
-        V[np.ix_(rows, cols)] = entry[rows, None] * Y[np.ix_(column[rows], order[cols] - first[c])]
+        V[np.ix_(rows, cols)] = entry[rows, None] * Y[np.ix_(column[rows], order[cols] - first[i])]
 
     # cluster consecutive eigenvalues within tol of the cluster representative
     members_of: List[List[int]] = []
@@ -258,8 +187,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     V /= np.sqrt(np.sum(w[:, None] * np.abs(V) ** 2, axis=0))
     U = _fix_column_phases(V)
     return SpectralSystem(lambdas=lam, clusters=clusters, U=U, weights=w, cluster_tol=tol,
-                          classes=classes, orbits=[part[2:] for part in parts],
-                          warnings=warnings)
+                          classes=classes, orbits=orbits, warnings=warnings)
 
 
 def dominant_spatial_frequency(op: DiscreteOperator, values: np.ndarray):

@@ -12,12 +12,22 @@ h |offset|; the kernel is evaluated once per offset, not once per point pair.
 The discrete delta column at grid node j is e_j / w_j, so
 M @ delta_j = -n_j * g0col_j, which pins the free-kernel column used by the
 direct solver and by the expansion module.
+
+M is block-diagonal over the lattice symmetries it keeps bit for bit: the
+reflection of each lattice axis and, where axes 0 and 1 have the same extent,
+their swap. The symmetry classes are the reflection parities, each one that the
+swap maps onto itself split by its swap parity; each class has an orthonormal
+basis of lattice orbits, and M in that basis is the class's block. A class that
+the swap maps onto another has the same block. The eigensolver runs one eig
+per block and the direct solver one LU per block; an operator without symmetry
+is the one-class case, whose block is M.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, eigvals, lu_factor, lu_solve, qr
@@ -32,6 +42,8 @@ from .kernels import g0_between, g0_from_distance
 RITZ_BLOCK_COLUMNS = 20
 # relative distance from 1/tau to an eigenvalue below which a solve is refused
 RESONANCE_TOL = 1e-8
+# rows of M gathered at a time into a class block, so that no temporary is N x N
+_GATHER_ROWS = 128
 
 
 @dataclass
@@ -42,6 +54,10 @@ class DiscreteOperator:
     grid: DomainGrid
     n: np.ndarray        # (N,) refractive index at the grid points
     ctx: WaveContext
+    # M[i, j] = -T[offset(i, j)] n_j for an offset table T that every axis reflection
+    # and the swap of equal-extent axes keep bit for bit, as assemble_kd builds it:
+    # a lattice symmetry then keeps M exactly when it keeps n and the weights
+    offset_kernel: bool = False
 
     @property
     def weights(self) -> np.ndarray:
@@ -114,7 +130,7 @@ def assemble_kd(grid: DomainGrid, n: np.ndarray, ctx: WaveContext) -> DiscreteOp
     row = np.ravel_multi_index((grid.lattice_index + shape - 1).T, table_shape)
     M = _offset_table(grid, ctx).ravel()[row[:, None] - col[None, :]]
     M *= -n
-    return DiscreteOperator(matrix=M, grid=grid, n=n, ctx=ctx)
+    return DiscreteOperator(matrix=M, grid=grid, n=n, ctx=ctx, offset_kernel=True)
 
 
 def operator_from_matrix(matrix: np.ndarray) -> DiscreteOperator:
@@ -152,18 +168,153 @@ def g0_matrix(op: DiscreteOperator, columns=slice(None)) -> np.ndarray:
     return -op.matrix[:, columns] / (op.n * op.weights)[columns]
 
 
+@dataclass(frozen=True)
+class _SymmetryClass:
+    """One symmetry class of M: a group G of lattice permutations g with a
+    character chi, and an orthonormal basis of one vector
+    sum_g chi(g) e_{g(r)} / sqrt(stab_r |G|) per orbit representative r, where
+    stab_r is the size of r's stabilizer; orbits whose stabilizer the character
+    is not trivial on have no vector."""
+
+    points: np.ndarray   # (|G|, n) g(r) per group element g, identity first, and representative r
+    chars: np.ndarray    # (|G|,) chi(g), +1 or -1
+    stab: np.ndarray     # (n,) stab_r
+    source: int          # the class whose block this one has: itself, or the one the swap maps
+
+    @property
+    def size(self) -> int:
+        return self.stab.size
+
+    @property
+    def norms(self) -> np.ndarray:
+        """sqrt(stab_r |G|) per representative: the norm of sum_g chi(g) e_{g(r)}."""
+        return np.sqrt(self.stab * self.chars.size)
+
+    def orbit_entries(self, N: int):
+        """Per point of the N, the basis vector of its orbit (-1 off the class)
+        and its entry in that unit vector."""
+        column, entry = np.full(N, -1), np.zeros(N)
+        for p, chi in zip(self.points, self.chars):
+            column[p] = np.arange(self.size)
+            entry[p] = chi * np.sqrt(self.stab / self.chars.size)
+        return column, entry
+
+
+def _symmetries(op: DiscreteOperator):
+    """The lattice symmetries that M and the weights keep bit for bit, as point
+    permutations: returns the axes whose reflection is kept, those reflections
+    in axis order, and the swap of axes 0 and 1, or None where it is not kept.
+    M is compared entry by entry, except for an offset_kernel operator, which
+    keeps a symmetry exactly when n does."""
+    grid = op.grid
+    index, shape = grid.lattice_index, grid.lattice_shape
+
+    def kept(image):
+        p = grid.lattice_permutation(image)
+        if (p is None or np.array_equal(p, np.arange(p.size))
+                or not np.array_equal(op.weights[p], op.weights)):
+            return None
+        keeps = (np.array_equal(op.n[p], op.n) if op.offset_kernel
+                 else np.array_equal(op.matrix[np.ix_(p, p)], op.matrix))
+        return p if keeps else None
+
+    reflections = {}
+    for a, s in enumerate(shape):
+        image = index.copy()
+        image[:, a] = s - 1 - image[:, a]
+        reflections[a] = kept(image)
+    swap = None
+    if len(shape) > 1 and shape[0] == shape[1]:
+        swap = kept(index[:, [1, 0, *range(2, len(shape))]])
+    reflections = {a: p for a, p in reflections.items() if p is not None}
+    return list(reflections), list(reflections.values()), swap
+
+
+def _group(N: int, reflections, parities, swap, swap_parity):
+    """Permutations and character values of the group generated by the
+    reflections, with the given parities, and by the swap unless swap_parity is
+    None; the product of two elements p, q is p[q]."""
+    perms, chars = [np.arange(N)], [1]
+    for p, parity in zip(reflections, parities):
+        perms, chars = perms + [p[q] for q in perms], chars + [parity * c for c in chars]
+    if swap_parity is not None:
+        perms, chars = perms + [q[swap] for q in perms], chars + [swap_parity * c for c in chars]
+    return np.array(perms), np.array(chars)
+
+
+def _orbit_class(perms: np.ndarray, chars: np.ndarray, source: int) -> _SymmetryClass:
+    """The class of a group and character; the representative of an orbit is its
+    smallest point."""
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
+    stab = np.sum((perms[:, reps] == reps) * chars[:, None], axis=0)
+    return _SymmetryClass(perms[:, reps[stab > 0]], chars, stab[stab > 0], source)
+
+
+def _symmetry_classes(op: DiscreteOperator) -> list:
+    """The symmetry classes of M, in the order of the module docstring; a class
+    that the swap maps onto an earlier one has its swapped basis."""
+    N = op.matrix.shape[0]
+    axes, reflections, swap = _symmetries(op)
+    # the swap exchanges the parities of axes 0 and 1, which are kept together
+    mirror = (lambda s: (s[1], s[0], *s[2:])) if axes[:2] == [0, 1] else (lambda s: s)
+    solved, classes = {}, []
+    for parities in product((1, -1), repeat=len(axes)):
+        if swap is not None and mirror(parities) in solved:
+            c = classes[solved[mirror(parities)]]
+            classes.append(_SymmetryClass(swap[c.points], c.chars, c.stab, c.source))
+            continue
+        solved[parities] = len(classes)
+        for e in (1, -1) if swap is not None and mirror(parities) == parities else (None,):
+            classes.append(_orbit_class(*_group(N, reflections, parities, swap, e), len(classes)))
+    return classes
+
+
+def symmetry_blocks(op: DiscreteOperator) -> list:
+    """The size of every symmetry class of M, in the order of the classes."""
+    return [c.size for c in _symmetry_classes(op)]
+
+
+def _add_signed(acc: np.ndarray, term: np.ndarray, chi: int) -> np.ndarray:
+    """acc + chi term for chi = +1 or -1, computed in place of acc."""
+    return (np.add if chi > 0 else np.subtract)(acc, term, out=acc)
+
+
+def _class_block(M: np.ndarray, c: _SymmetryClass, scale: complex = 1.0) -> np.ndarray:
+    """scale times the class's block sum_g chi(g) M[reps, g(reps)] / sqrt(stab stab^T),
+    M in the class's basis, as a Fortran-ordered array that LAPACK works on in
+    place. It is gathered _GATHER_ROWS rows of M at a time; without symmetry
+    the block is M itself, and the result M * scale."""
+    reps, n = c.points[0], c.size
+    out = np.empty((n, n), dtype=complex, order="F")
+    for start in range(0, n, _GATHER_ROWS):
+        rows = slice(start, start + _GATHER_ROWS)
+        strip = M[reps[rows]]
+        block = strip[:, reps]
+        for p, chi in zip(c.points[1:], c.chars[1:]):
+            _add_signed(block, strip[:, p], chi)
+        block /= np.sqrt(np.outer(c.stab[rows], c.stab))
+        np.multiply(block, scale, out=out[rows])
+        del strip   # before the next strip is gathered
+    return out
+
+
 def _factor(op: DiscreteOperator, tau: float):
-    """LU factorization of I - tau M (scipy.linalg.lu_factor form).
+    """LU factorizations of I - tau B over the blocks B of the symmetry classes
+    of M: returns the classes and, for each solved class that is not empty, by
+    its index, the LU of its block (scipy.linalg.lu_factor form).
 
     An exactly zero pivot is left for check_resonance_proximity to report, so
-    LAPACK's singular-matrix warning is silenced here. The matrix is built in
-    Fortran order so that LAPACK factors it in place, without a copy.
+    LAPACK's singular-matrix warning is silenced here.
     """
-    A = np.multiply(op.matrix, -tau, order="F")
-    A[np.diag_indices_from(A)] += 1.0
+    classes, lus = _symmetry_classes(op), {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(A, overwrite_a=True, check_finite=False)
+        for i, c in enumerate(classes):
+            if c.source == i and c.size:
+                A = _class_block(op.matrix, c, -tau)
+                A[np.diag_indices_from(A)] += 1.0
+                lus[i] = lu_factor(A, overwrite_a=True, check_finite=False)
+    return classes, lus
 
 
 def _dominant_ritz_values(lu) -> np.ndarray:
@@ -172,9 +323,8 @@ def _dominant_ritz_values(lu) -> np.ndarray:
     RITZ_BLOCK_COLUMNS columns, then the eigenvalues of Q^H S^{-1} Q.
 
     The start block is fixed, so reruns are byte-identical. It is
-    pseudo-random rather than constant because a constant vector is invariant
-    under the grid's symmetries, and its span would miss every mode of
-    another symmetry class.
+    pseudo-random rather than structured, such as a constant vector, whose span
+    can miss whole families of modes.
     """
     N = lu[0].shape[0]
     block = (N, min(RITZ_BLOCK_COLUMNS, N))
@@ -190,18 +340,23 @@ def _dominant_ritz_values(lu) -> np.ndarray:
 def check_resonance_proximity(op: DiscreteOperator, z: complex, lu=None):
     """Raise if z lies within RESONANCE_TOL of the spectrum of the matrix.
 
-    The eigenvalues of M nearest z are the dominant eigenvalues of
-    (I - M/z)^{-1} (shift-invert), so one block Rayleigh-Ritz step on the LU
-    of I - M/z finds them: lambda = z (1 - 1/nu) for each Ritz value nu. `lu` is
-    that factorization as returned by scipy.linalg.lu_factor, passed when the
-    caller has already built it for a solve; z must be nonzero.
+    The eigenvalues of a block B nearest z are the dominant eigenvalues of
+    (I - B/z)^{-1} (shift-invert), so one block Rayleigh-Ritz step on the LU
+    of I - B/z finds them: lambda = z (1 - 1/nu) for each Ritz value nu. The
+    step runs on each solved class's block, and the Ritz value nearest z over
+    all of them is the one reported. `lu` is the factorization as _factor
+    returns it, passed when the caller has already built it for a solve; z
+    must be nonzero.
     """
     if z == 0:
         raise InvalidArgumentError("resonance check needs a nonzero z = 1/tau")
-    lu = _factor(op, 1.0 / z) if lu is None else lu
-    if not np.all(np.diagonal(lu[0])):  # I - M/z is singular: z itself is an eigenvalue
-        raise ResonanceProximityError(z, z)
-    refuse_near_spectrum(z, z * (1.0 - 1.0 / _dominant_ritz_values(lu)))
+    _, lus = _factor(op, 1.0 / z) if lu is None else lu
+    ritz = []
+    for block_lu in lus.values():
+        if not np.all(np.diagonal(block_lu[0])):  # I - B/z is singular: z is an eigenvalue
+            raise ResonanceProximityError(z, z)
+        ritz.append(_dominant_ritz_values(block_lu))
+    refuse_near_spectrum(z, z * (1.0 - 1.0 / np.concatenate(ritz)))
 
 
 def refuse_near_spectrum(z: complex, lambdas: np.ndarray):
@@ -212,14 +367,36 @@ def refuse_near_spectrum(z: complex, lambdas: np.ndarray):
         raise ResonanceProximityError(z, lambdas[int(np.argmin(d))])
 
 
+def _add_class_solution(out: np.ndarray, free: np.ndarray, c: _SymmetryClass, lu) -> None:
+    """Add to out the part of (I - tau M)^{-1} free in class c, whose block's LU of
+    I - tau B is lu: the coordinates of free in the class's basis are |G| signed
+    row gathers, and the solution goes back by |G| signed row adds. Each step
+    works in place, so at most two arrays of the class's rows are alive."""
+    norms = c.norms[:, None]
+    x = np.asfortranarray(free[c.points[0]], dtype=complex)   # LAPACK solves it in place
+    for p, chi in zip(c.points[1:], c.chars[1:]):
+        _add_signed(x, free[p], chi)
+    x /= norms
+    x = lu_solve(lu, x, overwrite_b=True, check_finite=False)
+    x /= norms
+    for p, chi in zip(c.points, c.chars):
+        out[p] = _add_signed(out[p], x, chi)
+
+
 def _lippmann_schwinger(op: DiscreteOperator, tau: float, free: np.ndarray) -> np.ndarray:
     """(I - tau M)^{-1} free, for a nonzero tau: the total field of each
-    free-field column. Refused when 1/tau is within tolerance of the
-    spectrum; the resonance check reuses the factorization of the solve.
+    free-field column, solved class by class. Refused when 1/tau is within
+    tolerance of the spectrum; the resonance check reuses the factorization of
+    the solve.
     """
-    lu = _factor(op, tau)
-    check_resonance_proximity(op, 1.0 / tau, lu=lu)
-    return lu_solve(lu, free, check_finite=False)
+    factorization = classes, lus = _factor(op, tau)
+    check_resonance_proximity(op, 1.0 / tau, lu=factorization)
+    b = free.reshape(free.shape[0], -1)
+    out = np.zeros(b.shape, dtype=complex, order="F")
+    for c in classes:
+        if c.size:
+            _add_class_solution(out, b, c, lus[c.source])
+    return out.reshape(free.shape)
 
 
 def green_matrix(op: DiscreteOperator, tau: float, columns=slice(None)) -> np.ndarray:

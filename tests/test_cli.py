@@ -330,12 +330,16 @@ class TestSpectrum:
         ({"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5, "peak": 2.0}, [112]),
     ], ids=["constant", "off_center_bump"])
     def test_symmetry_blocks_in_manifest(self, tmp_path, profile, blocks):
-        # every class block, solved or mapped; a medium without symmetry is one block
-        cfg_path = write_cfg(tmp_path, dict(BASE, profile=profile))
-        for command in ("spectrum", "expand"):
+        # every class block, solved or mapped; a medium without symmetry is one block.
+        # The commands that solve on the operator record the same blocks as spectrum
+        cfg_path = write_cfg(tmp_path, dict(
+            BASE, profile=profile, surface={"radius": 50.0, "points": 32},
+            sources=[{"location": [0.2, -0.1]}], methods={"time_reversal": {}},
+            separation={"values": [0.5], "media": ["high_contrast"], "max_iters": 20}))
+        for command in ("spectrum", "expand", "psf", "image", "sweep-separation"):
             assert run(command, cfg_path, tmp_path / command) == 0
             man = json.loads((tmp_path / command / "manifest.json").read_text())
-            assert man["symmetry_blocks"] == blocks
+            assert man["symmetry_blocks"] == blocks, command
 
     def test_tau_independent(self, tmp_path):
         cfg = {k: v for k, v in BASE.items() if k != "contrast"}

@@ -1,7 +1,10 @@
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import LinAlgWarning, lu_solve
 from scipy.special import hankel1
 
@@ -332,8 +335,10 @@ class TestResonanceCheck:
 
     @pytest.mark.parametrize("N", [5, 208])
     def test_two_block_solves(self, disk16, monkeypatch, N):
-        # one solve gives the block's basis, one its Rayleigh quotient
+        # per solved class, one solve gives the block's basis and one its Rayleigh
+        # quotient; disk16 solves 5 of its 6 classes, a random matrix is one class
         op = disk16[2] if N == 208 else operator_from_matrix(random_nonnormal(N, 0))
+        solved = [29, 23, 52, 29, 23] if N == 208 else [N]
         z = 3.0 + 1.0j
         lu = resonat.volume._factor(op, 1.0 / z)
         widths = []
@@ -344,7 +349,27 @@ class TestResonanceCheck:
 
         monkeypatch.setattr(resonat.volume, "lu_solve", counting_solve)
         check_resonance_proximity(op, z, lu)
-        assert widths == [(N, min(20, N))] * 2
+        assert widths == [(n, min(20, n)) for n in solved for _ in range(2)]
+
+    def test_refused_near_each_solved_class(self, disk16):
+        # 1/tau within 0.5 times the tolerance of an eigenvalue of any solved class's
+        # block is refused, and the eigenvalue reported; dense eigvals is the oracle
+        _, _, op = disk16
+        dense = scipy.linalg.eigvals(op.matrix)
+        classes = resonat.volume._symmetry_classes(op)
+        solved = [c for i, c in enumerate(classes) if c.source == i and c.size]
+        assert len(solved) == 5
+        for c in solved:
+            block = scipy.linalg.eigvals(resonat.volume._class_block(op.matrix, c))
+            block = block[np.argsort(-np.abs(block))]
+            for lam in (block[0], block[c.size // 3]):   # outer and inner
+                target = dense[np.argmin(np.abs(dense - lam))]
+                assert abs(target - lam) <= 1e-12 * abs(lam)
+                z = target + 0.5e-8 * (1.0 + abs(target)) * np.exp(0.7j)
+                expect, nearest = dense_rule(op.matrix, z)
+                got, reported = shift_invert_rule(op, z)
+                assert got and expect
+                assert abs(reported - nearest) <= 1e-10 * abs(nearest)
 
     @staticmethod
     def _compare(op, M, which, factor):
@@ -519,6 +544,85 @@ class TestRadiate:
         build_forward_map(grid, build_measurement_surface(50.0, 32, ctx), ctx, tau=3.0, op=op)
         assert factors == [3.0]
         assert solves == []
+
+
+def medium(dim, cells, k, center=None):
+    """The unit disk or ball with n = 1, or with a radial bump (width 0.5, peak 2) at `center`."""
+    ctx = WaveContext(k=k, dim=dim)
+    grid = (build_disk_grid if dim == 2 else build_ball_grid)(1.0, cells, ctx)
+    n = np.ones(grid.n_points) if center is None else radial_bump(grid.points, center, 0.5, 2.0)
+    return assemble_kd(grid, n, ctx)
+
+
+def symmetric_line():
+    """M + M[::-1, ::-1] for a random M on the 40-point line: the reversal keeps it."""
+    rng = np.random.default_rng(3)
+    M = (rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))) / 40
+    return operator_from_matrix(M + M[::-1, ::-1])
+
+
+SOLVE_MEDIA = {
+    "disk16": lambda: medium(2, 16, 1.0),
+    "ball10": lambda: medium(3, 10, 1.0),
+    # odd extents: empty classes and points on the mirror lines
+    "disk3": lambda: medium(2, 3, 1.0),
+    "ball5": lambda: medium(3, 5, 1.0),
+    "centered_bump20": lambda: medium(2, 20, 6.0, center=[0.0, 0.0]),   # the swap only
+    "off_center_bump20": lambda: medium(2, 20, 6.0, center=[0.3, 0.1]),  # one class
+    "line": symmetric_line,
+}
+# the assembled media of SOLVE_MEDIA and the two of the psf_large benchmark
+RULE_MEDIA = {**{name: make for name, make in SOLVE_MEDIA.items() if name != "line"},
+              "psf_disk48": lambda: medium(2, 48, 6.0), "psf_ball14": lambda: medium(3, 14, 6.0)}
+
+
+class TestSymmetryClasses:
+    @pytest.mark.parametrize("tau", [3.0, 180.5])
+    @pytest.mark.parametrize("name", list(SOLVE_MEDIA))
+    def test_solves_match_dense(self, name, tau):
+        # every column form and the exterior rows against the dense solve of I - tau M
+        op = SOLVE_MEDIA[name]()
+        N = op.matrix.shape[0]
+        A = np.eye(N) - tau * op.matrix
+        G = scipy.linalg.solve(A, g0_matrix(op))
+        cols = [0, N // 2, N - 1]
+        for got, ref in ((green_matrix(op, tau, N // 3), G[:, N // 3]),
+                         (green_matrix(op, tau, cols), G[:, cols]),
+                         (green_matrix(op, tau), G)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        Z = build_measurement_surface(2.0 * op.grid.radius, 24, op.ctx).points
+        K = g0_between(Z, op.grid.points, op.ctx)
+        ref = scipy.linalg.solve(A, K.T).T
+        got = radiate_matrix(op, Z, tau)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", list(RULE_MEDIA))
+    def test_index_rule_matches_matrix_rule(self, name):
+        # an assembled operator keeps a symmetry when n and the weights do; comparing
+        # M entry by entry keeps the same generators
+        op = RULE_MEDIA[name]()
+        axes, reflections, swap = resonat.volume._symmetries(op)
+        by_matrix = resonat.volume._symmetries(replace(op, offset_kernel=False))
+        assert axes == by_matrix[0]
+        assert all(np.array_equal(p, q) for p, q in zip(reflections, by_matrix[1]))
+        assert (swap is None) == (by_matrix[2] is None)
+        assert swap is None or np.array_equal(swap, by_matrix[2])
+
+    @pytest.mark.parametrize("dim, cells", [(2, 32), (3, 14)])
+    def test_column_solve_memory(self, dim, cells):
+        # the blocks are gathered, not a transposed copy of M: the allocations of
+        # one Green column stay well below one N x N complex array
+        op = medium(dim, cells, 6.0)
+        N = op.matrix.shape[0]
+        j = op.grid.nearest_index([0.0] * dim)
+        tracemalloc.start()
+        try:
+            green_matrix(op, 180.5, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 16 * N**2
 
 
 class TestSingularValues:
