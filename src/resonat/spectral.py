@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
-from .volume import DiscreteOperator, _class_block, _symmetry_classes
+from .volume import DiscreteOperator, class_block, symmetry_classes
 
 
 @dataclass
@@ -131,14 +131,14 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     its first read, which is where a rank-deficient U is refused.
     """
     N = op.matrix.shape[0]
-    symmetry = _symmetry_classes(op)
+    symmetry = symmetry_classes(op)
     parts = []   # per class, its eigenvalues and block eigenvectors Y
     for i, c in enumerate(symmetry):
         if c.source != i:   # the swapped modes of a solved class: the same eigenvalues and Y
             parts.append(parts[c.source])
             continue
         try:
-            parts.append(scipy.linalg.eig(_class_block(op.matrix, c), overwrite_a=True))
+            parts.append(scipy.linalg.eig(class_block(op.matrix, c), overwrite_a=True))
         except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
             raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
 

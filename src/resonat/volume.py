@@ -56,7 +56,8 @@ class DiscreteOperator:
     ctx: WaveContext
     # M[i, j] = -T[offset(i, j)] n_j for an offset table T that every axis reflection
     # and the swap of equal-extent axes keep bit for bit, as assemble_kd builds it:
-    # a lattice symmetry then keeps M exactly when it keeps n and the weights
+    # a lattice symmetry then keeps M exactly when it keeps n and the weights. An
+    # operator whose matrix or n is replaced must set it to False
     offset_kernel: bool = False
 
     @property
@@ -169,7 +170,7 @@ def g0_matrix(op: DiscreteOperator, columns=slice(None)) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _SymmetryClass:
+class SymmetryClass:
     """One symmetry class of M: a group G of lattice permutations g with a
     character chi, and an orthonormal basis of one vector
     sum_g chi(g) e_{g(r)} / sqrt(stab_r |G|) per orbit representative r, where
@@ -205,7 +206,8 @@ def _symmetries(op: DiscreteOperator):
     permutations: returns the axes whose reflection is kept, those reflections
     in axis order, and the swap of axes 0 and 1, or None where it is not kept.
     M is compared entry by entry, except for an offset_kernel operator, which
-    keeps a symmetry exactly when n does."""
+    keeps a symmetry exactly when n does; there one row and one column of M are
+    compared as well, which catches a matrix no longer gathered from n."""
     grid = op.grid
     index, shape = grid.lattice_index, grid.lattice_shape
 
@@ -214,8 +216,12 @@ def _symmetries(op: DiscreteOperator):
         if (p is None or np.array_equal(p, np.arange(p.size))
                 or not np.array_equal(op.weights[p], op.weights)):
             return None
-        keeps = (np.array_equal(op.n[p], op.n) if op.offset_kernel
-                 else np.array_equal(op.matrix[np.ix_(p, p)], op.matrix))
+        M = op.matrix
+        if op.offset_kernel:
+            keeps = (np.array_equal(op.n[p], op.n) and np.array_equal(M[p[0], p], M[0])
+                     and np.array_equal(M[p, p[0]], M[:, 0]))
+        else:
+            keeps = np.array_equal(M[np.ix_(p, p)], M)
         return p if keeps else None
 
     reflections = {}
@@ -242,15 +248,15 @@ def _group(N: int, reflections, parities, swap, swap_parity):
     return np.array(perms), np.array(chars)
 
 
-def _orbit_class(perms: np.ndarray, chars: np.ndarray, source: int) -> _SymmetryClass:
+def _orbit_class(perms: np.ndarray, chars: np.ndarray, source: int) -> SymmetryClass:
     """The class of a group and character; the representative of an orbit is its
     smallest point."""
     reps = np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
     stab = np.sum((perms[:, reps] == reps) * chars[:, None], axis=0)
-    return _SymmetryClass(perms[:, reps[stab > 0]], chars, stab[stab > 0], source)
+    return SymmetryClass(perms[:, reps[stab > 0]], chars, stab[stab > 0], source)
 
 
-def _symmetry_classes(op: DiscreteOperator) -> list:
+def symmetry_classes(op: DiscreteOperator) -> list:
     """The symmetry classes of M, in the order of the module docstring; a class
     that the swap maps onto an earlier one has its swapped basis."""
     N = op.matrix.shape[0]
@@ -261,7 +267,7 @@ def _symmetry_classes(op: DiscreteOperator) -> list:
     for parities in product((1, -1), repeat=len(axes)):
         if swap is not None and mirror(parities) in solved:
             c = classes[solved[mirror(parities)]]
-            classes.append(_SymmetryClass(swap[c.points], c.chars, c.stab, c.source))
+            classes.append(SymmetryClass(swap[c.points], c.chars, c.stab, c.source))
             continue
         solved[parities] = len(classes)
         for e in (1, -1) if swap is not None and mirror(parities) == parities else (None,):
@@ -271,7 +277,7 @@ def _symmetry_classes(op: DiscreteOperator) -> list:
 
 def symmetry_blocks(op: DiscreteOperator) -> list:
     """The size of every symmetry class of M, in the order of the classes."""
-    return [c.size for c in _symmetry_classes(op)]
+    return [c.size for c in symmetry_classes(op)]
 
 
 def _add_signed(acc: np.ndarray, term: np.ndarray, chi: int) -> np.ndarray:
@@ -279,11 +285,13 @@ def _add_signed(acc: np.ndarray, term: np.ndarray, chi: int) -> np.ndarray:
     return (np.add if chi > 0 else np.subtract)(acc, term, out=acc)
 
 
-def _class_block(M: np.ndarray, c: _SymmetryClass, scale: complex = 1.0) -> np.ndarray:
+def class_block(M: np.ndarray, c: SymmetryClass, scale: complex = 1.0) -> np.ndarray:
     """scale times the class's block sum_g chi(g) M[reps, g(reps)] / sqrt(stab stab^T),
     M in the class's basis, as a Fortran-ordered array that LAPACK works on in
     place. It is gathered _GATHER_ROWS rows of M at a time; without symmetry
     the block is M itself, and the result M * scale."""
+    if c.chars.size == 1:   # the trivial group: every point is a representative
+        return np.multiply(M, scale, order="F", dtype=complex)
     reps, n = c.points[0], c.size
     out = np.empty((n, n), dtype=complex, order="F")
     for start in range(0, n, _GATHER_ROWS):
@@ -306,12 +314,12 @@ def _factor(op: DiscreteOperator, tau: float):
     An exactly zero pivot is left for check_resonance_proximity to report, so
     LAPACK's singular-matrix warning is silenced here.
     """
-    classes, lus = _symmetry_classes(op), {}
+    classes, lus = symmetry_classes(op), {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
         for i, c in enumerate(classes):
             if c.source == i and c.size:
-                A = _class_block(op.matrix, c, -tau)
+                A = class_block(op.matrix, c, -tau)
                 A[np.diag_indices_from(A)] += 1.0
                 lus[i] = lu_factor(A, overwrite_a=True, check_finite=False)
     return classes, lus
@@ -337,20 +345,23 @@ def _dominant_ritz_values(lu) -> np.ndarray:
                    overwrite_a=True, check_finite=False)
 
 
-def check_resonance_proximity(op: DiscreteOperator, z: complex, lu=None):
+def check_resonance_proximity(op: DiscreteOperator, z: complex):
     """Raise if z lies within RESONANCE_TOL of the spectrum of the matrix.
 
     The eigenvalues of a block B nearest z are the dominant eigenvalues of
     (I - B/z)^{-1} (shift-invert), so one block Rayleigh-Ritz step on the LU
     of I - B/z finds them: lambda = z (1 - 1/nu) for each Ritz value nu. The
     step runs on each solved class's block, and the Ritz value nearest z over
-    all of them is the one reported. `lu` is the factorization as _factor
-    returns it, passed when the caller has already built it for a solve; z
-    must be nonzero.
+    all of them is the one reported. z must be nonzero.
     """
     if z == 0:
         raise InvalidArgumentError("resonance check needs a nonzero z = 1/tau")
-    _, lus = _factor(op, 1.0 / z) if lu is None else lu
+    _refuse_near_class_spectra(z, _factor(op, 1.0 / z)[1])
+
+
+def _refuse_near_class_spectra(z: complex, lus: dict):
+    """check_resonance_proximity on the LUs of I - B/z of the solved classes, as
+    _factor returns them."""
     ritz = []
     for block_lu in lus.values():
         if not np.all(np.diagonal(block_lu[0])):  # I - B/z is singular: z is an eigenvalue
@@ -367,36 +378,44 @@ def refuse_near_spectrum(z: complex, lambdas: np.ndarray):
         raise ResonanceProximityError(z, lambdas[int(np.argmin(d))])
 
 
-def _add_class_solution(out: np.ndarray, free: np.ndarray, c: _SymmetryClass, lu) -> None:
-    """Add to out the part of (I - tau M)^{-1} free in class c, whose block's LU of
-    I - tau B is lu: the coordinates of free in the class's basis are |G| signed
-    row gathers, and the solution goes back by |G| signed row adds. Each step
-    works in place, so at most two arrays of the class's rows are alive."""
-    norms = c.norms[:, None]
-    x = np.asfortranarray(free[c.points[0]], dtype=complex)   # LAPACK solves it in place
-    for p, chi in zip(c.points[1:], c.chars[1:]):
-        _add_signed(x, free[p], chi)
+def _class_solution(free: np.ndarray, c: SymmetryClass, lu) -> np.ndarray:
+    """The part of (I - tau M)^{-1} free in class c, whose block's LU of I - tau B is
+    lu, as coordinates x: the part is sum_g chi(g) x at the rows g(reps). The
+    coordinates of free in the class's basis are |G| signed row gathers, made
+    _GATHER_ROWS rows at a time into the Fortran-ordered array that LAPACK
+    solves in place."""
+    reps, norms = c.points[0], c.norms[:, None]
+    x = np.empty((c.size, free.shape[1]), dtype=complex, order="F")
+    for start in range(0, c.size, _GATHER_ROWS):
+        rows = slice(start, start + _GATHER_ROWS)
+        x[rows] = free[reps[rows]]
+        for p, chi in zip(c.points[1:], c.chars[1:]):
+            _add_signed(x[rows], free[p[rows]], chi)
     x /= norms
     x = lu_solve(lu, x, overwrite_b=True, check_finite=False)
     x /= norms
-    for p, chi in zip(c.points, c.chars):
-        out[p] = _add_signed(out[p], x, chi)
+    return x
 
 
 def _lippmann_schwinger(op: DiscreteOperator, tau: float, free: np.ndarray) -> np.ndarray:
     """(I - tau M)^{-1} free, for a nonzero tau: the total field of each
-    free-field column, solved class by class. Refused when 1/tau is within
-    tolerance of the spectrum; the resonance check reuses the factorization of
-    the solve.
+    free-field column, solved class by class. free, a complex array, is
+    overwritten with the result: each class's coordinates are gathered from it
+    first, then scattered back by |G| signed row adds, _GATHER_ROWS rows at a
+    time. Refused when 1/tau is within tolerance of the spectrum; the resonance
+    check reuses the factorization of the solve.
     """
-    factorization = classes, lus = _factor(op, tau)
-    check_resonance_proximity(op, 1.0 / tau, lu=factorization)
-    b = free.reshape(free.shape[0], -1)
-    out = np.zeros(b.shape, dtype=complex, order="F")
-    for c in classes:
-        if c.size:
-            _add_class_solution(out, b, c, lus[c.source])
-    return out.reshape(free.shape)
+    classes, lus = _factor(op, tau)
+    _refuse_near_class_spectra(1.0 / tau, lus)
+    b = free.reshape(free.shape[0], -1)   # a view: free is a vector or a matrix
+    parts = [(c, _class_solution(b, c, lus[c.source])) for c in classes if c.size]
+    b[...] = 0.0
+    for c, x in parts:
+        for start in range(0, c.size, _GATHER_ROWS):
+            rows = slice(start, start + _GATHER_ROWS)
+            for p, chi in zip(c.points, c.chars):
+                b[p[rows]] = _add_signed(b[p[rows]], x[rows], chi)
+    return free
 
 
 def green_matrix(op: DiscreteOperator, tau: float, columns=slice(None)) -> np.ndarray:

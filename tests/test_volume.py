@@ -340,7 +340,6 @@ class TestResonanceCheck:
         op = disk16[2] if N == 208 else operator_from_matrix(random_nonnormal(N, 0))
         solved = [29, 23, 52, 29, 23] if N == 208 else [N]
         z = 3.0 + 1.0j
-        lu = resonat.volume._factor(op, 1.0 / z)
         widths = []
 
         def counting_solve(lu, b, **kwargs):
@@ -348,7 +347,7 @@ class TestResonanceCheck:
             return lu_solve(lu, b, **kwargs)
 
         monkeypatch.setattr(resonat.volume, "lu_solve", counting_solve)
-        check_resonance_proximity(op, z, lu)
+        check_resonance_proximity(op, z)
         assert widths == [(n, min(20, n)) for n in solved for _ in range(2)]
 
     def test_refused_near_each_solved_class(self, disk16):
@@ -356,11 +355,11 @@ class TestResonanceCheck:
         # block is refused, and the eigenvalue reported; dense eigvals is the oracle
         _, _, op = disk16
         dense = scipy.linalg.eigvals(op.matrix)
-        classes = resonat.volume._symmetry_classes(op)
+        classes = resonat.volume.symmetry_classes(op)
         solved = [c for i, c in enumerate(classes) if c.source == i and c.size]
         assert len(solved) == 5
         for c in solved:
-            block = scipy.linalg.eigvals(resonat.volume._class_block(op.matrix, c))
+            block = scipy.linalg.eigvals(resonat.volume.class_block(op.matrix, c))
             block = block[np.argsort(-np.abs(block))]
             for lam in (block[0], block[c.size // 3]):   # outer and inner
                 target = dense[np.argmin(np.abs(dense - lam))]
@@ -609,6 +608,17 @@ class TestSymmetryClasses:
         assert (swap is None) == (by_matrix[2] is None)
         assert swap is None or np.array_equal(swap, by_matrix[2])
 
+    def test_replaced_matrix_keeps_no_symmetry(self):
+        # a matrix that is no longer -T[offset] n, here M with its columns scaled
+        # unevenly, fails the row and column comparison of the index rule
+        op = medium(2, 16, 1.0)
+        d = np.random.default_rng(5).uniform(0.5, 1.5, op.matrix.shape[0])
+        scaled = replace(op, matrix=op.matrix * d)
+        assert resonat.volume._symmetries(scaled) == ([], [], None)
+        A = np.eye(d.size) - 3.0 * scaled.matrix
+        ref = scipy.linalg.solve(A, g0_matrix(scaled))
+        assert np.max(np.abs(green_matrix(scaled, 3.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("dim, cells", [(2, 32), (3, 14)])
     def test_column_solve_memory(self, dim, cells):
         # the blocks are gathered, not a transposed copy of M: the allocations of
@@ -623,6 +633,21 @@ class TestSymmetryClasses:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * 16 * N**2
+
+    @pytest.mark.parametrize("center", [None, [0.3, 0.1]])
+    def test_all_column_solve_memory(self, center):
+        # the solution is scattered back into the free-field columns, so beside them
+        # the all-column solve holds the LUs and the class coordinates and strips of
+        # rows: about 3 N x N complex arrays, one class or many
+        op = medium(2, 32, 1.0, center=center)
+        N = op.matrix.shape[0]
+        tracemalloc.start()
+        try:
+            green_matrix(op, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 16 * N**2
 
 
 class TestSingularValues:
