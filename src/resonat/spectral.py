@@ -43,6 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
+from .grids import _require_memory
 from .volume import DiscreteOperator, class_block, symmetry_classes
 
 
@@ -128,9 +129,12 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     block is badly conditioned are flagged in SpectralSystem.warnings. Eigenvalues
     within 1e-8 max(max |lambda|, 1) of a cluster's first one join that
     cluster. The weighted-orthonormal basis E, A, B is not formed here but on
-    its first read, which is where a rank-deficient U is refused.
+    its first read, which is where a rank-deficient U is refused. Refuses an N
+    whose modes, V and the phase-fixed U, two N x N complex arrays, are larger
+    than physical memory.
     """
-    N = op.matrix.shape[0]
+    N = op.n.size
+    _require_memory(32 * N**2, f"eigendecomposition of size N={N}")
     symmetry = symmetry_classes(op)
     parts = []   # per class, its eigenvalues and block eigenvectors Y
     for i, c in enumerate(symmetry):
@@ -138,7 +142,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
             parts.append(parts[c.source])
             continue
         try:
-            parts.append(scipy.linalg.eig(class_block(op.matrix, c), overwrite_a=True))
+            parts.append(scipy.linalg.eig(class_block(op, c), overwrite_a=True))
         except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
             raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
 

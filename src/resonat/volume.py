@@ -13,6 +13,10 @@ The discrete delta column at grid node j is e_j / w_j, so
 M @ delta_j = -n_j * g0col_j, which pins the free-kernel column used by the
 direct solver and by the expansion module.
 
+The operator is held as that table, not as the dense M: every block, column
+or whole M that a caller reads is gathered from the table a strip at a time,
+so that no N x N index array is made.
+
 M is block-diagonal over the lattice symmetries it keeps bit for bit: the
 reflection of each lattice axis and, where axes 0 and 1 have the same extent,
 their swap. The symmetry classes are the reflection parities, each one that the
@@ -42,27 +46,38 @@ from .kernels import g0_between, g0_from_distance
 RITZ_BLOCK_COLUMNS = 20
 # relative distance from 1/tau to an eigenvalue below which a solve is refused
 RESONANCE_TOL = 1e-8
-# rows of M gathered at a time into a class block, so that no temporary is N x N
+# rows of M, or columns of a class block, gathered from the table at a time, so that
+# no index array or temporary is N x N
 _GATHER_ROWS = 128
 
 
 @dataclass
 class DiscreteOperator:
-    """Dense matrix form of the volume operator on a grid."""
+    """The volume operator on a grid, held as the flat table its entries are
+    gathered from: M[i, j] = T[row_i - col_j] (-n_j)."""
 
-    matrix: np.ndarray
+    table: np.ndarray    # T, complex
+    row: np.ndarray      # (N,) position in T of each point as a row of M
+    col: np.ndarray      # (N,) and as a column
     grid: DomainGrid
     n: np.ndarray        # (N,) refractive index at the grid points
     ctx: WaveContext
-    # M[i, j] = -T[offset(i, j)] n_j for an offset table T that every axis reflection
-    # and the swap of equal-extent axes keep bit for bit, as assemble_kd builds it:
-    # a lattice symmetry then keeps M exactly when it keeps n and the weights. An
-    # operator whose matrix or n is replaced must set it to False
+    # T is the table of w g0 over the lattice offsets, as assemble_kd builds it, which
+    # every axis reflection and the swap of equal-extent axes keep bit for bit: a
+    # lattice symmetry then keeps M exactly when it keeps n and the weights
     offset_kernel: bool = False
 
     @property
     def weights(self) -> np.ndarray:
         return self.grid.weights
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N M, formed on each read; refused when it is larger than
+        physical memory."""
+        N = self.n.size
+        _require_memory(16 * N**2, f"dense operator of size N={N}")
+        return _columns(self, slice(None))
 
 
 def _diag_kernel_integral(w: float, ctx: WaveContext) -> complex:
@@ -108,37 +123,34 @@ def _offset_table(grid: DomainGrid, ctx: WaveContext) -> np.ndarray:
 
 
 def assemble_kd(grid: DomainGrid, n: np.ndarray, ctx: WaveContext) -> DiscreteOperator:
-    """Assemble the dense N x N matrix of the volume operator for the
-    refractive index n, one positive value per grid point.
+    """The volume operator for the refractive index n, one positive value per
+    grid point.
 
     The kernel between two cells depends only on their lattice offset, so
-    M[i, j] = -T[offset(i, j)] n_j is gathered from the offset table T of
-    _offset_table. Refuses an N whose working set, the N x N offset indices
-    (8 bytes each) plus the complex matrix (16 bytes each) and the table, is
-    larger than physical memory.
+    M[i, j] = -T[offset(i, j)] n_j, with T the offset table of _offset_table.
+    The operator keeps T and the table positions of the points; M is not formed.
     """
     n = np.asarray(n, dtype=float)
     if n.shape != (grid.n_points,):
         raise InvalidArgumentError("grid and refractive index sizes do not match")
     if not np.all(n > 0):
         raise InvalidArgumentError("refractive index values must be positive")
-    N = grid.n_points
     shape = np.array(grid.lattice_shape)
     table_shape = 2 * shape - 1
-    _require_memory(24 * N**2 + 16 * int(np.prod(table_shape)), f"dense operator of size N={N}")
     # flat table positions: offset(i, j) = index_i - index_j + (s - 1) is at row[i] - col[j]
     col = np.ravel_multi_index(grid.lattice_index.T, table_shape)
     row = np.ravel_multi_index((grid.lattice_index + shape - 1).T, table_shape)
-    M = _offset_table(grid, ctx).ravel()[row[:, None] - col[None, :]]
-    M *= -n
-    return DiscreteOperator(matrix=M, grid=grid, n=n, ctx=ctx, offset_kernel=True)
+    return DiscreteOperator(table=_offset_table(grid, ctx).ravel(), row=row, col=col, grid=grid,
+                            n=n, ctx=ctx, offset_kernel=True)
 
 
 def operator_from_matrix(matrix: np.ndarray) -> DiscreteOperator:
     """Wrap a raw dense matrix as an operator (synthetic/test systems).
 
     Points are placed on a unit-spaced line; weights and index are one, and
-    the wave context is k = 1 in 2D.
+    the wave context is k = 1 in 2D. The table is -matrix, row-major, with
+    row_i = i N, col_j = -j and n = 1, so the entries gathered from it are the
+    matrix's values.
     """
     matrix = np.asarray(matrix, dtype=complex)
     N = matrix.shape[0]
@@ -148,13 +160,36 @@ def operator_from_matrix(matrix: np.ndarray) -> DiscreteOperator:
     grid = DomainGrid(points=pts, weights=np.ones(N), cell_size=1.0, radius=float(N),
                       lattice_index=np.column_stack([np.arange(N), np.zeros(N, dtype=int)]),
                       lattice_shape=(N, 1))
-    return DiscreteOperator(matrix=matrix, grid=grid, n=np.ones(N),
-                            ctx=WaveContext(k=1.0, dim=2))
+    return DiscreteOperator(table=-matrix.ravel(), row=N * np.arange(N), col=-np.arange(N),
+                            grid=grid, n=np.ones(N), ctx=WaveContext(k=1.0, dim=2))
+
+
+def _gather(op: DiscreteOperator, rows, cols, out=None) -> np.ndarray:
+    """M[rows, cols] for index arrays that broadcast together, as numpy indexes
+    a matrix with two arrays: each entry T[row_i - col_j] (-n_j), gathered from
+    the table into out (a new array by default). Callers pass strips of at most
+    _GATHER_ROWS rows or columns, so that no index array is N x N."""
+    out = np.take(op.table, op.row[rows] - op.col[cols], out=out, mode="clip")   # all in T
+    out *= -op.n[cols]
+    return out
+
+
+def _columns(op: DiscreteOperator, columns) -> np.ndarray:
+    """M[:, columns], gathered _GATHER_ROWS rows at a time; an integer gives one
+    column as a vector."""
+    N = op.n.size
+    cols = np.arange(N)[columns]
+    rows = np.arange(N)[:, None] if cols.ndim else np.arange(N)
+    out = np.empty((N, *cols.shape), dtype=complex)
+    for start in range(0, N, _GATHER_ROWS):
+        strip = slice(start, start + _GATHER_ROWS)
+        _gather(op, rows[strip], cols, out[strip])
+    return out
 
 
 def apply_kd(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f)
-    if f.shape[0] != op.matrix.shape[0]:
+    if f.shape[0] != op.n.size:
         raise InvalidArgumentError("vector length does not match operator size")
     return op.matrix @ f
 
@@ -163,10 +198,14 @@ def g0_matrix(op: DiscreteOperator, columns=slice(None)) -> np.ndarray:
     """Columns of G0[i, j] = g0(x_i, x_j), diagonal entry cell-averaged.
 
     Defined through the operator columns so that the singular-cell rule is
-    applied consistently: G0[:, j] = -M[:, j] / (n_j w_j). `columns` indexes
-    the grid nodes; an integer gives one column as a vector.
+    applied consistently: G0[:, j] = -M[:, j] / (n_j w_j), gathered from the
+    table. `columns` indexes the grid nodes; an integer gives one column as a
+    vector.
     """
-    return -op.matrix[:, columns] / (op.n * op.weights)[columns]
+    G0 = _columns(op, columns)
+    np.negative(G0, out=G0)
+    G0 /= (op.n * op.weights)[columns]
+    return G0
 
 
 @dataclass(frozen=True)
@@ -206,8 +245,7 @@ def _symmetries(op: DiscreteOperator):
     permutations: returns the axes whose reflection is kept, those reflections
     in axis order, and the swap of axes 0 and 1, or None where it is not kept.
     M is compared entry by entry, except for an offset_kernel operator, which
-    keeps a symmetry exactly when n does; there one row and one column of M are
-    compared as well, which catches a matrix no longer gathered from n."""
+    keeps a symmetry exactly when n does."""
     grid = op.grid
     index, shape = grid.lattice_index, grid.lattice_shape
 
@@ -216,11 +254,10 @@ def _symmetries(op: DiscreteOperator):
         if (p is None or np.array_equal(p, np.arange(p.size))
                 or not np.array_equal(op.weights[p], op.weights)):
             return None
-        M = op.matrix
         if op.offset_kernel:
-            keeps = (np.array_equal(op.n[p], op.n) and np.array_equal(M[p[0], p], M[0])
-                     and np.array_equal(M[p, p[0]], M[:, 0]))
+            keeps = np.array_equal(op.n[p], op.n)
         else:
+            M = op.matrix
             keeps = np.array_equal(M[np.ix_(p, p)], M)
         return p if keeps else None
 
@@ -259,7 +296,7 @@ def _orbit_class(perms: np.ndarray, chars: np.ndarray, source: int) -> SymmetryC
 def symmetry_classes(op: DiscreteOperator) -> list:
     """The symmetry classes of M, in the order of the module docstring; a class
     that the swap maps onto an earlier one has its swapped basis."""
-    N = op.matrix.shape[0]
+    N = op.n.size
     axes, reflections, swap = _symmetries(op)
     # the swap exchanges the parities of axes 0 and 1, which are kept together
     mirror = (lambda s: (s[1], s[0], *s[2:])) if axes[:2] == [0, 1] else (lambda s: s)
@@ -285,43 +322,46 @@ def _add_signed(acc: np.ndarray, term: np.ndarray, chi: int) -> np.ndarray:
     return (np.add if chi > 0 else np.subtract)(acc, term, out=acc)
 
 
-def class_block(M: np.ndarray, c: SymmetryClass, scale: complex = 1.0) -> np.ndarray:
+def class_block(op: DiscreteOperator, c: SymmetryClass, scale: complex = 1.0) -> np.ndarray:
     """scale times the class's block sum_g chi(g) M[reps, g(reps)] / sqrt(stab stab^T),
     M in the class's basis, as a Fortran-ordered array that LAPACK works on in
-    place. It is gathered _GATHER_ROWS rows of M at a time; without symmetry
-    the block is M itself, and the result M * scale."""
-    if c.chars.size == 1:   # the trivial group: every point is a representative
-        return np.multiply(M, scale, order="F", dtype=complex)
+    place. It is gathered from the table _GATHER_ROWS columns at a time, each
+    strip one contiguous piece of the array; without symmetry the block is M
+    itself, and the result M * scale."""
     reps, n = c.points[0], c.size
     out = np.empty((n, n), dtype=complex, order="F")
+    term = np.empty((min(n, _GATHER_ROWS), n), dtype=complex)
     for start in range(0, n, _GATHER_ROWS):
-        rows = slice(start, start + _GATHER_ROWS)
-        strip = M[reps[rows]]
-        block = strip[:, reps]
+        cols = slice(start, start + _GATHER_ROWS)
+        block = _gather(op, reps, reps[cols, None])   # block[b, a] = M[r_a, r_b]
         for p, chi in zip(c.points[1:], c.chars[1:]):
-            _add_signed(block, strip[:, p], chi)
-        block /= np.sqrt(np.outer(c.stab[rows], c.stab))
-        np.multiply(block, scale, out=out[rows])
-        del strip   # before the next strip is gathered
+            _add_signed(block, _gather(op, reps, p[cols, None], term[:len(block)]), chi)
+        if c.chars.size > 1:   # the trivial group: every stabilizer is 1
+            block /= np.sqrt(np.outer(c.stab[cols], c.stab))
+        np.multiply(block, scale, out=out.T[cols])
     return out
 
 
 def _factor(op: DiscreteOperator, tau: float):
     """LU factorizations of I - tau B over the blocks B of the symmetry classes
     of M: returns the classes and, for each solved class that is not empty, by
-    its index, the LU of its block (scipy.linalg.lu_factor form).
+    its index, the LU of its block (scipy.linalg.lu_factor form). Refused when
+    the LUs, 16 bytes per block entry, are larger than physical memory.
 
     An exactly zero pivot is left for check_resonance_proximity to report, so
     LAPACK's singular-matrix warning is silenced here.
     """
     classes, lus = symmetry_classes(op), {}
+    solved = {i: c for i, c in enumerate(classes) if c.source == i and c.size}
+    sizes = [c.size for c in solved.values()]
+    _require_memory(16 * sum(n**2 for n in sizes), f"Lippmann-Schwinger solve of N={op.n.size} "
+                    f"(largest symmetry block {max(sizes, default=0)})")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        for i, c in enumerate(classes):
-            if c.source == i and c.size:
-                A = class_block(op.matrix, c, -tau)
-                A[np.diag_indices_from(A)] += 1.0
-                lus[i] = lu_factor(A, overwrite_a=True, check_finite=False)
+        for i, c in solved.items():
+            A = class_block(op, c, -tau)
+            A[np.diag_indices_from(A)] += 1.0
+            lus[i] = lu_factor(A, overwrite_a=True, check_finite=False)
     return classes, lus
 
 

@@ -341,6 +341,22 @@ class TestSpectrum:
             man = json.loads((tmp_path / command / "manifest.json").read_text())
             assert man["symmetry_blocks"] == blocks, command
 
+    @pytest.mark.parametrize("profile", [
+        {"kind": "constant", "value": 1.0},
+        {"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5, "peak": 2.0},
+    ], ids=["constant", "off_center_bump"])
+    def test_dense_operator_never_formed(self, tmp_path, monkeypatch, profile):
+        # the commands that solve per class gather blocks and columns from the offset
+        # table, with symmetry or without; only expand reads the dense M
+        monkeypatch.setattr(resonat.volume.DiscreteOperator, "matrix",
+                            property(lambda op: pytest.fail("the dense M was formed")))
+        cfg_path = write_cfg(tmp_path, dict(
+            BASE, profile=profile, surface={"radius": 50.0, "points": 32},
+            sources=[{"location": [0.2, -0.1]}], methods={"time_reversal": {}, "l1": {}},
+            separation={"values": [0.5], "max_iters": 20}))
+        for command in ("spectrum", "psf", "image", "sweep-separation"):
+            assert run(command, cfg_path, tmp_path / command) == 0, command
+
     def test_tau_independent(self, tmp_path):
         cfg = {k: v for k, v in BASE.items() if k != "contrast"}
         out = tmp_path / "out"
@@ -529,6 +545,24 @@ class TestPsf:
         assert "within tolerance of eigenvalue" in err
         assert "Traceback" not in err
 
+
+    def test_blocks_within_memory_exit_0(self, tmp_path, memory_64mb):
+        # 48 cells, N = 1804: a dense M and its offset indices (24 N^2 bytes) would take
+        # 78 MB, the solved symmetry blocks take 6.5 MB
+        cfg = dict(BASE, wave={"k": 6.0, "dim": 2}, contrast={"tau": 180.5},
+                   domain={"shape": "disk", "radius": 1.0, "cells": 48})
+        assert run("psf", write_cfg(tmp_path, cfg), tmp_path / "o") == 0
+
+    def test_block_beyond_memory_exit_1(self, tmp_path, capsys, memory_64mb):
+        # an off-centre bump is one class, so its one block is N x N: 167 MB at N = 3228
+        cfg = dict(BASE, wave={"k": 6.0, "dim": 2}, contrast={"tau": 180.5},
+                   domain={"shape": "disk", "radius": 1.0, "cells": 64},
+                   profile={"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5,
+                            "peak": 2.0})
+        assert run("psf", write_cfg(tmp_path, cfg), tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            "resonat: Lippmann-Schwinger solve of N=3228 (largest symmetry block 3228) needs "
+            "at least 0.2 GB, more than the 0.1 GB of physical memory\n")
 
     def test_zero_direction_exit_2(self, tmp_path, capsys):
         cfg = dict(BASE, psf={"x0": [0.0, 0.0], "direction": [0.0, 0.0]})

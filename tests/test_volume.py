@@ -359,7 +359,7 @@ class TestResonanceCheck:
         solved = [c for i, c in enumerate(classes) if c.source == i and c.size]
         assert len(solved) == 5
         for c in solved:
-            block = scipy.linalg.eigvals(resonat.volume.class_block(op.matrix, c))
+            block = scipy.linalg.eigvals(resonat.volume.class_block(op, c))
             block = block[np.argsort(-np.abs(block))]
             for lam in (block[0], block[c.size // 3]):   # outer and inner
                 target = dense[np.argmin(np.abs(dense - lam))]
@@ -573,6 +573,21 @@ SOLVE_MEDIA = {
 # the assembled media of SOLVE_MEDIA and the two of the psf_large benchmark
 RULE_MEDIA = {**{name: make for name, make in SOLVE_MEDIA.items() if name != "line"},
               "psf_disk48": lambda: medium(2, 48, 6.0), "psf_ball14": lambda: medium(3, 14, 6.0)}
+# and the two line operators from operator_from_matrix, with and without symmetry
+BLOCK_MEDIA = {**RULE_MEDIA, "line": symmetric_line,
+               "random_line": lambda: operator_from_matrix(random_nonnormal(40, 6))}
+
+
+def reference_block(M, c, scale):
+    """scale times sum_g chi(g) M[reps, g(reps)] / sqrt(stab stab^T) on the formed M,
+    in class_block's order of operations; without symmetry, M * scale."""
+    if c.chars.size == 1:
+        return M * scale
+    reps = c.points[0]
+    block = M[np.ix_(reps, reps)]
+    for p, chi in zip(c.points[1:], c.chars[1:]):
+        block = block + M[np.ix_(reps, p)] if chi > 0 else block - M[np.ix_(reps, p)]
+    return block / np.sqrt(np.outer(c.stab, c.stab)) * scale
 
 
 class TestSymmetryClasses:
@@ -599,25 +614,45 @@ class TestSymmetryClasses:
     @pytest.mark.parametrize("name", list(RULE_MEDIA))
     def test_index_rule_matches_matrix_rule(self, name):
         # an assembled operator keeps a symmetry when n and the weights do; comparing
-        # M entry by entry keeps the same generators
+        # the formed M entry by entry under each lattice permutation keeps the same ones
         op = RULE_MEDIA[name]()
+        grid, M = op.grid, op.matrix
+        index, shape = grid.lattice_index, grid.lattice_shape
+        images = {}
+        for a, s in enumerate(shape):
+            images[a] = index.copy()
+            images[a][:, a] = s - 1 - index[:, a]
+        if shape[0] == shape[1]:
+            images["swap"] = index[:, [1, 0, *range(2, len(shape))]]
+        by_matrix = {}
+        for key, image in images.items():
+            p = grid.lattice_permutation(image)
+            if (p is not None and not np.array_equal(p, np.arange(p.size))
+                    and np.array_equal(op.weights[p], op.weights)
+                    and np.array_equal(M[np.ix_(p, p)], M)):
+                by_matrix[key] = p
         axes, reflections, swap = resonat.volume._symmetries(op)
-        by_matrix = resonat.volume._symmetries(replace(op, offset_kernel=False))
-        assert axes == by_matrix[0]
-        assert all(np.array_equal(p, q) for p, q in zip(reflections, by_matrix[1]))
-        assert (swap is None) == (by_matrix[2] is None)
-        assert swap is None or np.array_equal(swap, by_matrix[2])
+        assert axes == [key for key in by_matrix if key != "swap"]
+        assert all(np.array_equal(p, by_matrix[a]) for a, p in zip(axes, reflections))
+        assert (swap is None) == ("swap" not in by_matrix)
+        assert swap is None or np.array_equal(swap, by_matrix["swap"])
 
-    def test_replaced_matrix_keeps_no_symmetry(self):
-        # a matrix that is no longer -T[offset] n, here M with its columns scaled
-        # unevenly, fails the row and column comparison of the index rule
-        op = medium(2, 16, 1.0)
-        d = np.random.default_rng(5).uniform(0.5, 1.5, op.matrix.shape[0])
-        scaled = replace(op, matrix=op.matrix * d)
-        assert resonat.volume._symmetries(scaled) == ([], [], None)
-        A = np.eye(d.size) - 3.0 * scaled.matrix
-        ref = scipy.linalg.solve(A, g0_matrix(scaled))
-        assert np.max(np.abs(green_matrix(scaled, 3.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    @pytest.mark.parametrize("name", list(BLOCK_MEDIA))
+    def test_gathered_from_table_match_matrix(self, name):
+        # the formed M is the parent assembly's T[row - col] * (-n); the blocks and
+        # G0 columns gathered from T are those of the formed M, bit for bit
+        op = BLOCK_MEDIA[name]()
+        M = op.matrix
+        assembled = op.table[op.row[:, None] - op.col[None, :]]
+        assembled *= -op.n
+        assert np.array_equal(M, assembled)
+        for c in resonat.volume.symmetry_classes(op):
+            for scale in (1.0, -180.5):
+                assert np.array_equal(resonat.volume.class_block(op, c, scale),
+                                      reference_block(M, c, scale))
+        N = M.shape[0]
+        for cols in (N // 3, [0, N // 2, N - 1]):
+            assert np.array_equal(g0_matrix(op, cols), -M[:, cols] / (op.n * op.weights)[cols])
 
     @pytest.mark.parametrize("dim, cells", [(2, 32), (3, 14)])
     def test_column_solve_memory(self, dim, cells):
@@ -633,6 +668,20 @@ class TestSymmetryClasses:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * 16 * N**2
+
+    def test_column_solve_memory_large_ball(self):
+        # the blocks are gathered from the table, and M is never formed: at N = 4224
+        # the LUs alone are 0.063 N x N complex arrays, and M would be one
+        op = medium(3, 20, 6.0)
+        N = op.n.size
+        j = op.grid.nearest_index([0.0] * 3)
+        tracemalloc.start()
+        try:
+            green_matrix(op, 180.5, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert N == 4224 and peak < 0.1 * 16 * N**2
 
     @pytest.mark.parametrize("center", [None, [0.3, 0.1]])
     def test_all_column_solve_memory(self, center):
