@@ -5,17 +5,15 @@ The operator acts as f -> -int_D G0(x, y) n(y) f(y) dy. Discretely
 M[i, j] = -g0(x_i, x_j) n_j w_j off the diagonal; the singular diagonal cell is
 replaced by the analytic integral of the kernel over the disk/ball of equal
 measure centered at the point ("equal_measure" rule). On the uniform lattice
-both depend only on the integer offset between the two cells, so M is gathered
-from one table of w g0 over the lattice offsets, with |x_i - x_j| taken as
-h |offset|; the kernel is evaluated once per offset, not once per point pair.
+both depend only on the integer offset between the two cells, so the operator
+is held as one table of w g0 over the lattice offsets, with |x_i - x_j| taken
+as h |offset|; the kernel is evaluated once per offset, not once per point
+pair. Every block, column or whole M that a caller reads is gathered from the
+table a strip at a time, so that no N x N index array is made.
 
 The discrete delta column at grid node j is e_j / w_j, so
 M @ delta_j = -n_j * g0col_j, which pins the free-kernel column used by the
 direct solver and by the expansion module.
-
-The operator is held as that table, not as the dense M: every block, column
-or whole M that a caller reads is gathered from the table a strip at a time,
-so that no N x N index array is made.
 
 M is block-diagonal over the lattice symmetries it keeps bit for bit: the
 reflection of each lattice axis and, where axes 0 and 1 have the same extent,
@@ -73,8 +71,7 @@ class DiscreteOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense N x N M, formed on each read; refused when it is larger than
-        physical memory."""
+        """The dense M, formed on each read; refused when larger than physical memory."""
         N = self.n.size
         _require_memory(16 * N**2, f"dense operator of size N={N}")
         return _columns(self, slice(None))
@@ -177,11 +174,10 @@ def _gather(op: DiscreteOperator, rows, cols, out=None) -> np.ndarray:
 def _columns(op: DiscreteOperator, columns) -> np.ndarray:
     """M[:, columns], gathered _GATHER_ROWS rows at a time; an integer gives one
     column as a vector."""
-    N = op.n.size
-    cols = np.arange(N)[columns]
-    rows = np.arange(N)[:, None] if cols.ndim else np.arange(N)
-    out = np.empty((N, *cols.shape), dtype=complex)
-    for start in range(0, N, _GATHER_ROWS):
+    cols = np.arange(op.n.size)[columns]
+    rows = np.arange(op.n.size)[:, None] if cols.ndim else np.arange(op.n.size)
+    out = np.empty((op.n.size, *cols.shape), dtype=complex)
+    for start in range(0, op.n.size, _GATHER_ROWS):
         strip = slice(start, start + _GATHER_ROWS)
         _gather(op, rows[strip], cols, out[strip])
     return out
