@@ -329,9 +329,11 @@ def cmd_psf(cfg, out: Path):
     x0_index = grid.nearest_index(cfg["psf"]["x0"])
     tau = cfg["contrast"]["tau"]
     report = {"tau": tau}
-    # at tau = 0 the Green column is the free-kernel column
-    for medium, t in [("homogeneous", 0.0)] + ([("high_contrast", tau)] if tau else []):
-        prof = psf_profile(green_matrix(op, t, x0_index), grid, x0_index, direction)
+    # at tau = 0 the Green column is the free-kernel column; both columns are solved
+    # before either is written, so that a refused solve leaves no output
+    profiles = {medium: psf_profile(green_matrix(op, t, x0_index), grid, x0_index, direction)
+                for medium, t in [("homogeneous", 0.0)] + ([("high_contrast", tau)] if tau else [])}
+    for medium, prof in profiles.items():
         oracle = im_g0_from_distance(np.abs(prof.radii), ctx)
         write_csv(out / f"psf_{medium}.csv", ["r", "value", "oracle_value"],
                   list(zip(prof.radii, prof.values, np.atleast_1d(oracle))))

@@ -166,7 +166,7 @@ def _gather(op: DiscreteOperator, rows, cols, out=None) -> np.ndarray:
     a matrix with two arrays: each entry T[row_i - col_j] (-n_j), gathered from
     the table into out (a new array by default). Callers pass strips of at most
     _GATHER_ROWS rows or columns, so that no index array is N x N."""
-    out = np.take(op.table, op.row[rows] - op.col[cols], out=out, mode="clip")   # all in T
+    out = np.take(op.table, op.row[rows] - op.col[cols], out=out, mode="clip")   # every position is in T
     out *= -op.n[cols]
     return out
 
@@ -174,10 +174,11 @@ def _gather(op: DiscreteOperator, rows, cols, out=None) -> np.ndarray:
 def _columns(op: DiscreteOperator, columns) -> np.ndarray:
     """M[:, columns], gathered _GATHER_ROWS rows at a time; an integer gives one
     column as a vector."""
-    cols = np.arange(op.n.size)[columns]
-    rows = np.arange(op.n.size)[:, None] if cols.ndim else np.arange(op.n.size)
-    out = np.empty((op.n.size, *cols.shape), dtype=complex)
-    for start in range(0, op.n.size, _GATHER_ROWS):
+    N = op.n.size
+    cols = np.arange(N)[columns]
+    rows = np.arange(N)[:, None] if cols.ndim else np.arange(N)
+    out = np.empty((N, *cols.shape), dtype=complex)
+    for start in range(0, N, _GATHER_ROWS):
         strip = slice(start, start + _GATHER_ROWS)
         _gather(op, rows[strip], cols, out[strip])
     return out

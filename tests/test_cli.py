@@ -559,10 +559,12 @@ class TestPsf:
                    domain={"shape": "disk", "radius": 1.0, "cells": 64},
                    profile={"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5,
                             "peak": 2.0})
-        assert run("psf", write_cfg(tmp_path, cfg), tmp_path / "o") == 1
+        out = tmp_path / "o"
+        assert run("psf", write_cfg(tmp_path, cfg), out) == 1
         assert capsys.readouterr().err == (
             "resonat: Lippmann-Schwinger solve of N=3228 (largest symmetry block 3228) needs "
             "at least 0.2 GB, more than the 0.1 GB of physical memory\n")
+        assert not any(out.iterdir())
 
     def test_zero_direction_exit_2(self, tmp_path, capsys):
         cfg = dict(BASE, psf={"x0": [0.0, 0.0], "direction": [0.0, 0.0]})
