@@ -166,7 +166,8 @@ def _gather(op: DiscreteOperator, rows, cols, out=None) -> np.ndarray:
     a matrix with two arrays: each entry T[row_i - col_j] (-n_j), gathered from
     the table into out (a new array by default). Callers pass strips of at most
     _GATHER_ROWS rows or columns, so that no index array is N x N."""
-    out = np.take(op.table, op.row[rows] - op.col[cols], out=out, mode="clip")   # every position is in T
+    # every position lies in T, so clipping, which skips numpy's buffered bounds check, moves none
+    out = np.take(op.table, op.row[rows] - op.col[cols], out=out, mode="clip")
     out *= -op.n[cols]
     return out
 
