@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from scipy.linalg.blas import zgemv
 
 from . import __version__
 from .errors import InvalidArgumentError, NumericFailureError
@@ -31,7 +32,6 @@ from .expansion import (
     psf_profile,
     truncation_error_curve,
     truncation_ranks,
-    weighted_frobenius,
 )
 from .grids import (
     WaveContext,
@@ -53,7 +53,7 @@ from .imaging import (
 from .io import config_hash, write_coefficients, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import dominant_spatial_frequency, eigendecompose
-from .volume import RESONANCE_TOL, assemble_kd, green_matrix, symmetry_blocks
+from .volume import RESONANCE_TOL, assemble_kd, class_block, green_matrix, symmetry_blocks
 
 
 REQUIRED = object()   # default of a key that must be given
@@ -279,20 +279,26 @@ def cmd_spectrum(cfg, out: Path):
             zip(clusters.tolist(), place.tolist(), sys_.classes.tolist(), sys_.lambdas)]
     write_csv(out / "spectrum.csv", ["j", "l", "class", "re", "im"], rows)
     return {"n_modes": sys_.size, "cluster_tol": sys_.cluster_tol,
-            "symmetry_blocks": symmetry_blocks(op), "warnings": sys_.warnings}
+            "symmetry_blocks": sys_.symmetry_blocks, "warnings": sys_.warnings}
 
 
 def _resonant_mode(sys_, op, tau):
     """The mode of the eigenvalue nearest 1/tau, the resonance rule's distance to
     it, the mode's eigen-residual ||M u - lambda u|| / ||u|| and its dominant
-    spatial frequency (None without a lattice to Fourier-analyze)."""
+    spatial frequency (None without a lattice to Fourier-analyze). The residual
+    is taken on the mode's class block in orbit coordinates, whose basis is
+    orthonormal, so that its norms are those on the grid; its product runs in
+    scipy's BLAS, which the solves before it use (expansion.py)."""
     if tau == 0:
         return None
     pos = int(np.argmin(np.abs(1.0 / tau - sys_.lambdas)))
-    lam, u = sys_.lambdas[pos], sys_.U[:, pos]
+    lam, u, c = sys_.lambdas[pos], sys_.U[:, pos], sys_.classes[pos]
+    _, entry, points = sys_.orbits[c]
+    uz = u[points] / entry[points]
     return {"index": pos, "eigenvalue": [float(lam.real), float(lam.imag)],
             "proximity": float(abs(1.0 / tau - lam) / (1.0 + abs(lam))),
-            "residual": float(np.linalg.norm(op.matrix @ u - lam * u) / np.linalg.norm(u)),
+            "residual": float(np.linalg.norm(zgemv(1.0, class_block(op, sys_.symmetry[c]), uz)
+                                             - lam * uz) / np.linalg.norm(uz)),
             "dominant_frequency": dominant_spatial_frequency(op, u)}
 
 
@@ -302,23 +308,24 @@ def cmd_expand(cfg, out: Path):
     sys_ = eigendecompose(op)
     alpha = alpha_expansion(sys_, tau)
     beta = beta_expansion(sys_, alpha)
+    N = sys_.size
+    # measured before the writers, so that a refused solve leaves no output
+    green, errors, beta_error = expansion_errors(sys_, op, tau, alpha, beta, truncation_ranks(N))
     write_coefficients(out / "alpha.csv", alpha)
     write_coefficients(out / "beta.csv", beta)
-    # solved after the writers, so that the N x N result is not alive at their peak
-    direct = green_matrix(op, tau)
-    N = sys_.size
-    errors = expansion_errors(sys_.E, alpha, op, direct, truncation_ranks(N))
     write_csv(out / "truncation_curve.csv", ["rank", "rel_error"], truncation_error_curve(errors))
-    scale = weighted_frobenius(direct, op.weights)
+    # ||A||_F ||B||_F >= ||A B||_F = sqrt(N), summed over the class blocks without BLAS, whose
+    # numpy copy would wait for scipy's threads; Frobenius norms, since 2-norms would need
+    # two more SVDs
+    a2, b2 = (sum(np.sum(np.abs(basis[i]) ** 2) for basis in sys_.class_bases) for i in (1, 2))
     return {
         "tau": tau,
         "coefficient_mass": float(np.sum(np.abs(alpha) ** 2)),
-        "oracle_rel_error_alpha": errors[N] / scale,
-        "oracle_rel_error_beta": expansion_errors(sys_.U, beta, op, direct, [N])[N] / scale,
-        # >= ||A B||_F = sqrt(N); Frobenius norms, since 2-norms would need two more SVDs
-        "eigenbasis_condition": float(np.linalg.norm(sys_.A) * np.linalg.norm(sys_.B)),
+        "oracle_rel_error_alpha": errors[N] / green,
+        "oracle_rel_error_beta": beta_error / green,
+        "eigenbasis_condition": float(np.sqrt(a2 * b2)),
         "resonant_mode": _resonant_mode(sys_, op, tau),
-        "symmetry_blocks": symmetry_blocks(op),
+        "symmetry_blocks": sys_.symmetry_blocks,
         "warnings": sys_.warnings,
     }
 

@@ -15,9 +15,10 @@ Each class is solved by one eig on its block in an orthonormal basis of
 lattice orbits; a class that the swap maps onto another is not solved, its
 modes are the swapped modes of that other class. An operator without symmetry
 is the one-class case. `classes` records the class of each mode column,
-`symmetry_blocks` the size of every class, in the order of the classes, and
-`orbits` the basis of each class: per point, the column of its orbit and its
-entry in that orbit's unit vector, and one point of each orbit.
+`symmetry` the classes themselves, `symmetry_blocks` the size of every class,
+in the order of the classes, and `orbits` the basis of each class: per point,
+the column of its orbit and its entry in that orbit's unit vector, and one
+point of each orbit.
 
 The orthonormalized basis E is produced by QR in the weighted discrete L2(D)
 inner product, one QR per symmetry class on the modes' orbit coordinates,
@@ -26,9 +27,10 @@ with change-of-basis matrices such that
     E = U @ A,    U = E @ B,    A @ B = I,
 
 both upper-triangular with positive-real diagonal on B, and exactly zero
-between modes of different classes. The three are built together on the
-first read of any of them, so a caller that needs only the eigenvalues and
-modes never pays for the QR. In index notation
+between modes of different classes. The system keeps each class's QR,
+`class_bases`, built on first read, so a caller that needs only the
+eigenvalues and modes never pays for it; the N x N E, A and B are scattered
+from it on each read. In index notation
 e_gamma = sum_{gamma' <= gamma} a_{gamma,gamma'} u_{gamma'} with
 a_{gamma,gamma'} = A[gamma', gamma].
 """
@@ -55,6 +57,7 @@ class SpectralSystem:
     weights: np.ndarray                    # (N,) quadrature weights of the inner product
     cluster_tol: float
     classes: np.ndarray                    # (N,) symmetry class per column, 0-based
+    symmetry: list                         # the SymmetryClass of each class
     orbits: list                           # per class: column, entry (N,), a point per orbit
     warnings: List[str] = field(default_factory=list)
 
@@ -68,33 +71,53 @@ class SpectralSystem:
         return np.bincount(self.classes, minlength=len(self.orbits)).tolist()
 
     @cached_property
-    def _basis(self):
-        """One weighted QR per class, of its modes at one point per orbit,
-        divided by the point's entry; the weights are constant on orbits."""
+    def class_columns(self) -> list:
+        """Per class, its mode columns in total order."""
+        return [np.flatnonzero(self.classes == c) for c in range(len(self.orbits))]
+
+    def orbit_modes(self, c: int) -> np.ndarray:
+        """The modes of class c in its orbit coordinates: each at one point per
+        orbit, divided by the point's entry. Gathered transposed, so that the
+        result is Fortran-ordered and goes to LAPACK and BLAS uncopied."""
+        _, entry, points = self.orbits[c]
+        modes = self.U.T[np.ix_(self.class_columns[c], points)].T
+        modes /= entry[points, None]
+        return modes
+
+    @cached_property
+    def class_bases(self) -> list:
+        """Per class, the weighted QR (Ez, A, B) of its orbit_modes Uz, so that
+        Ez = Uz A and Uz = Ez B; the weights are constant on orbits."""
+        return [_weighted_qr(self.orbit_modes(c), self.weights[points])
+                for c, (_, _, points) in enumerate(self.orbits)]
+
+    def _scatter(self, part: int) -> np.ndarray:
+        """The N x N array of part 0, 1 or 2 (E, A or B) of the class bases."""
         N = self.size
-        E, A, B = (np.zeros((N, N), dtype=complex) for _ in range(3))
-        for c, (column, entry, points) in enumerate(self.orbits):
-            cols = np.flatnonzero(self.classes == c)
-            rows = np.flatnonzero(column >= 0)
-            Ez, A[np.ix_(cols, cols)], B[np.ix_(cols, cols)] = _weighted_qr(
-                self.U[np.ix_(points, cols)] / entry[points, None], self.weights[points])
-            E[np.ix_(rows, cols)] = entry[rows, None] * Ez[column[rows]]
-        return E, A, B
+        out = np.zeros((N, N), dtype=complex)
+        for (column, entry, _), cols, basis in zip(self.orbits, self.class_columns,
+                                                   self.class_bases):
+            if part:
+                out[np.ix_(cols, cols)] = basis[part]
+            else:
+                rows = np.flatnonzero(column >= 0)
+                out[np.ix_(rows, cols)] = entry[rows, None] * basis[0][column[rows]]
+        return out
 
     @property
     def E(self) -> np.ndarray:
         """Weighted-orthonormal columns; raises NumericFailureError if U is rank deficient."""
-        return self._basis[0]
+        return self._scatter(0)
 
     @property
     def A(self) -> np.ndarray:
         """E = U @ A."""
-        return self._basis[1]
+        return self._scatter(1)
 
     @property
     def B(self) -> np.ndarray:
         """U = E @ B."""
-        return self._basis[2]
+        return self._scatter(2)
 
 
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
@@ -191,7 +214,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     V /= np.sqrt(np.sum(w[:, None] * np.abs(V) ** 2, axis=0))
     U = _fix_column_phases(V)
     return SpectralSystem(lambdas=lam, clusters=clusters, U=U, weights=w, cluster_tol=tol,
-                          classes=classes, orbits=orbits, warnings=warnings)
+                          classes=classes, symmetry=symmetry, orbits=orbits, warnings=warnings)
 
 
 def dominant_spatial_frequency(op: DiscreteOperator, values: np.ndarray):

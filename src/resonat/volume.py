@@ -335,7 +335,8 @@ def class_block(op: DiscreteOperator, c: SymmetryClass, scale: complex = 1.0) ->
         for p, chi in zip(c.points[1:], c.chars[1:]):
             _add_signed(block, _gather(op, reps, p[cols, None], term[:len(block)]), chi)
         if c.chars.size > 1:   # the trivial group: every stabilizer is 1
-            block /= np.sqrt(np.outer(c.stab[cols], c.stab))
+            # the real reciprocal: numpy's complex quotient is (re + im 0)(1/d), the same bits
+            block *= 1.0 / np.sqrt(np.outer(c.stab[cols], c.stab))
         np.multiply(block, scale, out=out.T[cols])
     return out
 
@@ -464,6 +465,29 @@ def green_matrix(op: DiscreteOperator, tau: float, columns=slice(None)) -> np.nd
     """
     G0 = g0_matrix(op, columns)
     return G0 if tau == 0 else _lippmann_schwinger(op, tau, G0)
+
+
+def class_green(op: DiscreteOperator, tau: float) -> list:
+    """G0 and green_matrix(op, tau) in the basis of each symmetry class of M, as
+    one pair (G0_c, G_c) per class in the order of the classes: G0_c is the
+    class's block over -n w at its representatives, and G_c solves
+    (I - tau B) G_c = G0_c on the class's LU. A class that the swap maps onto
+    a solved one has that class's pair. Refused as green_matrix is.
+    """
+    if tau == 0:
+        classes = symmetry_classes(op)
+    else:
+        classes, lus = _factor(op, tau)
+        _refuse_near_class_spectra(1.0 / tau, lus)
+    pairs = []
+    for i, c in enumerate(classes):
+        if c.source != i:
+            pairs.append(pairs[c.source])
+            continue
+        G0 = class_block(op, c)
+        G0 /= -(op.n * op.weights)[c.points[0]]
+        pairs.append((G0, lu_solve(lus[i], G0, check_finite=False) if tau and c.size else G0))
+    return pairs
 
 
 def check_exterior(grid: DomainGrid, points) -> None:

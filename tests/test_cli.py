@@ -309,7 +309,7 @@ class TestSpectrum:
         assert "N=268" in err and "GB" in err
 
     # an allocation the system refuses, e.g. the lattice of domain.cells = 200000,
-    # raises before assemble_kd's memory guard runs
+    # raises before the memory guard that follows, eigendecompose's 32 N^2 bytes, runs
     @pytest.mark.parametrize("command, builder", [
         ("spectrum", "resonat.grids._lattice_grid"),
         ("image", "resonat.cli.build_measurement_surface"),
@@ -346,15 +346,15 @@ class TestSpectrum:
         {"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5, "peak": 2.0},
     ], ids=["constant", "off_center_bump"])
     def test_dense_operator_never_formed(self, tmp_path, monkeypatch, profile):
-        # the commands that solve per class gather blocks and columns from the offset
-        # table, with symmetry or without; only expand reads the dense M
+        # every command gathers blocks and columns from the offset table, with symmetry
+        # or without; expand takes its eigen-residual from the mode's class block
         monkeypatch.setattr(resonat.volume.DiscreteOperator, "matrix",
                             property(lambda op: pytest.fail("the dense M was formed")))
         cfg_path = write_cfg(tmp_path, dict(
             BASE, profile=profile, surface={"radius": 50.0, "points": 32},
             sources=[{"location": [0.2, -0.1]}], methods={"time_reversal": {}, "l1": {}},
             separation={"values": [0.5], "max_iters": 20}))
-        for command in ("spectrum", "psf", "image", "sweep-separation"):
+        for command in ("spectrum", "expand", "psf", "image", "sweep-separation"):
             assert run(command, cfg_path, tmp_path / command) == 0, command
 
     def test_tau_independent(self, tmp_path):
@@ -478,6 +478,21 @@ class TestExpand:
         blocks = json.loads((tmp_path / "out" / "manifest.json").read_text())["symmetry_blocks"]
         assert blocks == [29, 23, 52, 52, 29, 23]
         assert calls == [(size, size) for size in blocks]   # one row per orbit, one column per mode
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "constant", "value": 1.0},
+        {"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5, "peak": 2.0},
+    ], ids=["constant", "off_center_bump"])
+    def test_no_dense_basis_or_grid_solve(self, tmp_path, monkeypatch, profile):
+        # expand works on each class's QR and Green block in orbit coordinates, with
+        # symmetry or without: it reads no N x N E, A or B and solves no grid columns
+        for name in ("E", "A", "B"):
+            monkeypatch.setattr(resonat.spectral.SpectralSystem, name, property(
+                lambda sys_, name=name: pytest.fail(f"the dense {name} was read")))
+        monkeypatch.setattr(resonat.volume, "_lippmann_schwinger",
+                            lambda *args: pytest.fail("grid columns were solved"))
+        cfg_path = write_cfg(tmp_path, dict(BASE, profile=profile))
+        assert run("expand", cfg_path, tmp_path / "out") == 0
 
     def test_rank_deficient_basis_refused_by_expand_only(self, tmp_path, capsys, monkeypatch):
         def deficient(U, w):

@@ -4,12 +4,16 @@ import pytest
 from resonat import (
     WaveContext,
     alpha_expansion,
+    assemble_kd,
     beta_expansion,
+    build_ball_grid,
+    build_disk_grid,
     eigendecompose,
     green_matrix,
     expansion_errors,
     psf_from_samples,
     psf_profile,
+    radial_bump,
     truncation_error_curve,
     truncation_ranks,
 )
@@ -21,11 +25,40 @@ from resonat.volume import g0_matrix, operator_from_matrix
 TAU = 3.0
 
 
-def oracle_error(basis, coeff, op, direct):
-    """Relative weighted error of the full-rank expansion against `direct`."""
-    N = basis.shape[1]
-    return (expansion_errors(basis, coeff, op, direct, [N])[N]
-            / weighted_frobenius(direct, op.weights))
+def errors_at(sys, op, tau, ranks):
+    """expansion_errors of the alpha and beta expansions of sys at tau."""
+    alpha = alpha_expansion(sys, tau)
+    return expansion_errors(sys, op, tau, alpha, beta_expansion(sys, alpha), ranks)
+
+
+def oracle_errors(sys, op, tau):
+    """Relative weighted errors of the full-rank alpha and beta expansions."""
+    scale, errors, beta_error = errors_at(sys, op, tau, [sys.size])
+    return errors[sys.size] / scale, beta_error / scale
+
+
+def _medium(build, cells, dim, center=None):
+    """The unit disk or ball at k = 1, n = 1 or a radial bump (width 0.5, peak 2)
+    at `center`."""
+    ctx = WaveContext(k=1.0, dim=dim)
+    grid = build(1.0, cells, ctx)
+    n = np.ones(grid.n_points) if center is None else radial_bump(grid.points, center, 0.5, 2.0)
+    return assemble_kd(grid, n, ctx)
+
+
+def disk_op():
+    """The disk16 fixture's operator (N = 208)."""
+    return _medium(build_disk_grid, 16, 2)
+
+
+def bump_op():
+    """disk16's grid with an off-centre bump, which keeps no lattice symmetry: one class."""
+    return _medium(build_disk_grid, 16, 2, center=[0.3, 0.1])
+
+
+def ball_op():
+    """Unit ball, 10 cells per diameter (N = 552)."""
+    return _medium(build_ball_grid, 10, 3)
 
 
 class TestAlpha:
@@ -39,8 +72,7 @@ class TestAlpha:
 
     def test_oracle_identity(self, disk16, disk16_sys):
         _, _, op = disk16
-        alpha = alpha_expansion(disk16_sys, TAU)
-        assert oracle_error(disk16_sys.E, alpha, op, green_matrix(op, TAU)) <= 1e-8
+        assert oracle_errors(disk16_sys, op, TAU)[0] <= 1e-8
 
     def test_parseval_mass(self, disk16, disk16_sys):
         # sum |alpha|^2 equals the squared weighted Frobenius norm of
@@ -67,9 +99,7 @@ class TestBeta:
     def test_synthetic_oracle(self, nonnormal_op):
         op = nonnormal_op([0.6, 0.5, 0.3, 0.1 + 0.05j, 0.05])
         sys = eigendecompose(op)
-        tau = 1.2
-        beta = beta_expansion(sys, alpha_expansion(sys, tau))
-        assert oracle_error(sys.U, beta, op, green_matrix(op, tau)) <= 1e-9
+        assert oracle_errors(sys, op, 1.2)[1] <= 1e-9
 
     def test_round_trip_to_alpha(self, disk16_sys):
         B = disk16_sys.B
@@ -79,25 +109,25 @@ class TestBeta:
 
     def test_disk_oracle(self, disk16, disk16_sys):
         _, _, op = disk16
-        beta = beta_expansion(disk16_sys, alpha_expansion(disk16_sys, TAU))
-        assert oracle_error(disk16_sys.U, beta, op, green_matrix(op, TAU)) <= 1e-7
+        assert oracle_errors(disk16_sys, op, TAU)[1] <= 1e-7
 
 
 class TestReconstruct:
     def test_rank_zero_is_g0(self, disk16, disk16_sys):
+        # both norms are taken class by class, so they match the dense ones to rounding
         _, _, op = disk16
-        alpha = alpha_expansion(disk16_sys, TAU)
         direct = green_matrix(op, TAU)
-        errors = expansion_errors(disk16_sys.E, alpha, op, direct, [0])
-        assert errors == {0: weighted_frobenius(direct - g0_matrix(op), op.weights)}
+        scale, errors, _ = errors_at(disk16_sys, op, TAU, [0])
+        assert list(errors) == [0]
+        assert errors[0] == pytest.approx(weighted_frobenius(direct - g0_matrix(op), op.weights),
+                                          rel=1e-12)
+        assert scale == pytest.approx(weighted_frobenius(direct, op.weights), rel=1e-12)
 
     def test_rank_out_of_bounds(self, disk16, disk16_sys):
         _, _, op = disk16
-        alpha = alpha_expansion(disk16_sys, TAU)
-        direct = green_matrix(op, TAU)
         for rank in (-1, disk16_sys.size + 1):
             with pytest.raises(InvalidArgumentError):
-                expansion_errors(disk16_sys.E, alpha, op, direct, [0, rank])
+                errors_at(disk16_sys, op, TAU, [0, rank])
 
     def test_accumulated_sums_match_prefix_sums(self, disk16, disk16_sys):
         # each rank's error equals that of its prefix sum formed from scratch
@@ -106,7 +136,7 @@ class TestReconstruct:
         alpha = alpha_expansion(disk16_sys, TAU)
         direct = green_matrix(op, TAU)
         ranks = truncation_ranks(N)
-        errors = expansion_errors(E, alpha, op, direct, ranks[::-1])
+        _, errors, _ = errors_at(disk16_sys, op, TAU, ranks[::-1])
         assert list(errors) == ranks
         for r in ranks:
             prefix = E[:, :r] @ alpha[:r] @ E.conj().T / op.n[None, :]
@@ -115,13 +145,47 @@ class TestReconstruct:
 
     def test_alpha_curve_monotone(self, disk16, disk16_sys):
         _, _, op = disk16
-        alpha = alpha_expansion(disk16_sys, TAU)
-        curve = truncation_error_curve(expansion_errors(
-            disk16_sys.E, alpha, op, green_matrix(op, TAU), truncation_ranks(disk16_sys.size)))
+        curve = truncation_error_curve(errors_at(disk16_sys, op, TAU,
+                                                 truncation_ranks(disk16_sys.size))[1])
         errs = [e for _, e in curve]
         assert errs[0] == pytest.approx(1.0, abs=1e-12)
         assert errs[-1] <= 1e-8
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
+
+
+class TestPointCoordinates:
+    """expansion_errors works class by class in orbit coordinates; these tests pin
+    the expansions and the truncation curve to the dense fields on the grid."""
+
+    @pytest.mark.parametrize("make,blocks", [(disk_op, [29, 23, 52, 52, 29, 23]),
+                                             (bump_op, [208])], ids=["disk16", "bump16"])
+    def test_dense_expansions_match_green(self, make, blocks):
+        op = make()
+        sys = eigendecompose(op)
+        assert sys.symmetry_blocks == blocks
+        alpha = alpha_expansion(sys, TAU)
+        G, G0 = green_matrix(op, TAU), g0_matrix(op)
+        for basis, coeff in ((sys.E, alpha), (sys.U, beta_expansion(sys, alpha))):
+            expanded = G0 + basis @ coeff @ basis.conj().T / op.n[None, :]
+            assert np.linalg.norm(expanded - G) <= 1e-10 * np.linalg.norm(G)
+
+    @pytest.mark.parametrize("make", [disk_op, ball_op, bump_op],
+                             ids=["disk16", "ball10", "bump16"])
+    def test_curve_matches_dense_curve(self, make):
+        op = make()
+        sys = eigendecompose(op)
+        ranks = truncation_ranks(sys.size)
+        curve = truncation_error_curve(errors_at(sys, op, TAU, ranks)[1])
+        # the dense curve: the grid's error field, accumulated rank by rank
+        E, alpha = sys.E, alpha_expansion(sys, TAU)
+        field = g0_matrix(op) - green_matrix(op, TAU)
+        terms = alpha @ E.conj().T / op.n[None, :]
+        dense = []
+        for prev, r in zip([0] + ranks, ranks):
+            field += E[:, prev:r] @ terms[prev:r]
+            dense.append(weighted_frobenius(field, op.weights))
+        assert [r for r, _ in curve] == ranks
+        assert np.max(np.abs([e - d / dense[0] for (_, e), d in zip(curve, dense)])) <= 1e-12
 
 
 class TestPsf:
