@@ -53,7 +53,7 @@ from .imaging import (
 from .io import config_hash, write_coefficients, write_csv, write_json
 from .kernels import im_g0_from_distance
 from .spectral import dominant_spatial_frequency, eigendecompose
-from .volume import RESONANCE_TOL, assemble_kd, class_block, green_matrix, symmetry_blocks
+from .volume import RESONANCE_TOL, assemble_kd, class_block, green_matrix
 
 
 REQUIRED = object()   # default of a key that must be given
@@ -177,6 +177,19 @@ class _Loader(yaml.SafeLoader):
     yaml_constructors = {t: c for t, c in yaml.SafeLoader.yaml_constructors.items()
                          if t is None or t.endswith((":null", ":float", ":str", ":seq", ":map"))}
 
+    def construct_mapping(self, node, deep=False):
+        """The mapping of node; a key given twice is refused, as YAML 1.2 requires. The
+        keys are kept in a list, so that the base class refuses an unhashable one."""
+        keys = []
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node, deep=deep)
+                if key in keys:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r}", key_node.start_mark)
+                keys.append(key)
+        return super().construct_mapping(node, deep)
+
 
 for _tag, _pattern in (("int", r"[-+]?[0-9]+"),
                        ("float", r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")):
@@ -279,7 +292,7 @@ def cmd_spectrum(cfg, out: Path):
             zip(clusters.tolist(), place.tolist(), sys_.classes.tolist(), sys_.lambdas)]
     write_csv(out / "spectrum.csv", ["j", "l", "class", "re", "im"], rows)
     return {"n_modes": sys_.size, "cluster_tol": sys_.cluster_tol,
-            "symmetry_blocks": sys_.symmetry_blocks, "warnings": sys_.warnings}
+            "symmetry_blocks": op.symmetry_blocks, "warnings": sys_.warnings}
 
 
 def _resonant_mode(sys_, op, tau):
@@ -292,9 +305,10 @@ def _resonant_mode(sys_, op, tau):
     if tau == 0:
         return None
     pos = int(np.argmin(np.abs(1.0 / tau - sys_.lambdas)))
-    lam, u, c = sys_.lambdas[pos], sys_.U[:, pos], sys_.classes[pos]
-    _, entry, points = sys_.orbits[c]
-    uz = u[points] / entry[points]
+    lam, c = sys_.lambdas[pos], sys_.classes[pos]
+    uz = sys_.modes[c][:, np.searchsorted(sys_.class_columns[c], pos)]
+    column, entry = sys_.symmetry[c].orbit_entries(op.n.size)
+    u = np.where(column >= 0, entry * uz[column], 0.0)
     return {"index": pos, "eigenvalue": [float(lam.real), float(lam.imag)],
             "proximity": float(abs(1.0 / tau - lam) / (1.0 + abs(lam))),
             "residual": float(np.linalg.norm(zgemv(1.0, class_block(op, sys_.symmetry[c]), uz)
@@ -325,7 +339,7 @@ def cmd_expand(cfg, out: Path):
         "oracle_rel_error_beta": beta_error / green,
         "eigenbasis_condition": float(np.sqrt(a2 * b2)),
         "resonant_mode": _resonant_mode(sys_, op, tau),
-        "symmetry_blocks": sys_.symmetry_blocks,
+        "symmetry_blocks": op.symmetry_blocks,
         "warnings": sys_.warnings,
     }
 
@@ -348,7 +362,7 @@ def cmd_psf(cfg, out: Path):
     if report.get("fwhm_high_contrast") is not None and report["fwhm_homogeneous"]:
         report["ratio"] = report["fwhm_high_contrast"] / report["fwhm_homogeneous"]
     write_json(out / "fwhm_report.json", report)
-    return {"x0_index": x0_index, "symmetry_blocks": symmetry_blocks(op)}
+    return {"x0_index": x0_index, "symmetry_blocks": op.symmetry_blocks}
 
 
 def _result_rows(values):
@@ -391,7 +405,7 @@ def cmd_image(cfg, out: Path):
         entry["separation"] = met.separation if np.isfinite(met.separation) else None
         metrics["methods"][name] = entry
     write_json(out / "metrics.json", metrics)
-    extra = {"symmetry_blocks": symmetry_blocks(op)}
+    extra = {"symmetry_blocks": op.symmetry_blocks}
     if "l1" in cfg["methods"]:
         extra["tolerances"] = {"l1_tol": cfg["methods"]["l1"]["tol"]}
     return extra
@@ -443,7 +457,7 @@ def cmd_sweep_separation(cfg, out: Path):
     write_csv(out / "sweep.csv",
               ["separation", "medium_tag", "localization_error", "success_flag"], rows)
     return {"tolerances": {"l1_tol": sep["tol"]}, "l1_solves": solves,
-            "symmetry_blocks": symmetry_blocks(op)}
+            "symmetry_blocks": op.symmetry_blocks}
 
 
 _COMMANDS = {

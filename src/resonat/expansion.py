@@ -126,13 +126,12 @@ def expansion_errors(sys: SpectralSystem, op: DiscreteOperator, tau: float, alph
         (G0, G), pairs[c] = pairs[c], None   # a twin's pair is freed with the twin
         if not cols.size:
             continue
-        points = sys.orbits[c][2]
+        points = sys.symmetry[c].points[0]
         s, n, block = np.sqrt(op.weights[points]), op.n[points], np.ix_(cols, cols)
         green += _squared_norm(_weigh(G.copy(), s))
         field = _weigh(G0 - G, s)   # G0 + S_0 - G
         del G0, G
-        left = sys.orbit_modes(c)
-        left *= s[:, None]
+        left = s[:, None] * sys.modes[c]
         beta_error += _squared_norm(zgemm(1.0, left, _right_factor(beta[block], left, n),
                                           1.0, field))
         left = s[:, None] * sys.class_bases[c][0]

@@ -15,10 +15,10 @@ Each class is solved by one eig on its block in an orthonormal basis of
 lattice orbits; a class that the swap maps onto another is not solved, its
 modes are the swapped modes of that other class. An operator without symmetry
 is the one-class case. `classes` records the class of each mode column,
-`symmetry` the classes themselves, `symmetry_blocks` the size of every class,
-in the order of the classes, and `orbits` the basis of each class: per point,
-the column of its orbit and its entry in that orbit's unit vector, and one
-point of each orbit.
+`symmetry` the classes themselves, as the operator decided them, and `modes`
+each class's modes in the coordinates of its orbit basis: one row per orbit,
+one column per mode of the class, in total order. U is scattered from them on
+each read.
 
 The orthonormalized basis E is produced by QR in the weighted discrete L2(D)
 inner product, one QR per symmetry class on the modes' orbit coordinates,
@@ -46,78 +46,71 @@ import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericFailureError, ResonanceProximityError
 from .grids import _require_memory
-from .volume import DiscreteOperator, class_block, symmetry_classes
+from .volume import DiscreteOperator, class_block
 
 
 @dataclass
 class SpectralSystem:
     lambdas: np.ndarray                    # (N,) eigenvalue per total-order column
     clusters: np.ndarray                   # (N,) 1-based cluster per column, nondecreasing
-    U: np.ndarray                          # modes, columns in total order
+    modes: list                            # per class, its modes in orbit coordinates
     weights: np.ndarray                    # (N,) quadrature weights of the inner product
     cluster_tol: float
     classes: np.ndarray                    # (N,) symmetry class per column, 0-based
     symmetry: list                         # the SymmetryClass of each class
-    orbits: list                           # per class: column, entry (N,), a point per orbit
     warnings: List[str] = field(default_factory=list)
 
     @property
     def size(self) -> int:
-        return self.U.shape[1]
-
-    @property
-    def symmetry_blocks(self) -> List[int]:
-        """The number of modes of each symmetry class."""
-        return np.bincount(self.classes, minlength=len(self.orbits)).tolist()
+        return self.lambdas.size
 
     @cached_property
     def class_columns(self) -> list:
         """Per class, its mode columns in total order."""
-        return [np.flatnonzero(self.classes == c) for c in range(len(self.orbits))]
-
-    def orbit_modes(self, c: int) -> np.ndarray:
-        """The modes of class c in its orbit coordinates: each at one point per
-        orbit, divided by the point's entry. Gathered transposed, so that the
-        result is Fortran-ordered and goes to LAPACK and BLAS uncopied."""
-        _, entry, points = self.orbits[c]
-        modes = self.U.T[np.ix_(self.class_columns[c], points)].T
-        modes /= entry[points, None]
-        return modes
+        return [np.flatnonzero(self.classes == c) for c in range(len(self.symmetry))]
 
     @cached_property
     def class_bases(self) -> list:
-        """Per class, the weighted QR (Ez, A, B) of its orbit_modes Uz, so that
+        """Per class, the weighted QR (Ez, A, B) of its modes Uz, so that
         Ez = Uz A and Uz = Ez B; the weights are constant on orbits."""
-        return [_weighted_qr(self.orbit_modes(c), self.weights[points])
-                for c, (_, _, points) in enumerate(self.orbits)]
+        return [_weighted_qr(modes, self.weights[c.points[0]])
+                for c, modes in zip(self.symmetry, self.modes)]
 
-    def _scatter(self, part: int) -> np.ndarray:
-        """The N x N array of part 0, 1 or 2 (E, A or B) of the class bases."""
-        N = self.size
-        out = np.zeros((N, N), dtype=complex)
-        for (column, entry, _), cols, basis in zip(self.orbits, self.class_columns,
-                                                   self.class_bases):
-            if part:
-                out[np.ix_(cols, cols)] = basis[part]
-            else:
-                rows = np.flatnonzero(column >= 0)
-                out[np.ix_(rows, cols)] = entry[rows, None] * basis[0][column[rows]]
-        return out
+    @property
+    def U(self) -> np.ndarray:
+        """The modes, columns in total order."""
+        return _scatter(self.symmetry, self.class_columns, self.modes, True)
 
     @property
     def E(self) -> np.ndarray:
         """Weighted-orthonormal columns; raises NumericFailureError if U is rank deficient."""
-        return self._scatter(0)
+        return _scatter(self.symmetry, self.class_columns, [b[0] for b in self.class_bases], True)
 
     @property
     def A(self) -> np.ndarray:
         """E = U @ A."""
-        return self._scatter(1)
+        return _scatter(self.symmetry, self.class_columns, [b[1] for b in self.class_bases], False)
 
     @property
     def B(self) -> np.ndarray:
         """U = E @ B."""
-        return self._scatter(2)
+        return _scatter(self.symmetry, self.class_columns, [b[2] for b in self.class_bases], False)
+
+
+def _scatter(symmetry: list, columns: list, blocks: list, orbits: bool) -> np.ndarray:
+    """The N x N array of one block per class over the class's mode columns, its
+    rows in orbit coordinates scattered onto the points (orbits) or over the same
+    mode columns."""
+    N = sum(cols.size for cols in columns)
+    out = np.zeros((N, N), dtype=complex)
+    for c, cols, block in zip(symmetry, columns, blocks):
+        if orbits:
+            column, entry = c.orbit_entries(N)
+            rows = np.flatnonzero(column >= 0)
+            out[np.ix_(rows, cols)] = entry[rows, None] * block[column[rows]]
+        else:
+            out[np.ix_(cols, cols)] = block
+    return out
 
 
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
@@ -153,14 +146,13 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     within 1e-8 max(max |lambda|, 1) of a cluster's first one join that
     cluster. The weighted-orthonormal basis E, A, B is not formed here but on
     its first read, which is where a rank-deficient U is refused. Refuses an N
-    whose modes, V and the phase-fixed U, two N x N complex arrays, are larger
-    than physical memory.
+    whose modes on the grid, V and the phase-fixed U, two transient N x N
+    complex arrays, are larger than physical memory.
     """
     N = op.n.size
     _require_memory(32 * N**2, f"eigendecomposition of size N={N}")
-    symmetry = symmetry_classes(op)
     parts = []   # per class, its eigenvalues and block eigenvectors Y
-    for i, c in enumerate(symmetry):
+    for i, c in enumerate(op.classes):
         if c.source != i:   # the swapped modes of a solved class: the same eigenvalues and Y
             parts.append(parts[c.source])
             continue
@@ -179,15 +171,10 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     ang = np.mod(np.angle(lam), 2.0 * np.pi)
     order = np.lexsort((ang, -np.abs(lam)))
     lam, classes = lam[order], classes[order]
-    V = np.zeros((N, N), dtype=complex)
     first = np.cumsum([0] + sizes)
-    orbits = []   # per class: column, entry and a point per orbit
-    for i, (c, (_, Y)) in enumerate(zip(symmetry, parts)):
-        column, entry = c.orbit_entries(N)
-        orbits.append((column, entry, c.points[0]))
-        cols = np.flatnonzero(classes == i)
-        rows = np.flatnonzero(column >= 0)
-        V[np.ix_(rows, cols)] = entry[rows, None] * Y[np.ix_(column[rows], order[cols] - first[i])]
+    columns = [np.flatnonzero(classes == i) for i in range(len(parts))]
+    V = _scatter(op.classes, columns, [Y[:, order[cols] - first[i]] for i, (cols, (_, Y))
+                                       in enumerate(zip(columns, parts))], True)
 
     # cluster consecutive eigenvalues within tol of the cluster representative
     members_of: List[List[int]] = []
@@ -213,8 +200,12 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     w = op.weights
     V /= np.sqrt(np.sum(w[:, None] * np.abs(V) ** 2, axis=0))
     U = _fix_column_phases(V)
-    return SpectralSystem(lambdas=lam, clusters=clusters, U=U, weights=w, cluster_tol=tol,
-                          classes=classes, symmetry=symmetry, orbits=orbits, warnings=warnings)
+    # each class's modes at one point per orbit, over the point's entry; gathered
+    # transposed, so that each is Fortran-ordered and goes to LAPACK and BLAS uncopied
+    modes = [U.T[np.ix_(cols, c.points[0])].T / c.orbit_entries(N)[1][c.points[0], None]
+             for c, cols in zip(op.classes, columns)]
+    return SpectralSystem(lambdas=lam, clusters=clusters, modes=modes, weights=w, cluster_tol=tol,
+                          classes=classes, symmetry=op.classes, warnings=warnings)
 
 
 def dominant_spatial_frequency(op: DiscreteOperator, values: np.ndarray):

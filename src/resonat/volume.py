@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -52,7 +53,8 @@ _GATHER_ROWS = 128
 @dataclass
 class DiscreteOperator:
     """The volume operator on a grid, held as the flat table its entries are
-    gathered from: M[i, j] = T[row_i - col_j] (-n_j)."""
+    gathered from: M[i, j] = T[row_i - col_j] (-n_j). Its arrays are not changed
+    after it is built, so its symmetry classes are decided once, on first read."""
 
     table: np.ndarray    # T, complex
     row: np.ndarray      # (N,) position in T of each point as a row of M
@@ -75,6 +77,30 @@ class DiscreteOperator:
         N = self.n.size
         _require_memory(16 * N**2, f"dense operator of size N={N}")
         return _columns(self, slice(None))
+
+    @cached_property
+    def classes(self) -> list:
+        """The symmetry classes of M, in the order of the module docstring; a class
+        that the swap maps onto an earlier one has its swapped basis."""
+        N = self.n.size
+        axes, reflections, swap = _symmetries(self)
+        # the swap exchanges the parities of axes 0 and 1, which are kept together
+        mirror = (lambda s: (s[1], s[0], *s[2:])) if axes[:2] == [0, 1] else (lambda s: s)
+        solved, out = {}, []
+        for parities in product((1, -1), repeat=len(axes)):
+            if swap is not None and mirror(parities) in solved:
+                c = out[solved[mirror(parities)]]
+                out.append(SymmetryClass(swap[c.points], c.chars, c.stab, c.source))
+                continue
+            solved[parities] = len(out)
+            for e in (1, -1) if swap is not None and mirror(parities) == parities else (None,):
+                out.append(_orbit_class(*_group(N, reflections, parities, swap, e), len(out)))
+        return out
+
+    @property
+    def symmetry_blocks(self) -> list:
+        """The size of every symmetry class of M, in the order of the classes."""
+        return [c.size for c in self.classes]
 
 
 def _diag_kernel_integral(w: float, ctx: WaveContext) -> complex:
@@ -291,30 +317,6 @@ def _orbit_class(perms: np.ndarray, chars: np.ndarray, source: int) -> SymmetryC
     return SymmetryClass(perms[:, reps[stab > 0]], chars, stab[stab > 0], source)
 
 
-def symmetry_classes(op: DiscreteOperator) -> list:
-    """The symmetry classes of M, in the order of the module docstring; a class
-    that the swap maps onto an earlier one has its swapped basis."""
-    N = op.n.size
-    axes, reflections, swap = _symmetries(op)
-    # the swap exchanges the parities of axes 0 and 1, which are kept together
-    mirror = (lambda s: (s[1], s[0], *s[2:])) if axes[:2] == [0, 1] else (lambda s: s)
-    solved, classes = {}, []
-    for parities in product((1, -1), repeat=len(axes)):
-        if swap is not None and mirror(parities) in solved:
-            c = classes[solved[mirror(parities)]]
-            classes.append(SymmetryClass(swap[c.points], c.chars, c.stab, c.source))
-            continue
-        solved[parities] = len(classes)
-        for e in (1, -1) if swap is not None and mirror(parities) == parities else (None,):
-            classes.append(_orbit_class(*_group(N, reflections, parities, swap, e), len(classes)))
-    return classes
-
-
-def symmetry_blocks(op: DiscreteOperator) -> list:
-    """The size of every symmetry class of M, in the order of the classes."""
-    return [c.size for c in symmetry_classes(op)]
-
-
 def _add_signed(acc: np.ndarray, term: np.ndarray, chi: int) -> np.ndarray:
     """acc + chi term for chi = +1 or -1, computed in place of acc."""
     return (np.add if chi > 0 else np.subtract)(acc, term, out=acc)
@@ -341,17 +343,18 @@ def class_block(op: DiscreteOperator, c: SymmetryClass, scale: complex = 1.0) ->
     return out
 
 
-def _factor(op: DiscreteOperator, tau: float):
+def _factor(op: DiscreteOperator, tau: float) -> dict:
     """LU factorizations of I - tau B over the blocks B of the symmetry classes
-    of M: returns the classes and, for each solved class that is not empty, by
-    its index, the LU of its block (scipy.linalg.lu_factor form). Refused when
-    the LUs, 16 bytes per block entry, are larger than physical memory.
+    of M: for each solved class that is not empty, by its index, the LU of its
+    block (scipy.linalg.lu_factor form). Refused when the LUs, 16 bytes per
+    block entry, are larger than physical memory, and, by the rule of
+    check_resonance_proximity, when 1/tau is within tolerance of the spectrum.
 
-    An exactly zero pivot is left for check_resonance_proximity to report, so
-    LAPACK's singular-matrix warning is silenced here.
+    An exactly zero pivot means that 1/tau is an eigenvalue; it is refused
+    here, so LAPACK's singular-matrix warning is silenced.
     """
-    classes, lus = symmetry_classes(op), {}
-    solved = {i: c for i, c in enumerate(classes) if c.source == i and c.size}
+    z, lus, ritz = 1.0 / tau, {}, []
+    solved = {i: c for i, c in enumerate(op.classes) if c.source == i and c.size}
     sizes = [c.size for c in solved.values()]
     _require_memory(16 * sum(n**2 for n in sizes), f"Lippmann-Schwinger solve of N={op.n.size} "
                     f"(largest symmetry block {max(sizes, default=0)})")
@@ -361,7 +364,11 @@ def _factor(op: DiscreteOperator, tau: float):
             A = class_block(op, c, -tau)
             A[np.diag_indices_from(A)] += 1.0
             lus[i] = lu_factor(A, overwrite_a=True, check_finite=False)
-    return classes, lus
+            if not np.all(np.diagonal(lus[i][0])):
+                raise ResonanceProximityError(z, z)
+            ritz.append(_dominant_ritz_values(lus[i]))
+    refuse_near_spectrum(z, z * (1.0 - 1.0 / np.concatenate(ritz)))
+    return lus
 
 
 def _dominant_ritz_values(lu) -> np.ndarray:
@@ -395,18 +402,7 @@ def check_resonance_proximity(op: DiscreteOperator, z: complex):
     """
     if z == 0:
         raise InvalidArgumentError("resonance check needs a nonzero z = 1/tau")
-    _refuse_near_class_spectra(z, _factor(op, 1.0 / z)[1])
-
-
-def _refuse_near_class_spectra(z: complex, lus: dict):
-    """check_resonance_proximity on the LUs of I - B/z of the solved classes, as
-    _factor returns them."""
-    ritz = []
-    for block_lu in lus.values():
-        if not np.all(np.diagonal(block_lu[0])):  # I - B/z is singular: z is an eigenvalue
-            raise ResonanceProximityError(z, z)
-        ritz.append(_dominant_ritz_values(block_lu))
-    refuse_near_spectrum(z, z * (1.0 - 1.0 / np.concatenate(ritz)))
+    _factor(op, 1.0 / z)
 
 
 def refuse_near_spectrum(z: complex, lambdas: np.ndarray):
@@ -444,10 +440,9 @@ def _lippmann_schwinger(op: DiscreteOperator, tau: float, free: np.ndarray) -> n
     time. Refused when 1/tau is within tolerance of the spectrum; the resonance
     check reuses the factorization of the solve.
     """
-    classes, lus = _factor(op, tau)
-    _refuse_near_class_spectra(1.0 / tau, lus)
+    lus = _factor(op, tau)
     b = free.reshape(free.shape[0], -1)   # a view: free is a vector or a matrix
-    parts = [(c, _class_solution(b, c, lus[c.source])) for c in classes if c.size]
+    parts = [(c, _class_solution(b, c, lus[c.source])) for c in op.classes if c.size]
     b[...] = 0.0
     for c, x in parts:
         for start in range(0, c.size, _GATHER_ROWS):
@@ -474,13 +469,9 @@ def class_green(op: DiscreteOperator, tau: float) -> list:
     (I - tau B) G_c = G0_c on the class's LU. A class that the swap maps onto
     a solved one has that class's pair. Refused as green_matrix is.
     """
-    if tau == 0:
-        classes = symmetry_classes(op)
-    else:
-        classes, lus = _factor(op, tau)
-        _refuse_near_class_spectra(1.0 / tau, lus)
+    lus = _factor(op, tau) if tau else {}
     pairs = []
-    for i, c in enumerate(classes):
+    for i, c in enumerate(op.classes):
         if c.source != i:
             pairs.append(pairs[c.source])
             continue

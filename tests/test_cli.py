@@ -216,6 +216,16 @@ class TestConfigValidation:
                        "line 2, column 2: expected ',' or ']', but got ':'\n")
         assert not out.exists()
 
+    def test_duplicate_key_exit_2(self, tmp_path, capsys):
+        # YAML 1.2 keys are unique; the last value is not taken silently
+        path = tmp_path / "cfg.yaml"
+        path.write_text("wave:\n  k: 1.0\n  dim: 3\n  k: 2.0\nhk: {radii: [50.0]}\n")
+        out = tmp_path / "o"
+        assert run("hk-check", str(path), out) == 2
+        assert capsys.readouterr().err == ("resonat: config error: config is not valid YAML: "
+                                           "line 4, column 3: duplicate key 'k'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_exit_2_before_output(self, tmp_path, capsys, case):
         command, sections = MALFORMED[case]
@@ -291,7 +301,7 @@ class TestSpectrum:
         # class is the mode's symmetry class, in the order of the eigenvalues
         sys_ = eigendecompose(_operator(read_config(BASE))[2])
         assert [int(r[2]) for r in rows] == sys_.classes.tolist()
-        assert len(set(r[2] for r in rows)) == len(sys_.symmetry_blocks) > 1
+        assert len(set(r[2] for r in rows)) == len(sys_.symmetry) > 1
 
     def test_radial_bump_3d_default_center(self, tmp_path):
         cfg = {"wave": {"k": 1.0, "dim": 3},
@@ -356,6 +366,21 @@ class TestSpectrum:
             separation={"values": [0.5], "max_iters": 20}))
         for command in ("spectrum", "expand", "psf", "image", "sweep-separation"):
             assert run(command, cfg_path, tmp_path / command) == 0, command
+
+    def test_classes_decided_once(self, tmp_path, monkeypatch):
+        # the operator decides its symmetry classes on first read, and every stage of
+        # a command reads them from it
+        calls = []
+        symmetries = resonat.volume._symmetries
+        monkeypatch.setattr(resonat.volume, "_symmetries",
+                            lambda op: calls.append(op) or symmetries(op))
+        cfg_path = write_cfg(tmp_path, dict(
+            BASE, surface={"radius": 50.0, "points": 32}, sources=[{"location": [0.2, -0.1]}],
+            methods={"time_reversal": {}}, separation={"values": [0.5], "max_iters": 20}))
+        for command in ("spectrum", "expand", "psf", "image", "sweep-separation"):
+            calls.clear()
+            assert run(command, cfg_path, tmp_path / command) == 0
+            assert len(calls) == 1, command
 
     def test_tau_independent(self, tmp_path):
         cfg = {k: v for k, v in BASE.items() if k != "contrast"}
@@ -484,15 +509,17 @@ class TestExpand:
         {"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5, "peak": 2.0},
     ], ids=["constant", "off_center_bump"])
     def test_no_dense_basis_or_grid_solve(self, tmp_path, monkeypatch, profile):
-        # expand works on each class's QR and Green block in orbit coordinates, with
-        # symmetry or without: it reads no N x N E, A or B and solves no grid columns
-        for name in ("E", "A", "B"):
+        # spectrum and expand work on each class's modes, QR and Green block in orbit
+        # coordinates, with symmetry or without: they read no N x N U, E, A or B and
+        # solve no grid columns
+        for name in ("E", "A", "B", "U"):
             monkeypatch.setattr(resonat.spectral.SpectralSystem, name, property(
                 lambda sys_, name=name: pytest.fail(f"the dense {name} was read")))
         monkeypatch.setattr(resonat.volume, "_lippmann_schwinger",
                             lambda *args: pytest.fail("grid columns were solved"))
         cfg_path = write_cfg(tmp_path, dict(BASE, profile=profile))
-        assert run("expand", cfg_path, tmp_path / "out") == 0
+        for command in ("spectrum", "expand"):
+            assert run(command, cfg_path, tmp_path / command) == 0, command
 
     def test_rank_deficient_basis_refused_by_expand_only(self, tmp_path, capsys, monkeypatch):
         def deficient(U, w):

@@ -162,7 +162,7 @@ class TestPointCoordinates:
     def test_dense_expansions_match_green(self, make, blocks):
         op = make()
         sys = eigendecompose(op)
-        assert sys.symmetry_blocks == blocks
+        assert op.symmetry_blocks == blocks
         alpha = alpha_expansion(sys, TAU)
         G, G0 = green_matrix(op, TAU), g0_matrix(op)
         for basis, coeff in ((sys.E, alpha), (sys.U, beta_expansion(sys, alpha))):

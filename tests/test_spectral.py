@@ -61,8 +61,8 @@ class TestEigendecompose:
         # of the class's modes, taken in orbit coordinates; the weighted QR of the
         # modes at every point is the reference
         sys = disk16_sys
-        assert len(sys.orbits) == 6
-        for c in range(len(sys.orbits)):
+        assert len(sys.symmetry) == 6
+        for c in range(len(sys.symmetry)):
             cols = np.flatnonzero(sys.classes == c)
             E, A, B = _weighted_qr(sys.U[:, cols], sys.weights)
             for built, expected in ((sys.E[:, cols], E), (sys.A[np.ix_(cols, cols)], A),
@@ -153,19 +153,32 @@ class TestSymmetryBlocks:
         op = make()
         M = op.matrix
         sys = eigendecompose(op)
-        assert sys.symmetry_blocks == blocks
+        assert op.symmetry_blocks == blocks
         want = scipy.linalg.eigvals(M)
         cost = np.abs(sys.lambdas[:, None] - want[None, :])
         assert cost[linear_sum_assignment(cost)].max() <= 1e-12 * np.abs(want).max()
         residual = np.linalg.norm(M @ sys.U - sys.U * sys.lambdas, axis=0)
         assert np.all(residual <= 1e-13 * np.linalg.norm(sys.U, axis=0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: _medium(2, 16, 1.0), lambda: _medium(3, 5, 1.0),
+        lambda: _medium(2, 20, 6.0, center=[0.3, 0.1]), _line_matrix,
+    ], ids=["disk16", "ball5", "off_center_bump20", "line"])
+    def test_modes_held_per_class(self, make):
+        # each class's modes in its orbit coordinates, one row per orbit and one
+        # column per mode, Fortran-ordered for LAPACK and BLAS; no N x N U is kept
+        op = make()
+        sys = eigendecompose(op)
+        assert [m.shape for m in sys.modes] == [(c.size, c.size) for c in op.classes]
+        assert all(m.flags.f_contiguous for m in sys.modes)
+        assert "U" not in vars(sys)
+
     def test_line_reversal_kept_only_with_matrix_and_weights(self):
         M = _line_matrix().matrix
         op = operator_from_matrix(M + M[::-1, ::-1])
-        assert eigendecompose(op).symmetry_blocks == [20, 20]
+        assert op.symmetry_blocks == [20, 20]
         uneven = replace(op, grid=replace(op.grid, weights=np.linspace(1.0, 2.0, 40)))
-        assert eigendecompose(uneven).symmetry_blocks == [40]
+        assert uneven.symmetry_blocks == [40]
 
     def test_classes_are_exact(self, disk16_sys):
         # modes vanish off their class's points, and the basis is zero across classes
