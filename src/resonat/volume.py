@@ -364,9 +364,10 @@ def _factor(op: DiscreteOperator, tau: float) -> dict:
             A = class_block(op, c, -tau)
             A[np.diag_indices_from(A)] += 1.0
             lus[i] = lu_factor(A, overwrite_a=True, check_finite=False)
-            if not np.all(np.diagonal(lus[i][0])):
-                raise ResonanceProximityError(z, z)
-            ritz.append(_dominant_ritz_values(lus[i]))
+    for lu in lus.values():   # after all LUs: run between them, they cost 1-2 ms more on 2 cores
+        if not np.all(np.diagonal(lu[0])):
+            raise ResonanceProximityError(z, z)
+        ritz.append(_dominant_ritz_values(lu))
     refuse_near_spectrum(z, z * (1.0 - 1.0 / np.concatenate(ritz)))
     return lus
 
