@@ -171,10 +171,10 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     ang = np.mod(np.angle(lam), 2.0 * np.pi)
     order = np.lexsort((ang, -np.abs(lam)))
     lam, classes = lam[order], classes[order]
-    first = np.cumsum([0] + sizes)
-    columns = [np.flatnonzero(classes == i) for i in range(len(parts))]
-    V = _scatter(op.classes, columns, [Y[:, order[cols] - first[i]] for i, (cols, (_, Y))
-                                       in enumerate(zip(columns, parts))], True)
+    # eigenvector j of class i, of eigenvalue first[i] + j, goes to that eigenvalue's column
+    first, column_of = np.cumsum([0] + sizes), np.argsort(order)
+    V = _scatter(op.classes, [column_of[a:b] for a, b in zip(first, first[1:])],
+                 [Y for _, Y in parts], True)
 
     # cluster consecutive eigenvalues within tol of the cluster representative
     members_of: List[List[int]] = []
@@ -200,10 +200,12 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     w = op.weights
     V /= np.sqrt(np.sum(w[:, None] * np.abs(V) ** 2, axis=0))
     U = _fix_column_phases(V)
-    # each class's modes at one point per orbit, over the point's entry; gathered
+    # each class's modes at one point per orbit, over the point's entry, in place; gathered
     # transposed, so that each is Fortran-ordered and goes to LAPACK and BLAS uncopied
-    modes = [U.T[np.ix_(cols, c.points[0])].T / c.orbit_entries(N)[1][c.points[0], None]
-             for c, cols in zip(op.classes, columns)]
+    modes = [U.T[np.ix_(np.flatnonzero(classes == i), c.points[0])].T
+             for i, c in enumerate(op.classes)]
+    for c, m in zip(op.classes, modes):
+        m /= c.orbit_entries(N)[1][c.points[0], None]
     return SpectralSystem(lambdas=lam, clusters=clusters, modes=modes, weights=w, cluster_tol=tol,
                           classes=classes, symmetry=op.classes, warnings=warnings)
 
