@@ -194,9 +194,32 @@ def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",
 
 
 def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
+    """x (|x| - t)/|x| where |x| > t, and exact zeros elsewhere."""
     mag = np.abs(x)
-    scale = np.maximum(mag - t, 0.0) / np.where(mag > 0, mag, 1.0)
-    return x * scale
+    on = (mag > t).nonzero()[0]
+    g = np.zeros(x.shape, dtype=x.dtype)
+    g[on] = x[on] * ((mag[on] - t) / mag[on])
+    return g
+
+
+class _SupportProduct:
+    """x -> M @ x over the columns on the support S of x, M[:, S] @ x[S]. The
+    block M[:, S] is gathered again only when S changes, always into the one
+    buffer, so that no two blocks are ever alive at once."""
+
+    def __init__(self, M: np.ndarray):
+        self.M, self.key = M, None
+        self.buffer = np.empty(M.size, dtype=M.dtype)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        on = x != 0
+        if (key := on.tobytes()) != self.key:
+            self.key, self.support = key, on.nonzero()[0]
+            n, k = self.M.shape[0], self.support.size
+            self.block = self.buffer[:n * k].reshape(n, k)
+            # the indices are in range; mode "raise" would gather into a temporary first
+            np.take(self.M, self.support, axis=1, out=self.block, mode="clip")
+        return self.block @ x[self.support]
 
 
 def _l1_system(W: np.ndarray, u: np.ndarray, mode: str):
@@ -226,8 +249,10 @@ def l1_reconstruct(fmap: ForwardMap, u: np.ndarray, mu: float,
 
     The gradient is taken in Gram form, Q y - c with Q = A^H A and c = A^H u
     formed once, and the momentum restarts whenever the objective rises
-    (O'Donoghue & Candes 2015). The run stops when the objective changes by at
-    most tol relative. The metadata records the final objective (that of g = 0
+    (O'Donoghue & Candes 2015). Both iterates are sparse, so each iteration
+    multiplies only the columns of Q on the support of y and those of A on
+    the support of g. The run stops when the objective changes by at most tol
+    relative. The metadata records the final objective (that of g = 0
     when max_iters is 0), the number of restarts, and the optimality `gap`:
     the largest violation of the subgradient condition A^H(u - A g) in
     mu * sign(g), over mu."""
@@ -240,9 +265,11 @@ def l1_reconstruct(fmap: ForwardMap, u: np.ndarray, mu: float,
         raise InvalidArgumentError("forward map is identically zero")
     AH = A.conj().T
     Q, c = AH @ A, AH @ b
+    del AH   # not kept through the loop, where the column buffers take its place
+    Qy, Ag = _SupportProduct(Q), _SupportProduct(A)
 
     def objective(g):
-        return 0.5 * float(np.linalg.norm(A @ g - b) ** 2) + mu * float(np.sum(np.abs(g)))
+        return 0.5 * float(np.linalg.norm(Ag(g) - b) ** 2) + mu * float(np.sum(np.abs(g)))
 
     g = np.zeros(A.shape[1], dtype=complex)
     y = g.copy()
@@ -251,7 +278,7 @@ def l1_reconstruct(fmap: ForwardMap, u: np.ndarray, mu: float,
     converged = False
     iters = restarts = 0
     for iters in range(1, max_iters + 1):
-        g_new = _soft_threshold(y - (Q @ y - c) / L, mu / L)
+        g_new = _soft_threshold(y - (Qy(y) - c) / L, mu / L)
         obj_new = objective(g_new)
         if obj_new > obj:
             t, y = 1.0, g_new
@@ -264,7 +291,7 @@ def l1_reconstruct(fmap: ForwardMap, u: np.ndarray, mu: float,
         if iters > 1 and abs(obj_prev - obj) <= tol * max(obj, 1e-300):
             converged = True
             break
-    r = AH @ (b - A @ g)
+    r = A.conj().T @ (b - A @ g)
     on = g != 0
     gap = max(np.max(np.abs(r[on] - mu * g[on] / np.abs(g[on])), initial=0.0),
               np.max(np.abs(r[~on]) - mu, initial=0.0)) / mu

@@ -352,6 +352,77 @@ class TestL1:
             l1_reconstruct(diag_map([1.0]), plain_data([1.0]), mu=0.0)
 
 
+def dense_l1_reference(fmap, u, mu, mode, max_iters, tol):
+    """The L1 loop as it was before it multiplied on the support alone: a full
+    N x N product Q @ y and a full product A @ g in every iteration. Returns
+    g, the iteration count, the final objective and the gap."""
+    W = fmap.matrix
+    A, b = (W, u) if mode == "penalized" else (W.conj().T @ W, W.conj().T @ u)
+    L = float(np.linalg.norm(A, 2) ** 2)
+    AH = A.conj().T
+    Q, c = AH @ A, AH @ b
+
+    def objective(g):
+        return 0.5 * float(np.linalg.norm(A @ g - b) ** 2) + mu * float(np.sum(np.abs(g)))
+
+    def soft_threshold(x, t):
+        mag = np.abs(x)
+        return x * (np.maximum(mag - t, 0.0) / np.where(mag > 0, mag, 1.0))
+
+    g = np.zeros(A.shape[1], dtype=complex)
+    y = g.copy()
+    t = 1.0
+    obj = objective(g)
+    for iters in range(1, max_iters + 1):
+        g_new = soft_threshold(y - (Q @ y - c) / L, mu / L)
+        obj_new = objective(g_new)
+        if obj_new > obj:
+            t, y = 1.0, g_new
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t**2))
+            y = g_new + (t - 1.0) / t_new * (g_new - g)
+            t = t_new
+        g, obj, obj_prev = g_new, obj_new, obj
+        if iters > 1 and abs(obj_prev - obj) <= tol * max(obj, 1e-300):
+            break
+    r = AH @ (b - A @ g)
+    on = g != 0
+    gap = max(np.max(np.abs(r[on] - mu * g[on] / np.abs(g[on])), initial=0.0),
+              np.max(np.abs(r[~on]) - mu, initial=0.0)) / mu
+    return g, iters, obj, gap
+
+
+class TestL1OnSupport:
+    """The support-restricted loop against the dense one on the shipped lambda/4
+    pair (cells 20, m 256, mu_rel 0.02, tol 1e-13): the same iterates in exact
+    arithmetic, only the summation order of the two products differs."""
+
+    @pytest.fixture(scope="class")
+    def quarter_wavelength(self, disk20_k6):
+        ctx, grid, op = disk20_k6
+        surface = build_measurement_surface(100.0, 256, ctx)
+        src = [(tuple(grid.points[grid.nearest_index([x, 0.05])]), 1.0 + 0j)
+               for x in (-0.15, 0.15)]
+        problems = {}
+        for medium, tau in (("high_contrast", 180.5), ("homogeneous", 0.0)):
+            fmap = build_forward_map(grid, surface, ctx, tau=tau, op=op)
+            problems[medium] = fmap, synthesize_data(fmap, src)[0]
+        return problems
+
+    @pytest.mark.parametrize("mode", ["penalized", "normal_equation"])
+    @pytest.mark.parametrize("medium", ["high_contrast", "homogeneous"])
+    def test_matches_dense_loop(self, quarter_wavelength, medium, mode):
+        fmap, u = quarter_wavelength[medium]
+        mu = 0.02 * l1_zero_threshold(fmap, u, mode)
+        g, iters, obj, gap = dense_l1_reference(fmap, u, mu, mode, 30000, 1e-13)
+        res = l1_reconstruct(fmap, u, mu=mu, mode=mode, max_iters=30000, tol=1e-13)
+        assert res.metadata["converged"] and res.metadata["iterations"] == iters
+        assert np.array_equal(res.values != 0, g != 0)
+        assert np.max(np.abs(res.values - g)) <= 1e-10 * np.max(np.abs(g))
+        assert res.metadata["objective"] == pytest.approx(obj, rel=1e-12, abs=0)
+        assert res.metadata["gap"] == pytest.approx(gap, rel=1e-8, abs=0)
+
+
 class TestResolutionMetrics:
     def test_perfect_recovery(self, homog_setup):
         grid, _, _ = homog_setup
