@@ -169,10 +169,12 @@ _TABLE = {
 
 class _Loader(yaml.SafeLoader):
     """The safe loader narrowed to the YAML types a config holds: str, null, seq, map and
-    YAML 1.2's decimal ints and floats (010 is 10). Any other tag, !!bool and !!timestamp
-    included, has no constructor, and a plain true or 2001-12-14 reads as a string."""
+    YAML 1.2's decimal ints and floats (010 is 10). Any other tag, !!bool, !!timestamp and
+    !!merge included, has no constructor, and a plain true, 2001-12-14 or << reads as a
+    string."""
     yaml_implicit_resolvers = {
-        c: [r for r in rs if not r[0].endswith((":bool", ":int", ":float", ":timestamp"))]
+        c: [r for r in rs if not r[0].endswith((":bool", ":int", ":float", ":timestamp",
+                                                ":merge"))]
         for c, rs in yaml.SafeLoader.yaml_implicit_resolvers.items()}
     yaml_constructors = {t: c for t, c in yaml.SafeLoader.yaml_constructors.items()
                          if t is None or t.endswith((":null", ":float", ":str", ":seq", ":map"))}
@@ -182,12 +184,11 @@ class _Loader(yaml.SafeLoader):
         keys are kept in a list, so that the base class refuses an unhashable one."""
         keys = []
         for key_node, _ in node.value:
-            if key_node.tag != "tag:yaml.org,2002:merge":
-                key = self.construct_object(key_node, deep=deep)
-                if key in keys:
-                    raise yaml.constructor.ConstructorError(
-                        None, None, f"duplicate key {key!r}", key_node.start_mark)
-                keys.append(key)
+            key = self.construct_object(key_node, deep=deep)
+            if key in keys:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark)
+            keys.append(key)
         return super().construct_mapping(node, deep)
 
 

@@ -226,6 +226,20 @@ class TestConfigValidation:
                                            "line 4, column 3: duplicate key 'k'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, message", [
+        ("<<", "unknown config key 'wave.<<'"),
+        ("? !!merge <<", "config is not valid YAML: line 1, column 10: could not determine "
+                         "a constructor for the tag 'tag:yaml.org,2002:merge'"),
+    ], ids=["plain", "tagged"])
+    def test_merge_key_exit_2(self, tmp_path, capsys, key, message):
+        # YAML 1.2 has no merge key: << does not merge a mapping that hides a key given twice
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"wave: {{{key}: {{k: 1.0, dim: 3}}, k: 2.0}}\nhk: {{radii: [50.0]}}\n")
+        out = tmp_path / "o"
+        assert run("hk-check", str(path), out) == 2
+        assert capsys.readouterr().err == f"resonat: config error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_exit_2_before_output(self, tmp_path, capsys, case):
         command, sections = MALFORMED[case]
@@ -309,6 +323,19 @@ class TestSpectrum:
                "profile": {"kind": "radial_bump", "width": 0.5, "peak": 2.0}}
         assert run("spectrum", write_cfg(tmp_path, cfg), tmp_path / "out") == 0
 
+    def test_eigendecomposition_beyond_memory_exit_1(self, tmp_path, capsys, memory_64mb):
+        # an off-centre bump is one class: its eig peaks at 64.5 N^2 bytes, 103 MB at
+        # N = 1264, though two N x N complex arrays (32 N^2 bytes, 51 MB) would fit
+        cfg = dict(BASE, domain={"shape": "disk", "radius": 1.0, "cells": 40},
+                   profile={"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5,
+                            "peak": 2.0})
+        out = tmp_path / "o"
+        assert run("spectrum", write_cfg(tmp_path, cfg), out) == 1
+        assert capsys.readouterr().err == (
+            "resonat: eigendecomposition of size N=1264 needs at least 0.1 GB, more than "
+            "the 0.1 GB of physical memory\n")
+        assert not any(out.iterdir())
+
     def test_dense_size_beyond_memory_exit_1(self, tmp_path, capsys):
         # N ~ 268 k: the dense working set is at least 24 N^2 bytes, about 1.7 TB
         cfg = {"wave": {"k": 1.0, "dim": 3},
@@ -319,7 +346,7 @@ class TestSpectrum:
         assert "N=268" in err and "GB" in err
 
     # an allocation the system refuses, e.g. the lattice of domain.cells = 200000,
-    # raises before the memory guard that follows, eigendecompose's 32 N^2 bytes, runs
+    # raises before the memory guard that follows, eigendecompose's 65 N^2 bytes, runs
     @pytest.mark.parametrize("command, builder", [
         ("spectrum", "resonat.grids._lattice_grid"),
         ("image", "resonat.cli.build_measurement_surface"),
