@@ -26,8 +26,8 @@ from scipy.linalg.blas import zgemv
 from . import __version__
 from .errors import InvalidArgumentError, NumericFailureError
 from .expansion import (
-    alpha_expansion,
-    beta_expansion,
+    class_alpha,
+    class_beta,
     expansion_errors,
     psf_profile,
     truncation_error_curve,
@@ -321,13 +321,13 @@ def cmd_expand(cfg, out: Path):
     _, _, op = _operator(cfg)
     tau = cfg["contrast"]["tau"]
     sys_ = eigendecompose(op)
-    alpha = alpha_expansion(sys_, tau)
-    beta = beta_expansion(sys_, alpha)
+    alphas = class_alpha(sys_, tau)
+    betas = class_beta(sys_, alphas)
     N = sys_.size
     # measured before the writers, so that a refused solve leaves no output
-    green, errors, beta_error = expansion_errors(sys_, op, tau, alpha, beta, truncation_ranks(N))
-    write_coefficients(out / "alpha.csv", alpha)
-    write_coefficients(out / "beta.csv", beta)
+    green, errors, beta_error = expansion_errors(sys_, op, tau, alphas, betas, truncation_ranks(N))
+    write_coefficients(out / "alpha.csv", alphas, sys_.class_columns)
+    write_coefficients(out / "beta.csv", betas, sys_.class_columns)
     write_csv(out / "truncation_curve.csv", ["rank", "rel_error"], truncation_error_curve(errors))
     # ||A||_F ||B||_F >= ||A B||_F = sqrt(N), summed over the class blocks without BLAS, whose
     # numpy copy would wait for scipy's threads; Frobenius norms, since 2-norms would need
@@ -335,7 +335,7 @@ def cmd_expand(cfg, out: Path):
     a2, b2 = (sum(np.sum(np.abs(basis[i]) ** 2) for basis in sys_.class_bases) for i in (1, 2))
     return {
         "tau": tau,
-        "coefficient_mass": float(np.sum(np.abs(alpha) ** 2)),
+        "coefficient_mass": float(sum(np.sum(np.abs(a) ** 2) for a in alphas)),
         "oracle_rel_error_alpha": errors[N] / green,
         "oracle_rel_error_beta": beta_error / green,
         "eigenbasis_condition": float(np.sqrt(a2 * b2)),

@@ -13,8 +13,8 @@ matrices.
 Every factor is block-diagonal over the lattice-symmetry classes of the
 volume operator: alpha, beta, A and B are zero between modes of different
 classes, and G, G0, E and U map each class's orbit coordinates onto
-themselves. So alpha and beta are formed one class block at a time, and
-scattered into N x N arrays whose cross-class entries are exact zeros. The
+themselves. So alpha and beta are held as one block per class; the N x N
+forms scatter them, with exact zeros between classes, and gather them. The
 error field of a truncated sum is measured class by class in orbit
 coordinates, where the orbit basis is orthonormal and the weights and n are
 constant on orbits: no N x N product or solve is formed. Truncated sums are
@@ -37,7 +37,7 @@ from scipy.linalg.blas import dznrm2, zgemm
 
 from .errors import InvalidArgumentError
 from .grids import DomainGrid
-from .spectral import SpectralSystem, resolvent_chain_coefficients
+from .spectral import SpectralSystem, _scatter, resolvent_chain_coefficients
 from .volume import DiscreteOperator, class_green, refuse_near_spectrum
 
 
@@ -53,32 +53,41 @@ def weighted_frobenius(X: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,j,ij->", w, w, np.abs(X) ** 2)))
 
 
-def alpha_expansion(sys: SpectralSystem, tau: float) -> np.ndarray:
-    """Orthonormal-basis coefficients alpha = -B diag(r) A of G - G0 at contrast tau.
+def class_alpha(sys: SpectralSystem, tau: float) -> list:
+    """Per symmetry class, its block -B_c diag(r) A_c of the orthonormal-basis
+    coefficients alpha of G - G0 at contrast tau, over the class's mode columns.
 
     r_gamma = lambda_gamma^2/(z - lambda_gamma) at z = 1/tau is the length-one
     chain coefficient. Refused, by the rule of the direct solve's resonance
     check, when z lies within RESONANCE_TOL of the spectrum.
     """
-    alpha = np.zeros((sys.size, sys.size), dtype=complex)
     if tau == 0:
-        return alpha
+        return [np.zeros((cols.size, cols.size), dtype=complex) for cols in sys.class_columns]
     z = 1.0 / tau
     refuse_near_spectrum(z, sys.lambdas)
     r = np.array([resolvent_chain_coefficients(lam, 1, z)[0] for lam in sys.lambdas])
-    for cols, (_, A, B) in zip(sys.class_columns, sys.class_bases):
-        alpha[np.ix_(cols, cols)] = zgemm(1.0, -(B * r[cols]), A)
-    return alpha
+    return [zgemm(1.0, -(B * r[cols]), A) for cols, (_, A, B) in
+            zip(sys.class_columns, sys.class_bases)]
+
+
+def class_beta(sys: SpectralSystem, alphas: list) -> list:
+    """Per symmetry class, the mode-basis block A_c alpha_c A_c^H of its block alpha_c."""
+    return [zgemm(1.0, zgemm(1.0, A, alpha), A, trans_b=2)
+            for alpha, (_, A, _) in zip(alphas, sys.class_bases)]
+
+
+def _gather(sys: SpectralSystem, X: np.ndarray) -> list:
+    return [X[np.ix_(cols, cols)] for cols in sys.class_columns]
+
+
+def alpha_expansion(sys: SpectralSystem, tau: float) -> np.ndarray:
+    """The N x N alpha of class_alpha, zero between classes."""
+    return _scatter(sys.symmetry, sys.class_columns, class_alpha(sys, tau), False)
 
 
 def beta_expansion(sys: SpectralSystem, alpha: np.ndarray) -> np.ndarray:
-    """Mode-basis coefficients A alpha A^H of the orthonormal-basis ones."""
-    beta = np.zeros_like(alpha)
-    for cols, (_, A, _) in zip(sys.class_columns, sys.class_bases):
-        block = np.ix_(cols, cols)
-        # the C-ordered gather goes to BLAS transposed, uncopied
-        beta[block] = zgemm(1.0, zgemm(1.0, A, alpha[block].T, trans_b=1), A, trans_b=2)
-    return beta
+    """The N x N beta = A alpha A^H of class_beta, zero between classes."""
+    return _scatter(sys.symmetry, sys.class_columns, class_beta(sys, _gather(sys, alpha)), False)
 
 
 def _squared_norm(X: np.ndarray) -> float:
@@ -93,20 +102,18 @@ def _weigh(X: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _right_factor(coeff: np.ndarray, left: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """coeff left^H diag(1/n); coeff is C-ordered, so that its transpose goes to
-    BLAS uncopied."""
-    right = zgemm(1.0, coeff.T, left, trans_a=1, trans_b=2)
+    """coeff left^H diag(1/n)."""
+    right = zgemm(1.0, coeff, left, trans_b=2)
     right /= n
     return right
 
 
-def expansion_errors(sys: SpectralSystem, op: DiscreteOperator, tau: float, alpha: np.ndarray,
-                     beta: np.ndarray, ranks: Sequence[int]
-                     ) -> Tuple[float, Dict[int, float], float]:
-    """The expansions alpha and beta of sys at contrast tau against the direct
-    solve G = green_matrix(op, tau), in the norm of weighted_frobenius: returns
-    ||G||_W, ||G0 + S_r - G||_W for each rank r in ascending order, and
-    ||G0 + U beta U^H diag(1/n) - G||_W.
+def expansion_errors(sys: SpectralSystem, op: DiscreteOperator, tau: float, alpha, beta,
+                     ranks: Sequence[int]) -> Tuple[float, Dict[int, float], float]:
+    """The expansions alpha and beta of sys at contrast tau, each N x N or the list
+    of its class blocks, against the direct solve G = green_matrix(op, tau), in
+    the norm of weighted_frobenius: returns ||G||_W, ||G0 + S_r - G||_W for each
+    rank r in ascending order, and ||G0 + U beta U^H diag(1/n) - G||_W.
 
     S_r, the first r total-order terms of alpha in E, is accumulated from
     rank 0; rank 0 gives ||G - G0||_W, the truncation curve's scale, and rank N
@@ -121,21 +128,22 @@ def expansion_errors(sys: SpectralSystem, op: DiscreteOperator, tau: float, alph
     if any(not 0 <= r <= N for r in ranks):
         raise InvalidArgumentError(f"ranks must lie in [0, {N}], got {ranks}")
     green, beta_error, errors = 0.0, 0.0, np.zeros(len(ranks))   # squares
+    alphas, betas = (X if isinstance(X, list) else _gather(sys, X) for X in (alpha, beta))
     pairs = class_green(op, tau)
     for c, cols in enumerate(sys.class_columns):
         (G0, G), pairs[c] = pairs[c], None   # a twin's pair is freed with the twin
         if not cols.size:
             continue
         points = sys.symmetry[c].points[0]
-        s, n, block = np.sqrt(op.weights[points]), op.n[points], np.ix_(cols, cols)
+        s, n = np.sqrt(op.weights[points]), op.n[points]
         green += _squared_norm(_weigh(G.copy(), s))
         field = _weigh(G0 - G, s)   # G0 + S_0 - G
         del G0, G
         left = s[:, None] * sys.modes[c]
-        beta_error += _squared_norm(zgemm(1.0, left, _right_factor(beta[block], left, n),
+        beta_error += _squared_norm(zgemm(1.0, left, _right_factor(betas[c], left, n),
                                           1.0, field))
         left = s[:, None] * sys.class_bases[c][0]
-        right = _right_factor(alpha[block], left, n)
+        right = _right_factor(alphas[c], left, n)
         done, square = 0, _squared_norm(field)
         for i, r in enumerate(ranks):
             k = int(np.searchsorted(cols, r))   # the class's modes among the first r

@@ -22,8 +22,8 @@ def _require_memory(need: int, what: str) -> None:
     physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        raise NumericFailureError(f"{what} needs at least {need / 1e9:.1f} GB, more than "
-                                  f"the {have / 1e9:.1f} GB of physical memory")
+        raise NumericFailureError(f"{what} needs at least {need / 1e9:.3g} GB, more than "
+                                  f"the {have / 1e9:.3g} GB of physical memory")
 
 
 @dataclass(frozen=True)

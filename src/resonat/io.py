@@ -38,21 +38,29 @@ def write_csv(path, header, rows):
     _write_text(path, (",".join(map(fmt, row)) + "\n" for row in chain([header], rows)))
 
 
-def write_coefficients(path, mat):
-    """Write complex `mat` as gamma_row,gamma_col,re,im rows, row-major, one `%` per matrix row.
+def write_coefficients(path, blocks, columns):
+    """Write the complex N x N matrix that holds `blocks[c]` over the ascending rows and
+    columns `columns[c]`, and +0.0 elsewhere (a dense matrix is one block over arange(N)),
+    as gamma_row,gamma_col,re,im rows, row-major, one `%` per matrix row.
 
-    An entry whose parts are both +0.0 by bit pattern (so -0.0 still prints `-0`)
-    is printed from a constant `0,0` piece; only the other entries are formatted.
+    An entry whose parts are both +0.0 by bit pattern (so -0.0 still prints `-0`), or
+    that lies outside its row's block, is printed from a constant `0,0` piece; only the
+    other entries are formatted.
     """
-    full = np.array([f",{j},{FLOAT},{FLOAT}\n" for j in range(mat.shape[1])], dtype=object)
-    zero = np.array([f",{j},0,0\n" for j in range(mat.shape[1])], dtype=object)
+    N = sum(cols.size for cols in columns)
+    full = np.array([f",{j},{FLOAT},{FLOAT}\n" for j in range(N)], dtype=object)
+    zero = np.array([f",{j},0,0\n" for j in range(N)], dtype=object)
+    rows = sorted((i, c, k) for c, cols in enumerate(columns) for k, i in enumerate(cols.tolist()))
 
     def lines():
         yield "gamma_row,gamma_col,re,im\n"
-        for i, row in enumerate(mat):
-            keep = row.view(np.uint64).reshape(-1, 2).any(axis=1)
+        for i, c, k in rows:   # row i is row k of block c
+            row = np.ascontiguousarray(blocks[c][k])
+            nonzero = row.view(np.uint64).reshape(-1, 2).any(axis=1)
+            keep = np.zeros(N, dtype=bool)
+            keep[columns[c]] = nonzero
             pieces = np.where(keep, full, zero).tolist()
-            yield str(i).join(["", *pieces]) % tuple(row[keep].view(float).tolist())
+            yield str(i).join(["", *pieces]) % tuple(row[nonzero].view(float).tolist())
 
     _write_text(path, lines())
 

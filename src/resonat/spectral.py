@@ -145,14 +145,16 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     block is badly conditioned are flagged in SpectralSystem.warnings. Eigenvalues
     within 1e-8 max(max |lambda|, 1) of a cluster's first one join that
     cluster. The weighted-orthonormal basis E, A, B is not formed here but on
-    its first read, which is where a rank-deficient U is refused. Refuses an N
-    whose transient peak is larger than physical memory: for a medium without
-    lattice symmetry, one class, that is about 64.5 N^2 bytes by tracemalloc
-    (the eigenvectors Y, their scatter into V, and the phase fix's |V| and U);
-    a symmetric medium peaks lower (about 43 N^2 on the constant disk).
+    its first read, which is where a rank-deficient U is refused. Each class's
+    modes are normalized and phase-fixed on its points alone, with the bits of
+    U's columns. Refuses an N whose transient peak, by tracemalloc, is larger than
+    physical memory: 16 bytes per entry of each class block (Y and the modes) and
+    41 N m for the phase fix of the largest class, of m modes (57 N^2 bytes
+    without lattice symmetry, 16 N^2 on the constant disk).
     """
-    N = op.n.size
-    _require_memory(65 * N**2, f"eigendecomposition of size N={N}")
+    N, sizes = op.n.size, [c.size for c in op.classes]
+    _require_memory(16 * (2 * sum(n * n for n in sizes) - max(sizes) ** 2) + 41 * N * max(sizes),
+                    f"eigendecomposition of size N={N}")
     parts = []   # per class, its eigenvalues and block eigenvectors Y
     for i, c in enumerate(op.classes):
         if c.source != i:   # the swapped modes of a solved class: the same eigenvalues and Y
@@ -163,7 +165,6 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
         except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
             raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
 
-    sizes = [part[0].size for part in parts]
     lam = np.concatenate([part[0] for part in parts])
     classes = np.repeat(np.arange(len(parts)), sizes)
     scale = float(np.max(np.abs(lam))) if lam.size else 1.0
@@ -173,10 +174,15 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     ang = np.mod(np.angle(lam), 2.0 * np.pi)
     order = np.lexsort((ang, -np.abs(lam)))
     lam, classes = lam[order], classes[order]
-    # eigenvector j of class i, of eigenvalue first[i] + j, goes to that eigenvalue's column
-    first, column_of = np.cumsum([0] + sizes), np.argsort(order)
-    V = _scatter(op.classes, [column_of[a:b] for a, b in zip(first, first[1:])],
-                 [Y for _, Y in parts], True)
+    # the column at pos is eigenvector order[pos] - first[i] of its class i, and that
+    # class's orbit basis vectors span its points, in ascending order
+    first = np.cumsum([0] + sizes)
+    entries = [c.orbit_entries(N) for c in op.classes]
+    points = [np.flatnonzero(column >= 0) for column, _ in entries]
+
+    def on_points(i, pos):   # U's columns pos of class i, before normalization, on its points
+        (column, entry), rows = entries[i], points[i]
+        return entry[rows, None] * parts[i][1][np.ix_(column[rows], order[pos] - first[i])]
 
     # cluster consecutive eigenvalues within tol of the cluster representative
     members_of: List[List[int]] = []
@@ -189,7 +195,9 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     warnings: List[str] = []
     for j, members in enumerate(members_of, start=1):
         if len(members) > 1:
-            sub = V[:, members]
+            sub = np.zeros((N, len(members)), dtype=complex)   # the cluster's columns of U
+            for k, pos in enumerate(members):
+                sub[points[classes[pos]], k] = on_points(classes[pos], [pos])[:, 0]
             cond = np.linalg.cond(sub.conj().T @ sub)
             if cond > 1e16:
                 warnings.append(
@@ -198,16 +206,19 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
                 )
     clusters = np.repeat(np.arange(1, len(members_of) + 1), [len(m) for m in members_of])
 
-    # unit weighted norm + phase gauge
+    # unit weighted norm, summed C-ordered over the class's points as over U's N rows, and
+    # phase gauge; each class's modes at one point per orbit, over the point's entry,
+    # gathered transposed, so that each is Fortran-ordered and goes to BLAS uncopied
     w = op.weights
-    V /= np.sqrt(np.sum(w[:, None] * np.abs(V) ** 2, axis=0))
-    U = _fix_column_phases(V)
-    # each class's modes at one point per orbit, over the point's entry, in place; gathered
-    # transposed, so that each is Fortran-ordered and goes to LAPACK and BLAS uncopied
-    modes = [U.T[np.ix_(np.flatnonzero(classes == i), c.points[0])].T
-             for i, c in enumerate(op.classes)]
-    for c, m in zip(op.classes, modes):
-        m /= c.orbit_entries(N)[1][c.points[0], None]
+    modes = []
+    for i, (c, rows) in enumerate(zip(op.classes, points)):
+        V = on_points(i, np.flatnonzero(classes == i))
+        if c.size:   # an empty class has no column to fix
+            V /= np.sqrt(np.sum(w[rows, None] * np.abs(V) ** 2, axis=0))
+            V = _fix_column_phases(V)
+        modes.append(V.T[np.ix_(np.arange(c.size), np.searchsorted(rows, c.points[0]))].T)
+        modes[-1] /= entries[i][1][c.points[0], None]
+        del V   # before the next class's V is gathered
     return SpectralSystem(lambdas=lam, clusters=clusters, modes=modes, weights=w, cluster_tol=tol,
                           classes=classes, symmetry=op.classes, warnings=warnings)
 

@@ -324,7 +324,7 @@ class TestSpectrum:
         assert run("spectrum", write_cfg(tmp_path, cfg), tmp_path / "out") == 0
 
     def test_eigendecomposition_beyond_memory_exit_1(self, tmp_path, capsys, memory_64mb):
-        # an off-centre bump is one class: its eig peaks at 64.5 N^2 bytes, 103 MB at
+        # an off-centre bump is one class: its eig peaks at 57 N^2 bytes, 91 MB at
         # N = 1264, though two N x N complex arrays (32 N^2 bytes, 51 MB) would fit
         cfg = dict(BASE, domain={"shape": "disk", "radius": 1.0, "cells": 40},
                    profile={"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5,
@@ -332,9 +332,28 @@ class TestSpectrum:
         out = tmp_path / "o"
         assert run("spectrum", write_cfg(tmp_path, cfg), out) == 1
         assert capsys.readouterr().err == (
-            "resonat: eigendecomposition of size N=1264 needs at least 0.1 GB, more than "
-            "the 0.1 GB of physical memory\n")
+            "resonat: eigendecomposition of size N=1264 needs at least 0.0911 GB, more than "
+            "the 0.0671 GB of physical memory\n")
         assert not any(out.iterdir())
+
+    def test_symmetric_eigendecomposition_within_memory_exit_0(self, tmp_path, memory_64mb):
+        # the constant disk at the same N = 1264 peaks with its largest class of 316 modes,
+        # at about 24 MB; the one-class rule, 57 N^2 bytes, would refuse it
+        cfg = dict(BASE, domain={"shape": "disk", "radius": 1.0, "cells": 40})
+        assert run("spectrum", write_cfg(tmp_path, cfg), tmp_path / "o") == 0
+
+    def test_eigendecompose_peak_below_24_n2(self, disk20_k6):
+        # each class's modes are normalized and phase-fixed on its points: by tracemalloc
+        # about 16 N^2 bytes on the 20-cell constant disk, 44 N^2 with an N x N V and U
+        _, _, op = disk20_k6
+        op.classes
+        tracemalloc.start()
+        try:
+            eigendecompose(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * op.n.size**2
 
     def test_dense_size_beyond_memory_exit_1(self, tmp_path, capsys):
         # N ~ 268 k: the dense working set is at least 24 N^2 bytes, about 1.7 TB
@@ -346,7 +365,7 @@ class TestSpectrum:
         assert "N=268" in err and "GB" in err
 
     # an allocation the system refuses, e.g. the lattice of domain.cells = 200000,
-    # raises before the memory guard that follows, eigendecompose's 65 N^2 bytes, runs
+    # raises before the memory guard that follows, eigendecompose's, runs
     @pytest.mark.parametrize("command, builder", [
         ("spectrum", "resonat.grids._lattice_grid"),
         ("image", "resonat.cli.build_measurement_surface"),
@@ -537,16 +556,36 @@ class TestExpand:
     ], ids=["constant", "off_center_bump"])
     def test_no_dense_basis_or_grid_solve(self, tmp_path, monkeypatch, profile):
         # spectrum and expand work on each class's modes, QR and Green block in orbit
-        # coordinates, with symmetry or without: they read no N x N U, E, A or B and
-        # solve no grid columns
+        # coordinates, with symmetry or without: they read no N x N U, E, A or B, solve
+        # no grid columns, and scatter no class blocks (eigenvectors, alpha, beta) into
+        # an N x N array, from eig to the writers
         for name in ("E", "A", "B", "U"):
             monkeypatch.setattr(resonat.spectral.SpectralSystem, name, property(
                 lambda sys_, name=name: pytest.fail(f"the dense {name} was read")))
         monkeypatch.setattr(resonat.volume, "_lippmann_schwinger",
                             lambda *args: pytest.fail("grid columns were solved"))
+        for module in (resonat.spectral, resonat.expansion):
+            monkeypatch.setattr(module, "_scatter",
+                                lambda *args: pytest.fail("class blocks were scattered"))
         cfg_path = write_cfg(tmp_path, dict(BASE, profile=profile))
         for command in ("spectrum", "expand"):
             assert run(command, cfg_path, tmp_path / command) == 0, command
+
+    def test_expand_peak_below_32_n2(self, tmp_path):
+        # alpha and beta are written from their class blocks: by tracemalloc about 27 N^2
+        # bytes on the 20-cell constant disk, 53 N^2 with N x N alpha and beta
+        cfg = dict(BASE, wave={"k": 6.0, "dim": 2}, contrast={"tau": 180.5},
+                   domain={"shape": "disk", "radius": 1.0, "cells": 20})
+        cfg_path = write_cfg(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            assert run("expand", cfg_path, tmp_path / "out") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())[
+            "symmetry_blocks"] == [43, 36, 79, 79, 43, 36]
+        assert peak < 32 * 316**2
 
     def test_rank_deficient_basis_refused_by_expand_only(self, tmp_path, capsys, monkeypatch):
         def deficient(U, w):
@@ -632,7 +671,7 @@ class TestPsf:
         assert run("psf", write_cfg(tmp_path, cfg), out) == 1
         assert capsys.readouterr().err == (
             "resonat: Lippmann-Schwinger solve of N=3228 (largest symmetry block 3228) needs "
-            "at least 0.2 GB, more than the 0.1 GB of physical memory\n")
+            "at least 0.167 GB, more than the 0.0671 GB of physical memory\n")
         assert not any(out.iterdir())
 
     def test_zero_direction_exit_2(self, tmp_path, capsys):
@@ -750,7 +789,8 @@ class TestImage:
         out = tmp_path / "o"
         assert run("image", write_cfg(tmp_path, cfg), out) == 1
         assert capsys.readouterr().err == ("resonat: 20000 x 316 forward map needs at least "
-                                           "0.4 GB, more than the 0.1 GB of physical memory\n")
+                                           "0.404 GB, more than the 0.0671 GB of physical "
+                                           "memory\n")
         assert not any(out.iterdir())
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -820,8 +860,8 @@ class TestHkCheck:
         out = tmp_path / "o"
         assert run("hk-check", write_cfg(tmp_path, cfg), out) == 1
         assert capsys.readouterr().err == ("resonat: measurement surface of 1002528 points "
-                                           "needs at least 0.2 GB, more than the 0.1 GB of "
-                                           "physical memory\n")
+                                           "needs at least 0.16 GB, more than the 0.0671 GB "
+                                           "of physical memory\n")
         assert not (out / "hk.csv").exists()
 
 
@@ -952,20 +992,23 @@ def _serial_coefficients(m):
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 5])
 def test_write_coefficients_edge_values(tmp_path, cols):
-    # never square, so a swapped row/column index shows; the column count sets the
-    # per-column templates; each edge value as re and im; entries 20-23 pair the
-    # signed zeros, of which only (+0, +0) is printed without formatting, and
-    # entries 25-29 are all +0 (whole rows of them at 1 and 5 columns)
+    # entry k at row k // cols and column k % cols of a dense matrix, one block, that is
+    # +0 right of column cols, so a swapped row/column index shows; each edge value as
+    # re and im; entries 20-23 pair the signed zeros, of which only (+0, +0) is printed
+    # without formatting, and entries 25-29 are all +0 (whole rows of them at 1 and 5
+    # columns)
     values = [-0.0, 0.0, 5e-324, 1e-300, 1e300, float("inf"), float("nan"), 0.1]
     m = np.array([complex(values[k % 8], -values[(3 * k) % 8]) for k in range(20)]
                  + [complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
                     complex(-0.0, -0.0), 0.1j]
                  + [0j] * 5).reshape(-1, cols)
+    m = np.pad(m, ((0, 0), (0, len(m) - cols)))
     path = tmp_path / "coeff.csv"
-    write_coefficients(path, m)
+    write_coefficients(path, [m], [np.arange(len(m))])
     assert path.read_text() == _serial_coefficients(m)
     tail = ["0,0", "0,-0", "-0,0", "-0,-0", "0,0.10000000000000001"] + ["0,0"] * 5
-    assert path.read_text().splitlines()[21:] == [
+    lines = path.read_text().splitlines()
+    assert [lines[1 + k // cols * len(m) + k % cols] for k in range(20, 30)] == [
         f"{k // cols},{k % cols},{reim}" for k, reim in enumerate(tail, start=20)]
 
 
@@ -978,9 +1021,28 @@ def test_write_coefficients_triangular_matches_loop(tmp_path, classes):
     k = np.arange(64) % classes
     m[k[:, None] != k[None, :]] = 0
     path = tmp_path / "coeff.csv"
-    write_coefficients(path, m)
+    write_coefficients(path, [m], [np.arange(64)])
     assert path.read_text() == _serial_coefficients(m)
     assert sorted(os.listdir(tmp_path)) == ["coeff.csv"]
+
+
+def test_write_coefficients_interleaved_blocks(tmp_path):
+    # classes whose columns interleave, one of them empty, each block Fortran-ordered as
+    # BLAS returns it and holding signed zeros: every row comes from its class's block
+    # row, every other column is +0
+    rng = np.random.default_rng(11)
+    k = rng.integers(0, 3, size=17)
+    columns = [np.flatnonzero(k == c) for c in range(4)]
+    blocks = [np.asfortranarray(rng.standard_normal((c.size, c.size))
+                                + 1j * rng.standard_normal((c.size, c.size))) for c in columns]
+    blocks[0][0, 1], blocks[1][1, 0], blocks[2][0, 0] = -0.0, 0.0, complex(0.0, -0.0)
+    m = np.zeros((17, 17), dtype=complex)
+    for cols, block in zip(columns, blocks):
+        m[np.ix_(cols, cols)] = block
+    path = tmp_path / "coeff.csv"
+    write_coefficients(path, blocks, columns)
+    assert path.read_text() == _serial_coefficients(m)
+    assert [c.size for c in columns][3] == 0 and "-0,0" in path.read_text()
 
 
 def test_write_coefficients_memory_is_one_row(tmp_path):
@@ -989,7 +1051,7 @@ def test_write_coefficients_memory_is_one_row(tmp_path):
     m = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
     tracemalloc.start()
     try:
-        write_coefficients(tmp_path / "coeff.csv", m)
+        write_coefficients(tmp_path / "coeff.csv", [m], [np.arange(300)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

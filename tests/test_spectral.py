@@ -18,7 +18,8 @@ from resonat import (
     resolvent_chain_coefficients,
 )
 from resonat.errors import ResonanceProximityError
-from resonat.spectral import _fix_column_phases, _weighted_qr, dominant_spatial_frequency
+from resonat.spectral import _fix_column_phases, _scatter, _weighted_qr, dominant_spatial_frequency
+from resonat.volume import class_block
 
 
 def jordan_block(lam, n):
@@ -137,6 +138,44 @@ def _line_matrix():
     return operator_from_matrix((rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))) / 40)
 
 
+def _dense_modes(op):
+    """The modes as eigendecompose made them with an N x N V: each class's
+    eigenvectors scattered into V, normalized and phase-fixed at N x N, and each
+    class's orbit rows gathered back out; returns lambdas, clusters, classes,
+    warnings and modes."""
+    N = op.n.size
+    parts = [(scipy.linalg.eig(class_block(op, c), overwrite_a=True) if c.source == i else None)
+             for i, c in enumerate(op.classes)]
+    parts = [p or parts[c.source] for p, c in zip(parts, op.classes)]
+    sizes = [p[0].size for p in parts]
+    lam = np.concatenate([p[0] for p in parts])
+    classes = np.repeat(np.arange(len(parts)), sizes)
+    tol = 1e-8 * max(float(np.max(np.abs(lam))), 1.0)
+    order = np.lexsort((np.mod(np.angle(lam), 2.0 * np.pi), -np.abs(lam)))
+    lam, classes = lam[order], classes[order]
+    first, column_of = np.cumsum([0] + sizes), np.argsort(order)
+    V = _scatter(op.classes, [column_of[a:b] for a, b in zip(first, first[1:])],
+                 [Y for _, Y in parts], True)
+    members_of = []
+    for pos in range(lam.size):
+        if members_of and abs(lam[pos] - lam[members_of[-1][0]]) <= tol:
+            members_of[-1].append(pos)
+        else:
+            members_of.append([pos])
+    warnings = []
+    for j, members in enumerate(members_of, start=1):
+        sub = V[:, members]
+        if len(members) > 1 and np.linalg.cond(sub.conj().T @ sub) > 1e16:
+            warnings.append(f"cluster {j} (lambda~{lam[members[0]]:.3e}, size {len(members)}) "
+                            "looks defective; semisimple treatment retained")
+    clusters = np.repeat(np.arange(1, len(members_of) + 1), [len(m) for m in members_of])
+    V /= np.sqrt(np.sum(op.weights[:, None] * np.abs(V) ** 2, axis=0))
+    U = _fix_column_phases(V)
+    modes = [U[np.ix_(c.points[0], np.flatnonzero(classes == i))]
+             / c.orbit_entries(N)[1][c.points[0], None] for i, c in enumerate(op.classes)]
+    return lam, clusters, classes, warnings, modes
+
+
 class TestSymmetryBlocks:
     @pytest.mark.parametrize("make,blocks", [
         (lambda: _medium(2, 16, 1.0), [29, 23, 52, 52, 29, 23]),
@@ -172,6 +211,22 @@ class TestSymmetryBlocks:
         assert [m.shape for m in sys.modes] == [(c.size, c.size) for c in op.classes]
         assert all(m.flags.f_contiguous for m in sys.modes)
         assert "U" not in vars(sys)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _medium(2, 16, 1.0), lambda: _medium(2, 20, 6.0, center=[0.0, 0.0]),
+        lambda: _medium(2, 20, 6.0, center=[0.3, 0.1]), lambda: _medium(3, 6, 1.0),
+        lambda: _medium(2, 3, 1.0), lambda: operator_from_matrix(jordan_block(0.5, 3)),
+    ], ids=["disk16", "centered_bump20", "off_center_bump20", "ball6", "disk3", "jordan3"])
+    def test_class_blocked_modes_match_dense(self, make):
+        # normalized and phase-fixed on each class's points, the modes keep the bits
+        # they have as columns of an N x N V; disk3 has an empty class, jordan3 a warning
+        op = make()
+        sys = eigendecompose(op)
+        lam, clusters, classes, warnings, modes = _dense_modes(op)
+        assert np.array_equal(sys.lambdas, lam) and np.array_equal(sys.clusters, clusters)
+        assert np.array_equal(sys.classes, classes) and sys.warnings == warnings
+        assert len(sys.modes) == len(modes)
+        assert all(np.array_equal(a, b) for a, b in zip(sys.modes, modes))
 
     def test_line_reversal_kept_only_with_matrix_and_weights(self):
         M = _line_matrix().matrix
