@@ -15,7 +15,6 @@ from .grids import (
 from .kernels import g0_between, sinc_psf, sinc_psf_fwhm
 from .volume import (
     DiscreteOperator,
-    apply_kd,
     assemble_kd,
     green_matrix,
     operator_from_matrix,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericFailureError
 from .grids import DomainGrid, MeasurementSurface, WaveContext, _require_memory
 from .kernels import g0_between, im_g0_from_distance
-from .volume import DiscreteOperator, check_exterior, green_matrix, radiate_matrix
+from .volume import DiscreteOperator, check_exterior, radiate_matrix
 
 
 @dataclass
@@ -117,27 +117,12 @@ def time_reversal(u: np.ndarray, fmap: ForwardMap,
     return ImagingResult(values=values, metadata={"m": fmap.surface.n_points})
 
 
-def helmholtz_kirchhoff_residual(Gx: np.ndarray, Gy: np.ndarray,
-                                 weights: np.ndarray, im_g_xy: float,
-                                 k: float) -> float:
-    """|k sum_m conj(G(x,z_m)) G(y,z_m) w_m + Im G(x,y)|."""
-    s = k * np.sum(np.conj(Gx) * Gy * weights)
-    return float(np.abs(s + im_g_xy))
-
-
 def homogeneous_hk_residual(surface: MeasurementSurface, x, y, ctx: WaveContext) -> float:
+    """|k sum_m conj(G0(x,z_m)) G0(y,z_m) w_m + Im G0(x,y)| over the surface."""
     Gx, Gy = g0_between([x, y], surface.points, ctx)
     im_g = im_g0_from_distance(np.linalg.norm(np.subtract(x, y, dtype=float)), ctx)
-    return helmholtz_kirchhoff_residual(Gx, Gy, surface.weights, im_g, ctx.k)
-
-
-def contrast_hk_residual(fmap: ForwardMap, op: DiscreteOperator, i: int, j: int) -> float:
-    """High-contrast variant between two grid nodes of the map's medium: the
-    radiated kernel, and Im G(x_i, x_j) from the direct solve of column j."""
-    Gx = fmap.kernel[:, i]
-    Gy = fmap.kernel[:, j]
-    im_g = float(np.imag(green_matrix(op, fmap.tau, j)[i]))
-    return helmholtz_kirchhoff_residual(Gx, Gy, fmap.surface.weights, im_g, fmap.ctx.k)
+    s = ctx.k * np.sum(np.conj(Gx) * Gy * surface.weights)
+    return float(np.abs(s + im_g))
 
 
 def l2_minimum_norm(fmap: ForwardMap, u: np.ndarray, mode="exact",

@@ -114,11 +114,14 @@ def _scatter(symmetry: list, columns: list, blocks: list, orbits: bool) -> np.nd
 
 
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant component is real positive."""
+    """Rotate each column of U, in place, so its first significant component is
+    real positive."""
     mags = np.abs(U)
     first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    del mags
     pivot = U[first, np.arange(U.shape[1])]
-    return U * (np.abs(pivot) / pivot)
+    U *= np.abs(pivot) / pivot
+    return U
 
 
 def _weighted_qr(U: np.ndarray, w: np.ndarray):
@@ -147,13 +150,15 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     cluster. The weighted-orthonormal basis E, A, B is not formed here but on
     its first read, which is where a rank-deficient U is refused. Each class's
     modes are normalized and phase-fixed on its points alone, with the bits of
-    U's columns. Refuses an N whose transient peak, by tracemalloc, is larger than
-    physical memory: 16 bytes per entry of each class block (Y and the modes) and
-    41 N m for the phase fix of the largest class, of m modes (57 N^2 bytes
-    without lattice symmetry, 16 N^2 on the constant disk).
+    U's columns, in place. Refuses an N whose transient peak, by tracemalloc, is
+    larger than physical memory: 16 bytes per entry of each class block, held by
+    its Y until its modes replace it, 24 N m for the normalization of the largest
+    class, of m modes, and about 2 kB a point for LAPACK's workspace and the
+    bookkeeping (measured 38.8 N^2 bytes at N = 316 and 34.6 N^2 at N = 812
+    without lattice symmetry, 10.3 and 8.9 N^2 on the constant disk).
     """
     N, sizes = op.n.size, [c.size for c in op.classes]
-    _require_memory(16 * (2 * sum(n * n for n in sizes) - max(sizes) ** 2) + 41 * N * max(sizes),
+    _require_memory(16 * sum(n * n for n in sizes) + 24 * N * max(sizes) + 2200 * N,
                     f"eigendecomposition of size N={N}")
     parts = []   # per class, its eigenvalues and block eigenvectors Y
     for i, c in enumerate(op.classes):
@@ -182,7 +187,9 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
 
     def on_points(i, pos):   # U's columns pos of class i, before normalization, on its points
         (column, entry), rows = entries[i], points[i]
-        return entry[rows, None] * parts[i][1][np.ix_(column[rows], order[pos] - first[i])]
+        V = parts[i][1][np.ix_(column[rows], order[pos] - first[i])]
+        V *= entry[rows, None]
+        return V
 
     # cluster consecutive eigenvalues within tol of the cluster representative
     members_of: List[List[int]] = []
@@ -213,9 +220,14 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     modes = []
     for i, (c, rows) in enumerate(zip(op.classes, points)):
         V = on_points(i, np.flatnonzero(classes == i))
+        parts[i] = None   # a swapped twin keeps its own reference to the Y it shares
         if c.size:   # an empty class has no column to fix
-            V /= np.sqrt(np.sum(w[rows, None] * np.abs(V) ** 2, axis=0))
-            V = _fix_column_phases(V)
+            sq = np.abs(V)
+            sq **= 2
+            sq *= w[rows, None]
+            V /= np.sqrt(np.sum(sq, axis=0))
+            del sq
+            _fix_column_phases(V)
         modes.append(V.T[np.ix_(np.arange(c.size), np.searchsorted(rows, c.points[0]))].T)
         modes[-1] /= entries[i][1][c.points[0], None]
         del V   # before the next class's V is gathered

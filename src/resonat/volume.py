@@ -62,10 +62,6 @@ class DiscreteOperator:
     grid: DomainGrid
     n: np.ndarray        # (N,) refractive index at the grid points
     ctx: WaveContext
-    # T is the table of w g0 over the lattice offsets, as assemble_kd builds it, which
-    # every axis reflection and the swap of equal-extent axes keep bit for bit: a
-    # lattice symmetry then keeps M exactly when it keeps n and the weights
-    offset_kernel: bool = False
 
     @property
     def weights(self) -> np.ndarray:
@@ -164,7 +160,7 @@ def assemble_kd(grid: DomainGrid, n: np.ndarray, ctx: WaveContext) -> DiscreteOp
     col = np.ravel_multi_index(grid.lattice_index.T, table_shape)
     row = np.ravel_multi_index((grid.lattice_index + shape - 1).T, table_shape)
     return DiscreteOperator(table=_offset_table(grid, ctx).ravel(), row=row, col=col, grid=grid,
-                            n=n, ctx=ctx, offset_kernel=True)
+                            n=n, ctx=ctx)
 
 
 def operator_from_matrix(matrix: np.ndarray) -> DiscreteOperator:
@@ -173,7 +169,9 @@ def operator_from_matrix(matrix: np.ndarray) -> DiscreteOperator:
     Points are placed on a unit-spaced line; weights and index are one, and
     the wave context is k = 1 in 2D. The table is -matrix, row-major, with
     row_i = i N, col_j = -j and n = 1, so the entries gathered from it are the
-    matrix's values.
+    matrix's values. It is not an offset table, so a symmetry that keeps n and
+    the weights need not keep it; the line is one cell short of its (N + 1) x 1
+    lattice, so that no reflection maps it onto itself: the operator is one class.
     """
     matrix = np.asarray(matrix, dtype=complex)
     N = matrix.shape[0]
@@ -182,7 +180,7 @@ def operator_from_matrix(matrix: np.ndarray) -> DiscreteOperator:
     pts = np.column_stack([np.arange(N, dtype=float), np.zeros(N)])
     grid = DomainGrid(points=pts, weights=np.ones(N), cell_size=1.0, radius=float(N),
                       lattice_index=np.column_stack([np.arange(N), np.zeros(N, dtype=int)]),
-                      lattice_shape=(N, 1))
+                      lattice_shape=(N + 1, 1))
     return DiscreteOperator(table=-matrix.ravel(), row=N * np.arange(N), col=-np.arange(N),
                             grid=grid, n=np.ones(N), ctx=WaveContext(k=1.0, dim=2))
 
@@ -209,13 +207,6 @@ def _columns(op: DiscreteOperator, columns) -> np.ndarray:
         strip = slice(start, start + _GATHER_ROWS)
         _gather(op, rows[strip], cols, out[strip])
     return out
-
-
-def apply_kd(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f)
-    if f.shape[0] != op.n.size:
-        raise InvalidArgumentError("vector length does not match operator size")
-    return op.matrix @ f
 
 
 def g0_matrix(op: DiscreteOperator, columns=slice(None)) -> np.ndarray:
@@ -268,22 +259,19 @@ def _symmetries(op: DiscreteOperator):
     """The lattice symmetries that M and the weights keep bit for bit, as point
     permutations: returns the axes whose reflection is kept, those reflections
     in axis order, and the swap of axes 0 and 1, or None where it is not kept.
-    M is compared entry by entry, except for an offset_kernel operator, which
-    keeps a symmetry exactly when n does."""
+    T, the table of w g0 over the lattice offsets, is kept bit for bit by every
+    axis reflection and the swap of equal-extent axes, so a lattice symmetry
+    keeps M exactly when it keeps n and the weights; M is not read."""
     grid = op.grid
     index, shape = grid.lattice_index, grid.lattice_shape
 
     def kept(image):
         p = grid.lattice_permutation(image)
         if (p is None or np.array_equal(p, np.arange(p.size))
-                or not np.array_equal(op.weights[p], op.weights)):
+                or not np.array_equal(op.weights[p], op.weights)
+                or not np.array_equal(op.n[p], op.n)):
             return None
-        if op.offset_kernel:
-            keeps = np.array_equal(op.n[p], op.n)
-        else:
-            M = op.matrix
-            keeps = np.array_equal(M[np.ix_(p, p)], M)
-        return p if keeps else None
+        return p
 
     reflections = {}
     for a, s in enumerate(shape):
@@ -348,10 +336,15 @@ def _factor(op: DiscreteOperator, tau: float) -> dict:
     of M: for each solved class that is not empty, by its index, the LU of its
     block (scipy.linalg.lu_factor form). Refused when the LUs, 16 bytes per
     block entry, are larger than physical memory, and, by the rule of
-    check_resonance_proximity, when 1/tau is within tolerance of the spectrum.
+    refuse_near_spectrum, when z = 1/tau is within tolerance of the spectrum.
 
-    An exactly zero pivot means that 1/tau is an eigenvalue; it is refused
-    here, so LAPACK's singular-matrix warning is silenced.
+    The eigenvalues of a block B nearest z are the dominant eigenvalues of
+    (I - B/z)^{-1} (shift-invert), so one block Rayleigh-Ritz step on the LU
+    of I - B/z finds them: lambda = z (1 - 1/nu) for each Ritz value nu. The
+    step runs on each solved class's block, and the Ritz value nearest z over
+    all of them is the one reported. An exactly zero pivot means that z is an
+    eigenvalue; it is refused here, so LAPACK's singular-matrix warning is
+    silenced.
     """
     z, lus, ritz = 1.0 / tau, {}, []
     solved = {i: c for i, c in enumerate(op.classes) if c.source == i and c.size}
@@ -390,20 +383,6 @@ def _dominant_ritz_values(lu) -> np.ndarray:
            mode="economic", overwrite_a=True, check_finite=False)[0]
     return eigvals(zgemm(1.0, Q, lu_solve(lu, Q, check_finite=False), trans_a=2),
                    overwrite_a=True, check_finite=False)
-
-
-def check_resonance_proximity(op: DiscreteOperator, z: complex):
-    """Raise if z lies within RESONANCE_TOL of the spectrum of the matrix.
-
-    The eigenvalues of a block B nearest z are the dominant eigenvalues of
-    (I - B/z)^{-1} (shift-invert), so one block Rayleigh-Ritz step on the LU
-    of I - B/z finds them: lambda = z (1 - 1/nu) for each Ritz value nu. The
-    step runs on each solved class's block, and the Ritz value nearest z over
-    all of them is the one reported. z must be nonzero.
-    """
-    if z == 0:
-        raise InvalidArgumentError("resonance check needs a nonzero z = 1/tau")
-    _factor(op, 1.0 / z)
 
 
 def refuse_near_spectrum(z: complex, lambdas: np.ndarray):

@@ -324,21 +324,21 @@ class TestSpectrum:
         assert run("spectrum", write_cfg(tmp_path, cfg), tmp_path / "out") == 0
 
     def test_eigendecomposition_beyond_memory_exit_1(self, tmp_path, capsys, memory_64mb):
-        # an off-centre bump is one class: its eig peaks at 57 N^2 bytes, 91 MB at
-        # N = 1264, though two N x N complex arrays (32 N^2 bytes, 51 MB) would fit
-        cfg = dict(BASE, domain={"shape": "disk", "radius": 1.0, "cells": 40},
+        # an off-centre bump is one class: the guard counts about 40 N^2 bytes, 81 MB at
+        # N = 1396, though two N x N complex arrays (32 N^2 bytes, 62 MB) would fit
+        cfg = dict(BASE, domain={"shape": "disk", "radius": 1.0, "cells": 42},
                    profile={"kind": "radial_bump", "center": [0.3, 0.1], "width": 0.5,
                             "peak": 2.0})
         out = tmp_path / "o"
         assert run("spectrum", write_cfg(tmp_path, cfg), out) == 1
         assert capsys.readouterr().err == (
-            "resonat: eigendecomposition of size N=1264 needs at least 0.0911 GB, more than "
+            "resonat: eigendecomposition of size N=1396 needs at least 0.081 GB, more than "
             "the 0.0671 GB of physical memory\n")
         assert not any(out.iterdir())
 
     def test_symmetric_eigendecomposition_within_memory_exit_0(self, tmp_path, memory_64mb):
-        # the constant disk at the same N = 1264 peaks with its largest class of 316 modes,
-        # at about 24 MB; the one-class rule, 57 N^2 bytes, would refuse it
+        # the constant disk at N = 1264 peaks with its largest class of 316 modes, at
+        # about 17 MB; the one-class rule, about 40 N^2 bytes, would refuse it
         cfg = dict(BASE, domain={"shape": "disk", "radius": 1.0, "cells": 40})
         assert run("spectrum", write_cfg(tmp_path, cfg), tmp_path / "o") == 0
 
@@ -354,6 +354,22 @@ class TestSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 24 * op.n.size**2
+
+    def test_one_class_eigendecompose_peak_below_44_n2(self):
+        # one class: Y is freed once its modes are gathered, and they are normalized and
+        # phase-fixed in place; by tracemalloc about 39 N^2 bytes at N = 316
+        ctx = resonat.WaveContext(k=6.0, dim=2)
+        grid = resonat.build_disk_grid(1.0, 20, ctx)
+        n = resonat.radial_bump(grid.points, [0.3, 0.1], 0.5, 2.0)
+        op = resonat.assemble_kd(grid, n, ctx)
+        assert op.symmetry_blocks == [316]
+        tracemalloc.start()
+        try:
+            eigendecompose(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * op.n.size**2
 
     def test_dense_size_beyond_memory_exit_1(self, tmp_path, capsys):
         # N ~ 268 k: the dense working set is at least 24 N^2 bytes, about 1.7 TB

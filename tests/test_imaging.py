@@ -17,7 +17,7 @@ from resonat import (
 from resonat.errors import InvalidArgumentError, NumericFailureError
 from resonat.expansion import psf_profile
 from resonat.grids import build_ball_grid
-from resonat.imaging import ForwardMap, contrast_hk_residual, find_peaks
+from resonat.imaging import ForwardMap, find_peaks
 from resonat.kernels import g0_from_distance, sinc_psf
 from resonat.volume import assemble_kd, operator_from_matrix
 
@@ -178,17 +178,6 @@ class TestHelmholtzKirchhoff:
         Gx = g0_from_distance(np.linalg.norm(surf.points - x, axis=1), CTX3)
         s = CTX3.k * np.sum(np.conj(Gx) * Gx * surf.weights)
         assert abs(s.imag) <= 1e-12 * abs(s.real)
-
-    def test_contrast_kernel_residual_decreases(self):
-        ctx = WaveContext(k=1.0, dim=2)
-        grid = build_disk_grid(1.0, 8, ctx)
-        op = assemble_kd(grid, np.full(grid.n_points, 1.0), ctx)
-        vals = []
-        for R in (50.0, 200.0):
-            surface = build_measurement_surface(R, 512, ctx)
-            fmap = build_forward_map(grid, surface, ctx, tau=2.0, op=op)
-            vals.append(contrast_hk_residual(fmap, op, 3, 17))
-        assert vals[1] < vals[0]
 
 
 class TestL2:

@@ -133,7 +133,7 @@ def _medium(dim, cells, k, center=None):
 
 
 def _line_matrix():
-    # the reversal of the line lattice maps it onto itself; the entries do not follow
+    # a random matrix on the line: one class, as every wrapped matrix is
     rng = np.random.default_rng(3)
     return operator_from_matrix((rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))) / 40)
 
@@ -228,12 +228,15 @@ class TestSymmetryBlocks:
         assert len(sys.modes) == len(modes)
         assert all(np.array_equal(a, b) for a, b in zip(sys.modes, modes))
 
-    def test_line_reversal_kept_only_with_matrix_and_weights(self):
+    def test_symmetry_kept_only_with_offset_table_and_weights(self):
+        # a wrapped matrix is one class, even one that the line's reversal keeps
         M = _line_matrix().matrix
-        op = operator_from_matrix(M + M[::-1, ::-1])
-        assert op.symmetry_blocks == [20, 20]
-        uneven = replace(op, grid=replace(op.grid, weights=np.linspace(1.0, 2.0, 40)))
-        assert uneven.symmetry_blocks == [40]
+        assert operator_from_matrix(M + M[::-1, ::-1]).symmetry_blocks == [40]
+        # an assembled disk keeps no symmetry that its weights do not keep
+        op = _medium(2, 16, 1.0)
+        assert op.symmetry_blocks == [29, 23, 52, 52, 29, 23]
+        uneven = replace(op, grid=replace(op.grid, weights=np.linspace(1.0, 2.0, op.n.size)))
+        assert uneven.symmetry_blocks == [op.n.size]
 
     def test_classes_are_exact(self, disk16_sys):
         # modes vanish off their class's points, and the basis is zero across classes

@@ -11,7 +11,6 @@ from scipy.special import hankel1
 import resonat.volume
 from resonat import (
     WaveContext,
-    apply_kd,
     build_ball_grid,
     build_disk_grid,
     build_forward_map,
@@ -28,8 +27,8 @@ from resonat.kernels import g0_from_distance
 from resonat.spectral import eigendecompose
 from resonat.volume import (
     _diag_kernel_integral,
+    _factor,
     assemble_kd,
-    check_resonance_proximity,
     g0_matrix,
     radiate_matrix,
 )
@@ -197,27 +196,6 @@ def test_diag_kernel_integral_to_rounding(dim, k, h, re, im):
 
 
 class TestApply:
-    def test_zero(self):
-        _, _, op = small_op()
-        assert np.all(apply_kd(op, np.zeros(op.matrix.shape[0])) == 0)
-
-    def test_unit_vector_column(self):
-        _, _, op = small_op()
-        e3 = np.zeros(op.matrix.shape[0])
-        e3[3] = 1.0
-        assert np.allclose(apply_kd(op, e3), op.matrix[:, 3])
-
-    def test_double_application(self, rng):
-        _, _, op = small_op()
-        f = rng.normal(size=op.matrix.shape[0]) + 1j * rng.normal(size=op.matrix.shape[0])
-        twice = apply_kd(op, apply_kd(op, f))
-        assert np.linalg.norm(twice - (op.matrix @ op.matrix) @ f) <= 1e-12 * np.linalg.norm(twice)
-
-    def test_length_mismatch(self):
-        _, _, op = small_op()
-        with pytest.raises(InvalidArgumentError):
-            apply_kd(op, np.zeros(3))
-
     def test_nystrom_refinement_consistency(self):
         # midpoint lattices nest under 3x refinement, so (K f) can be compared
         # at the same physical point; the difference shrinks with h
@@ -232,7 +210,7 @@ class TestApply:
                 x_eval = grid.points[grid.nearest_index([0.21, -0.13])]
             i = grid.nearest_index(x_eval)
             assert np.allclose(grid.points[i], x_eval, atol=1e-12)
-            vals.append(apply_kd(op, f)[i])
+            vals.append((op.matrix @ f)[i])
         assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1])
         assert abs(vals[1] - vals[2]) < 0.05 * abs(vals[2])
 
@@ -288,9 +266,9 @@ def dense_rule(M, z, tol=1e-8):
 
 
 def shift_invert_rule(op, z):
-    """(raises, reported eigenvalue) of check_resonance_proximity."""
+    """(raises, reported eigenvalue) of the resonance check, at tau = 1/z."""
     try:
-        check_resonance_proximity(op, z)
+        _factor(op, 1.0 / z)
     except ResonanceProximityError as exc:
         return True, exc.eigenvalue
     return False, None
@@ -347,7 +325,7 @@ class TestResonanceCheck:
             return lu_solve(lu, b, **kwargs)
 
         monkeypatch.setattr(resonat.volume, "lu_solve", counting_solve)
-        check_resonance_proximity(op, z)
+        _factor(op, 1.0 / z)
         assert widths == [(n, min(20, n)) for n in solved for _ in range(2)]
 
     def test_refused_near_each_solved_class(self, disk16):
@@ -400,7 +378,7 @@ class TestResonanceCheck:
 
     def test_far_from_spectrum_passes(self):
         op = operator_from_matrix(random_nonnormal(50, 4))
-        check_resonance_proximity(op, 3.0 + 1.0j)
+        _factor(op, 1.0 / (3.0 + 1.0j))
 
     def test_exactly_singular_raises_without_warning(self):
         # I - 2 diag(0.5, 0.25) has an exactly zero pivot
@@ -408,7 +386,7 @@ class TestResonanceCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error", LinAlgWarning)
             with pytest.raises(ResonanceProximityError) as info:
-                check_resonance_proximity(op, 0.5)
+                _factor(op, 2.0)
             with pytest.raises(ResonanceProximityError):
                 green_matrix(op, 2.0)
         assert info.value.eigenvalue == 0.5
@@ -417,17 +395,12 @@ class TestResonanceCheck:
         # |z - 0.5| against 1e-8 (1 + 0.5) = 1.5e-8: 3e-8 is outside, 1e-8 inside
         op = operator_from_matrix(np.diag([3.0, 0.5, 0.2]).astype(complex))
         sys = eigendecompose(op)
-        check_resonance_proximity(op, 0.5 + 3e-8)
+        _factor(op, 1.0 / (0.5 + 3e-8))
         alpha_expansion(sys, 1.0 / (0.5 + 3e-8))
         with pytest.raises(ResonanceProximityError):
-            check_resonance_proximity(op, 0.5 + 1e-8)
+            _factor(op, 1.0 / (0.5 + 1e-8))
         with pytest.raises(ResonanceProximityError):
             alpha_expansion(sys, 1.0 / (0.5 + 1e-8))
-
-    def test_zero_shift_rejected(self):
-        op = operator_from_matrix(np.diag([0.5, 0.25]).astype(complex))
-        with pytest.raises(InvalidArgumentError):
-            check_resonance_proximity(op, 0.0)
 
 
 class TestGreenMatrix:
@@ -553,8 +526,9 @@ def medium(dim, cells, k, center=None):
     return assemble_kd(grid, n, ctx)
 
 
-def symmetric_line():
-    """M + M[::-1, ::-1] for a random M on the 40-point line: the reversal keeps it."""
+def reversed_line():
+    """M + M[::-1, ::-1] for a random M on the 40-point line: the reversal keeps the
+    matrix, but a wrapped matrix is one class."""
     rng = np.random.default_rng(3)
     M = (rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))) / 40
     return operator_from_matrix(M + M[::-1, ::-1])
@@ -568,13 +542,14 @@ SOLVE_MEDIA = {
     "ball5": lambda: medium(3, 5, 1.0),
     "centered_bump20": lambda: medium(2, 20, 6.0, center=[0.0, 0.0]),   # the swap only
     "off_center_bump20": lambda: medium(2, 20, 6.0, center=[0.3, 0.1]),  # one class
-    "line": symmetric_line,
+    "line": reversed_line,
 }
 # the assembled media of SOLVE_MEDIA and the two of the psf_large benchmark
 RULE_MEDIA = {**{name: make for name, make in SOLVE_MEDIA.items() if name != "line"},
               "psf_disk48": lambda: medium(2, 48, 6.0), "psf_ball14": lambda: medium(3, 14, 6.0)}
-# and the two line operators from operator_from_matrix, with and without symmetry
-BLOCK_MEDIA = {**RULE_MEDIA, "line": symmetric_line,
+# and two line operators from operator_from_matrix, each one class: one that the
+# reversal keeps and a random one
+BLOCK_MEDIA = {**RULE_MEDIA, "line": reversed_line,
                "random_line": lambda: operator_from_matrix(random_nonnormal(40, 6))}
 
 
@@ -636,6 +611,17 @@ class TestSymmetryClasses:
         assert all(np.array_equal(p, by_matrix[a]) for a, p in zip(axes, reflections))
         assert (swap is None) == ("swap" not in by_matrix)
         assert swap is None or np.array_equal(swap, by_matrix["swap"])
+
+    @pytest.mark.parametrize("name", ["disk16", "line"])
+    def test_classes_decided_without_matrix(self, name, monkeypatch):
+        # a symmetry is kept when it keeps n and the weights; M is never formed
+        op = BLOCK_MEDIA[name]()
+
+        def refuse(self):
+            raise AssertionError("op.matrix read")
+
+        monkeypatch.setattr(resonat.volume.DiscreteOperator, "matrix", property(refuse))
+        assert op.symmetry_blocks == ([29, 23, 52, 52, 29, 23] if name == "disk16" else [40])
 
     @pytest.mark.parametrize("name", list(BLOCK_MEDIA))
     def test_gathered_from_table_match_matrix(self, name):
