@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import resonat.imaging
 from resonat import (
     WaveContext,
     build_disk_grid,
@@ -17,7 +21,7 @@ from resonat import (
 from resonat.errors import InvalidArgumentError, NumericFailureError
 from resonat.expansion import psf_profile
 from resonat.grids import build_ball_grid
-from resonat.imaging import ForwardMap, find_peaks
+from resonat.imaging import ForwardMap, _SupportProduct, find_peaks
 from resonat.kernels import g0_from_distance, sinc_psf
 from resonat.volume import assemble_kd, operator_from_matrix
 
@@ -410,6 +414,70 @@ class TestL1OnSupport:
         assert np.max(np.abs(res.values - g)) <= 1e-10 * np.max(np.abs(g))
         assert res.metadata["objective"] == pytest.approx(obj, rel=1e-12, abs=0)
         assert res.metadata["gap"] == pytest.approx(gap, rel=1e-8, abs=0)
+
+
+class TestSupportProduct:
+    @pytest.fixture
+    def M(self, rng):
+        return rng.normal(size=(30, 40)) + 1j * rng.normal(size=(30, 40))
+
+    def test_zero_vector_gives_exact_zeros(self, M):
+        out = _SupportProduct(M)(np.zeros(40, dtype=complex))
+        assert out.shape == (30,) and out.dtype == complex
+        assert np.all(out == 0)
+
+    def test_matches_product_on_the_support(self, M, rng):
+        x = np.zeros(40, dtype=complex)
+        S = rng.choice(40, size=7, replace=False)
+        x[S] = rng.normal(size=7) + 1j * rng.normal(size=7)
+        expect = M[:, S] @ x[S]
+        out = _SupportProduct(M)(x)
+        assert np.linalg.norm(out - expect) <= 1e-14 * np.linalg.norm(expect)
+
+    def test_same_support_gathers_no_new_block(self, M, rng):
+        product = _SupportProduct(M)
+        x = np.zeros(40, dtype=complex)
+        x[[3, 17, 29]] = 1.0 + 2.0j
+        product(x)
+        block = product.block
+        x[[3, 17, 29]] = rng.normal(size=3) + 1j
+        out = product(x)
+        assert product.block is block
+        assert np.allclose(out, M[:, [3, 17, 29]] @ x[[3, 17, 29]], rtol=1e-14, atol=0)
+
+
+def numpy_blas_uses(tree, names):
+    """(function, use) for each `@`, np.linalg.svd and np.linalg.norm(., 2) in
+    the bodies of the top-level definitions `names` of a module's AST."""
+    uses = []
+    for node in tree.body:
+        if getattr(node, "name", None) not in names:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(getattr(sub, "op", None), ast.MatMult):
+                uses.append((node.name, "@"))
+            elif isinstance(sub, ast.Call):
+                func = ast.unparse(sub.func)
+                order = [ast.unparse(a) for a in sub.args[1:2]]
+                order += [ast.unparse(k.value) for k in sub.keywords if k.arg == "ord"]
+                if func == "np.linalg.svd" or (func == "np.linalg.norm" and order == ["2"]):
+                    uses.append((node.name, func))
+    return uses
+
+
+def test_solvers_run_in_scipys_blas():
+    """The solvers' products, SVDs and matrix 2-norms go through scipy's BLAS,
+    which the forward map's LU solves use, never through numpy's copy."""
+    names = {"time_reversal", "l2_minimum_norm", "_SupportProduct", "l1_zero_threshold",
+             "l1_reconstruct"}
+    tree = ast.parse(Path(resonat.imaging.__file__).read_text())
+    assert names <= {getattr(node, "name", None) for node in tree.body}
+    assert numpy_blas_uses(tree, names) == []
+    # the walk sees each kind of use it guards against
+    probe = ast.parse("def f(A, x):\n    A @ x\n    np.linalg.svd(A)\n"
+                      "    np.linalg.norm(A, 2)\n    np.linalg.norm(x)\n")
+    assert numpy_blas_uses(probe, {"f"}) == [
+        ("f", "@"), ("f", "np.linalg.svd"), ("f", "np.linalg.norm")]
 
 
 class TestResolutionMetrics:
