@@ -148,7 +148,7 @@ _TABLE = {
                  "l2": ({"mode": (("exact", "tikhonov", "morozov"), "exact"),
                          "alpha": (_nonnegative, _required_in_mode("tikhonov")),
                          "delta_rel": (_positive, _required_in_mode("morozov"))}, OPTIONAL),
-                 "l1": ({"mode": (("penalized", "normal_equation"), "penalized"),
+                 "l1": ({"mode": (("penalized",), "penalized"),
                          **_L1_SOLVE}, OPTIONAL)}, {"time_reversal": {}}),
     "psf": ({"x0": (_vector, _zeros),
              "direction": (_direction, lambda c, t: [1.0] + _zeros(c, t)[1:])}, {}),
@@ -371,11 +371,11 @@ def _result_rows(values):
             for i, v in enumerate(values)]
 
 
-def _l1_solve(fmap, u, p, mode="penalized"):
-    """l1_reconstruct of `mode` with mu = mu_rel times its zero threshold and the
+def _l1_solve(fmap, u, p):
+    """l1_reconstruct with mu = mu_rel times its zero threshold and the
     _L1_SOLVE keys of the table p."""
-    mu = p["mu_rel"] * l1_zero_threshold(fmap, u, mode)
-    return l1_reconstruct(fmap, u, mu=mu, mode=mode, max_iters=p["max_iters"], tol=p["tol"])
+    mu = p["mu_rel"] * l1_zero_threshold(fmap, u)
+    return l1_reconstruct(fmap, u, mu=mu, max_iters=p["max_iters"], tol=p["tol"])
 
 
 def cmd_image(cfg, out: Path):
@@ -396,7 +396,7 @@ def cmd_image(cfg, out: Path):
             delta = p["delta_rel"] and p["delta_rel"] * float(np.linalg.norm(u) ** 2)
             res = l2_minimum_norm(fmap, u, mode=p["mode"], alpha=p["alpha"], delta=delta)
         else:
-            res = _l1_solve(fmap, u, p, p["mode"])
+            res = _l1_solve(fmap, u, p)
         write_csv(out / f"result_{name}.csv", ["index", "re", "im", "magnitude"],
                   _result_rows(res.values))
         met = resolution_metrics(res.values, sources, grid)

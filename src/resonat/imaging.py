@@ -8,8 +8,7 @@ the -sin(kr)/(4 pi k r) point spread function (see kernels.sinc_psf).
 
 Every matrix product and SVD of the solvers runs in scipy's BLAS, which the
 LU solves of the forward map use: on two cores each switch to numpy's own
-copy, and its thread pool, costs milliseconds. Vector norms stay in numpy's,
-as do the products of the normal-equation L1 mode.
+copy, and its thread pool, costs milliseconds. Vector norms stay in numpy's.
 """
 
 from __future__ import annotations
@@ -222,33 +221,16 @@ class _SupportProduct:
         return zgemv(1.0, self.block.T, x[self.support], trans=1)
 
 
-def _l1_system(W: np.ndarray, u: np.ndarray, mode: str):
-    """The (A, b) of the L1 functional (1/2)||A g - b||^2 + mu ||g||_1 of
-    `mode`, for the forward matrix W and the data u."""
-    if mode == "penalized":
-        return W, u
-    if mode == "normal_equation":
-        # numpy's BLAS, unlike every other solver product: no workload reaches this
-        # mode, and scipy's threaded zgemm splits the Gram differently, which moves
-        # the gap that TestL1OnSupport pins to 1e-8 relative by 1.3e-8
-        return W.conj().T @ W, W.conj().T @ u
-    raise InvalidArgumentError(f"unknown l1 mode {mode!r}")
-
-
-def l1_zero_threshold(fmap: ForwardMap, u: np.ndarray, mode: str = "penalized") -> float:
-    """max|A^H b| of the L1 functional of `mode` (see l1_reconstruct): g = 0
-    is its minimizer exactly when mu >= this."""
-    A, b = _l1_system(fmap.matrix, u, mode)
-    return float(np.max(np.abs(zgemv(1.0, A.conj().T, b))))
+def l1_zero_threshold(fmap: ForwardMap, u: np.ndarray) -> float:
+    """max|A^H u| (see l1_reconstruct): g = 0 is the minimizer exactly when
+    mu >= this."""
+    return float(np.max(np.abs(zgemv(1.0, fmap.matrix.conj().T, u))))
 
 
 def l1_reconstruct(fmap: ForwardMap, u: np.ndarray, mu: float,
-                   mode: str = "penalized", max_iters: int = 2000,
-                   tol: float = 1e-10) -> ImagingResult:
+                   max_iters: int = 2000, tol: float = 1e-10) -> ImagingResult:
     """Accelerated proximal-gradient (FISTA) minimization of
-    (1/2)||A g - u||^2 + mu ||g||_1, with A either the raw forward map
-    ("penalized") or its normal-equation form A^H A ("normal_equation"), with
-    u replaced by A^H u.
+    (1/2)||A g - u||^2 + mu ||g||_1, with A the forward matrix.
 
     The gradient is taken in Gram form, Q y - c with Q = A^H A and c = A^H u
     formed once, and the momentum restarts whenever the objective rises
@@ -261,19 +243,18 @@ def l1_reconstruct(fmap: ForwardMap, u: np.ndarray, mu: float,
     mu * sign(g), over mu."""
     if mu <= 0:
         raise InvalidArgumentError("mu must be positive")
-    W = fmap.matrix
-    A, b = _l1_system(W, u, mode)
+    A = fmap.matrix
     L = float(scipy.linalg.svdvals(A, check_finite=False)[0] ** 2)
     if L == 0:
         raise InvalidArgumentError("forward map is identically zero")
     AH = A.conj().T
-    Q, c = zgemm(1.0, AH, A), zgemv(1.0, AH, b)
+    Q, c = zgemm(1.0, AH, A), zgemv(1.0, AH, u)
     del AH   # not kept through the loop, where the column buffers take its place
     Qy, Ag = _SupportProduct(Q), _SupportProduct(A)
 
     def objective(g, on=None):
         r = Ag(g, on)
-        r -= b
+        r -= u
         # np.linalg.norm's own arithmetic, in numpy's BLAS
         norm = np.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
         return 0.5 * float(norm ** 2) + mu * float(np.abs(g).sum())
@@ -304,11 +285,12 @@ def l1_reconstruct(fmap: ForwardMap, u: np.ndarray, mu: float,
         if iters > 1 and abs(obj_prev - obj) <= tol * max(obj, 1e-300):
             converged = True
             break
-    r = zgemv(1.0, A.conj().T, b - zgemv(1.0, A.T, g, trans=1))
+    fit = zgemv(1.0, A.T, g, trans=1)   # A g, for both the gap and the residual
+    r = zgemv(1.0, A.conj().T, u - fit)
     on = g != 0
     gap = max(np.max(np.abs(r[on] - mu * g[on] / np.abs(g[on])), initial=0.0),
               np.max(np.abs(r[~on]) - mu, initial=0.0)) / mu
-    residual = float(np.linalg.norm(zgemv(1.0, W.T, g, trans=1) - u))
+    residual = float(np.linalg.norm(fit - u))
     return ImagingResult(values=g, metadata={"mu": float(mu), "iterations": iters,
                                              "converged": bool(converged),
                                              "residual": residual,
