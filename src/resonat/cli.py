@@ -308,8 +308,7 @@ def _resonant_mode(sys_, op, tau):
     pos = int(np.argmin(np.abs(1.0 / tau - sys_.lambdas)))
     lam, c = sys_.lambdas[pos], sys_.classes[pos]
     uz = sys_.modes[c][:, np.searchsorted(sys_.class_columns[c], pos)]
-    column, entry = sys_.symmetry[c].orbit_entries(op.n.size)
-    u = np.where(column >= 0, entry * uz[column], 0.0)
+    u = sys_.symmetry[c].scatter(uz.copy(), np.zeros(op.n.size, dtype=complex))
     return {"index": pos, "eigenvalue": [float(lam.real), float(lam.imag)],
             "proximity": float(abs(1.0 / tau - lam) / (1.0 + abs(lam))),
             "residual": float(np.linalg.norm(zgemv(1.0, class_block(op, sys_.symmetry[c]), uz)

@@ -134,7 +134,7 @@ def expansion_errors(sys: SpectralSystem, op: DiscreteOperator, tau: float, alph
         (G0, G), pairs[c] = pairs[c], None   # a twin's pair is freed with the twin
         if not cols.size:
             continue
-        points = sys.symmetry[c].points[0]
+        points = sys.symmetry[c].reps
         s, n = np.sqrt(op.weights[points]), op.n[points]
         green += _squared_norm(_weigh(G.copy(), s))
         field = _weigh(G0 - G, s)   # G0 + S_0 - G

@@ -18,7 +18,7 @@ is the one-class case. `classes` records the class of each mode column,
 `symmetry` the classes themselves, as the operator decided them, and `modes`
 each class's modes in the coordinates of its orbit basis: one row per orbit,
 one column per mode of the class, in total order. U is scattered from them on
-each read.
+each read, by each class's scatter.
 
 The orthonormalized basis E is produced by QR in the weighted discrete L2(D)
 inner product, one QR per symmetry class on the modes' orbit coordinates,
@@ -73,7 +73,7 @@ class SpectralSystem:
     def class_bases(self) -> list:
         """Per class, the weighted QR (Ez, A, B) of its modes Uz, so that
         Ez = Uz A and Uz = Ez B; the weights are constant on orbits."""
-        return [_weighted_qr(modes, self.weights[c.points[0]])
+        return [_weighted_qr(modes, self.weights[c.reps])
                 for c, modes in zip(self.symmetry, self.modes)]
 
     @property
@@ -105,9 +105,7 @@ def _scatter(symmetry: list, columns: list, blocks: list, orbits: bool) -> np.nd
     out = np.zeros((N, N), dtype=complex)
     for c, cols, block in zip(symmetry, columns, blocks):
         if orbits:
-            column, entry = c.orbit_entries(N)
-            rows = np.flatnonzero(column >= 0)
-            out[np.ix_(rows, cols)] = entry[rows, None] * block[column[rows]]
+            out[:, cols] = c.scatter(block.copy(), np.zeros((N, cols.size), dtype=complex))
         else:
             out[np.ix_(cols, cols)] = block
     return out
@@ -149,13 +147,15 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     within 1e-8 max(max |lambda|, 1) of a cluster's first one join that
     cluster. The weighted-orthonormal basis E, A, B is not formed here but on
     its first read, which is where a rank-deficient U is refused. Each class's
-    modes are normalized and phase-fixed on its points alone, with the bits of
-    U's columns, in place. Refuses an N whose transient peak, by tracemalloc, is
-    larger than physical memory: 16 bytes per entry of each class block, held by
-    its Y until its modes replace it, 24 N m for the normalization of the largest
-    class, of m modes, and about 2 kB a point for LAPACK's workspace and the
-    bookkeeping (measured 38.8 N^2 bytes at N = 316 and 34.6 N^2 at N = 812
-    without lattice symmetry, 10.3 and 8.9 N^2 on the constant disk).
+    eigenvectors are scattered onto the N points, as its columns of U, normalized
+    and phase-fixed there, and gathered back as its modes, with the bits that
+    gathering them from an N x N U gives. Refuses an N whose transient peak, by
+    tracemalloc, is larger than physical memory: 16 bytes per entry of each
+    class block, held by its Y until its columns are taken to be scattered,
+    24 N m for those columns of the largest class, of m modes, and their norms,
+    and about 2 kB a point for LAPACK's workspace and the bookkeeping (measured
+    40.2 N^2 bytes at N = 316 and 34.9 N^2 at N = 812 without lattice symmetry,
+    10.7 and 8.7 N^2 on the constant disk).
     """
     N, sizes = op.n.size, [c.size for c in op.classes]
     _require_memory(16 * sum(n * n for n in sizes) + 24 * N * max(sizes) + 2200 * N,
@@ -179,17 +179,11 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
     ang = np.mod(np.angle(lam), 2.0 * np.pi)
     order = np.lexsort((ang, -np.abs(lam)))
     lam, classes = lam[order], classes[order]
-    # the column at pos is eigenvector order[pos] - first[i] of its class i, and that
-    # class's orbit basis vectors span its points, in ascending order
+    # the column at pos is eigenvector order[pos] - first[i] of its class i
     first = np.cumsum([0] + sizes)
-    entries = [c.orbit_entries(N) for c in op.classes]
-    points = [np.flatnonzero(column >= 0) for column, _ in entries]
 
-    def on_points(i, pos):   # U's columns pos of class i, before normalization, on its points
-        (column, entry), rows = entries[i], points[i]
-        V = parts[i][1][np.ix_(column[rows], order[pos] - first[i])]
-        V *= entry[rows, None]
-        return V
+    def eigenvectors(i, pos):   # U's columns pos of class i, unnormalized, in orbit coordinates
+        return parts[i][1][:, order[pos] - first[i]]
 
     # cluster consecutive eigenvalues within tol of the cluster representative
     members_of: List[List[int]] = []
@@ -204,7 +198,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
         if len(members) > 1:
             sub = np.zeros((N, len(members)), dtype=complex)   # the cluster's columns of U
             for k, pos in enumerate(members):
-                sub[points[classes[pos]], k] = on_points(classes[pos], [pos])[:, 0]
+                op.classes[classes[pos]].scatter(eigenvectors(classes[pos], [pos]), sub[:, k:k + 1])
             cond = np.linalg.cond(sub.conj().T @ sub)
             if cond > 1e16:
                 warnings.append(
@@ -213,24 +207,24 @@ def eigendecompose(op: DiscreteOperator) -> SpectralSystem:
                 )
     clusters = np.repeat(np.arange(1, len(members_of) + 1), [len(m) for m in members_of])
 
-    # unit weighted norm, summed C-ordered over the class's points as over U's N rows, and
-    # phase gauge; each class's modes at one point per orbit, over the point's entry,
-    # gathered transposed, so that each is Fortran-ordered and goes to BLAS uncopied
+    # each class's columns of U, scattered onto the N points, get unit weighted norm, summed
+    # over the N rows in order, and the phase gauge; its modes are gathered back from them
     w = op.weights
     modes = []
-    for i, (c, rows) in enumerate(zip(op.classes, points)):
-        V = on_points(i, np.flatnonzero(classes == i))
-        parts[i] = None   # a swapped twin keeps its own reference to the Y it shares
+    for i, c in enumerate(op.classes):
+        pos = np.flatnonzero(classes == i)
+        x, parts[i] = eigenvectors(i, pos), None   # a twin keeps its reference to the Y it shares
+        V = c.scatter(x, np.zeros((N, pos.size), dtype=complex))
+        del x
         if c.size:   # an empty class has no column to fix
             sq = np.abs(V)
             sq **= 2
-            sq *= w[rows, None]
+            sq *= w[:, None]
             V /= np.sqrt(np.sum(sq, axis=0))
             del sq
             _fix_column_phases(V)
-        modes.append(V.T[np.ix_(np.arange(c.size), np.searchsorted(rows, c.points[0]))].T)
-        modes[-1] /= entries[i][1][c.points[0], None]
-        del V   # before the next class's V is gathered
+        modes.append(c.gather(V))
+        del V   # before the next class's V is scattered
     return SpectralSystem(lambdas=lam, clusters=clusters, modes=modes, weights=w, cluster_tol=tol,
                           classes=classes, symmetry=op.classes, warnings=warnings)
 

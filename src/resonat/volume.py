@@ -19,10 +19,11 @@ M is block-diagonal over the lattice symmetries it keeps bit for bit: the
 reflection of each lattice axis and, where axes 0 and 1 have the same extent,
 their swap. The symmetry classes are the reflection parities, each one that the
 swap maps onto itself split by its swap parity; each class has an orthonormal
-basis of lattice orbits, and M in that basis is the class's block. A class that
-the swap maps onto another has the same block. The eigensolver runs one eig
-per block and the direct solver one LU per block; an operator without symmetry
-is the one-class case, whose block is M.
+basis P of lattice orbits, and M in that basis is the class's block; its gather
+(P^T b) and scatter (adds P x) are the one way between grid arrays and its
+coordinates. A class that the swap maps onto another has the same block. The
+eigensolver runs one eig per block and the direct solver one LU per block; an
+operator without symmetry is the one-class case, whose block is M.
 """
 
 from __future__ import annotations
@@ -226,10 +227,10 @@ def g0_matrix(op: DiscreteOperator, columns=slice(None)) -> np.ndarray:
 @dataclass(frozen=True)
 class SymmetryClass:
     """One symmetry class of M: a group G of lattice permutations g with a
-    character chi, and an orthonormal basis of one vector
+    character chi, and an orthonormal basis P of one vector
     sum_g chi(g) e_{g(r)} / sqrt(stab_r |G|) per orbit representative r, where
     stab_r is the size of r's stabilizer; orbits whose stabilizer the character
-    is not trivial on have no vector."""
+    is not trivial on have no vector. Without symmetry, P is I."""
 
     points: np.ndarray   # (|G|, n) g(r) per group element g, identity first, and representative r
     chars: np.ndarray    # (|G|,) chi(g), +1 or -1
@@ -241,18 +242,38 @@ class SymmetryClass:
         return self.stab.size
 
     @property
+    def reps(self) -> np.ndarray:
+        """The representative r of each orbit, in the order of the basis."""
+        return self.points[0]
+
+    @property
     def norms(self) -> np.ndarray:
         """sqrt(stab_r |G|) per representative: the norm of sum_g chi(g) e_{g(r)}."""
         return np.sqrt(self.stab * self.chars.size)
 
-    def orbit_entries(self, N: int):
-        """Per point of the N, the basis vector of its orbit (-1 off the class)
-        and its entry in that unit vector."""
-        column, entry = np.full(N, -1), np.zeros(N)
-        for p, chi in zip(self.points, self.chars):
-            column[p] = np.arange(self.size)
-            entry[p] = chi * np.sqrt(self.stab / self.chars.size)
-        return column, entry
+    def gather(self, b: np.ndarray) -> np.ndarray:
+        """P^T b for a grid array b of N rows: |G| signed row gathers over the norms,
+        _GATHER_ROWS rows at a time, into a new Fortran-ordered array that LAPACK
+        solves in place; without symmetry, a copy of b."""
+        x = np.empty((self.size, *b.shape[1:]), dtype=complex, order="F")
+        for start in range(0, self.size, _GATHER_ROWS):
+            rows = slice(start, start + _GATHER_ROWS)
+            x[rows] = b[self.reps[rows]]
+            for p, chi in zip(self.points[1:], self.chars[1:]):
+                _add_signed(x[rows], b[p[rows]], chi)
+        np.divide(x.T, self.norms, out=x.T)
+        return x
+
+    def scatter(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out + P x in place of out, for coordinates x of the class's size in rows:
+        |G| signed row adds of x over the norms, _GATHER_ROWS rows at a time; x is
+        overwritten."""
+        np.divide(x.T, self.norms, out=x.T)
+        for start in range(0, self.size, _GATHER_ROWS):
+            rows = slice(start, start + _GATHER_ROWS)
+            for p, chi in zip(self.points, self.chars):
+                out[p[rows]] = _add_signed(out[p[rows]], x[rows], chi)
+        return out
 
 
 def _symmetries(op: DiscreteOperator):
@@ -316,7 +337,7 @@ def class_block(op: DiscreteOperator, c: SymmetryClass, scale: complex = 1.0) ->
     place. It is gathered from the table _GATHER_ROWS columns at a time, each
     strip one contiguous piece of the array; without symmetry the block is M
     itself, and the result M * scale."""
-    reps, n = c.points[0], c.size
+    reps, n = c.reps, c.size
     out = np.empty((n, n), dtype=complex, order="F")
     term = np.empty((min(n, _GATHER_ROWS), n), dtype=complex)
     for start in range(0, n, _GATHER_ROWS):
@@ -393,42 +414,21 @@ def refuse_near_spectrum(z: complex, lambdas: np.ndarray):
         raise ResonanceProximityError(z, lambdas[int(np.argmin(d))])
 
 
-def _class_solution(free: np.ndarray, c: SymmetryClass, lu) -> np.ndarray:
-    """The part of (I - tau M)^{-1} free in class c, whose block's LU of I - tau B is
-    lu, as coordinates x: the part is sum_g chi(g) x at the rows g(reps). The
-    coordinates of free in the class's basis are |G| signed row gathers, made
-    _GATHER_ROWS rows at a time into the Fortran-ordered array that LAPACK
-    solves in place."""
-    reps, norms = c.points[0], c.norms[:, None]
-    x = np.empty((c.size, free.shape[1]), dtype=complex, order="F")
-    for start in range(0, c.size, _GATHER_ROWS):
-        rows = slice(start, start + _GATHER_ROWS)
-        x[rows] = free[reps[rows]]
-        for p, chi in zip(c.points[1:], c.chars[1:]):
-            _add_signed(x[rows], free[p[rows]], chi)
-    x /= norms
-    x = lu_solve(lu, x, overwrite_b=True, check_finite=False)
-    x /= norms
-    return x
-
-
 def _lippmann_schwinger(op: DiscreteOperator, tau: float, free: np.ndarray) -> np.ndarray:
     """(I - tau M)^{-1} free, for a nonzero tau: the total field of each
     free-field column, solved class by class. free, a complex array, is
     overwritten with the result: each class's coordinates are gathered from it
-    first, then scattered back by |G| signed row adds, _GATHER_ROWS rows at a
-    time. Refused when 1/tau is within tolerance of the spectrum; the resonance
-    check reuses the factorization of the solve.
+    and solved first, then scattered back. Refused when 1/tau is within
+    tolerance of the spectrum; the resonance check reuses the factorization of
+    the solve.
     """
     lus = _factor(op, tau)
     b = free.reshape(free.shape[0], -1)   # a view: free is a vector or a matrix
-    parts = [(c, _class_solution(b, c, lus[c.source])) for c in op.classes if c.size]
+    parts = [(c, lu_solve(lus[c.source], c.gather(b), overwrite_b=True, check_finite=False))
+             for c in op.classes if c.size]
     b[...] = 0.0
     for c, x in parts:
-        for start in range(0, c.size, _GATHER_ROWS):
-            rows = slice(start, start + _GATHER_ROWS)
-            for p, chi in zip(c.points, c.chars):
-                b[p[rows]] = _add_signed(b[p[rows]], x[rows], chi)
+        c.scatter(x, b)
     return free
 
 
@@ -456,7 +456,7 @@ def class_green(op: DiscreteOperator, tau: float) -> list:
             pairs.append(pairs[c.source])
             continue
         G0 = class_block(op, c)
-        G0 /= -(op.n * op.weights)[c.points[0]]
+        G0 /= -(op.n * op.weights)[c.reps]
         pairs.append((G0, lu_solve(lus[i], G0, check_finite=False) if tau and c.size else G0))
     return pairs
 

@@ -141,9 +141,8 @@ def _line_matrix():
 def _dense_modes(op):
     """The modes as eigendecompose made them with an N x N V: each class's
     eigenvectors scattered into V, normalized and phase-fixed at N x N, and each
-    class's orbit rows gathered back out; returns lambdas, clusters, classes,
-    warnings and modes."""
-    N = op.n.size
+    class's coordinates gathered back out of it; returns lambdas, clusters,
+    classes, warnings and modes."""
     parts = [(scipy.linalg.eig(class_block(op, c), overwrite_a=True) if c.source == i else None)
              for i, c in enumerate(op.classes)]
     parts = [p or parts[c.source] for p, c in zip(parts, op.classes)]
@@ -171,8 +170,7 @@ def _dense_modes(op):
     clusters = np.repeat(np.arange(1, len(members_of) + 1), [len(m) for m in members_of])
     V /= np.sqrt(np.sum(op.weights[:, None] * np.abs(V) ** 2, axis=0))
     U = _fix_column_phases(V)
-    modes = [U[np.ix_(c.points[0], np.flatnonzero(classes == i))]
-             / c.orbit_entries(N)[1][c.points[0], None] for i, c in enumerate(op.classes)]
+    modes = [c.gather(U[:, classes == i]) for i, c in enumerate(op.classes)]
     return lam, clusters, classes, warnings, modes
 
 
@@ -218,8 +216,9 @@ class TestSymmetryBlocks:
         lambda: _medium(2, 3, 1.0), lambda: operator_from_matrix(jordan_block(0.5, 3)),
     ], ids=["disk16", "centered_bump20", "off_center_bump20", "ball6", "disk3", "jordan3"])
     def test_class_blocked_modes_match_dense(self, make):
-        # normalized and phase-fixed on each class's points, the modes keep the bits
-        # they have as columns of an N x N V; disk3 has an empty class, jordan3 a warning
+        # scattered onto the N points class by class, normalized, phase-fixed and gathered
+        # back, the modes keep the bits they have gathered from an N x N V; disk3 has an
+        # empty class, jordan3 a warning
         op = make()
         sys = eigendecompose(op)
         lam, clusters, classes, warnings, modes = _dense_modes(op)

@@ -623,6 +623,31 @@ class TestSymmetryClasses:
         monkeypatch.setattr(resonat.volume.DiscreteOperator, "matrix", property(refuse))
         assert op.symmetry_blocks == ([29, 23, 52, 52, 29, 23] if name == "disk16" else [40])
 
+    @pytest.mark.parametrize("name", ["disk16", "ball5", "centered_bump20", "line"])
+    def test_orbit_basis(self, name):
+        # each class's scatter of the identity is its basis P_c, and the P_c of all
+        # classes, twins and empty classes included, stack to one orthonormal N x N
+        # basis; gather is P_c^T and scatter adds P_c x; on the one-class line both copy
+        op = SOLVE_MEDIA[name]()
+        N = op.n.size
+        bases = [c.scatter(np.eye(c.size, dtype=complex), np.zeros((N, c.size), dtype=complex))
+                 for c in op.classes]
+        P = np.hstack(bases)
+        assert P.shape == (N, N)
+        assert np.max(np.abs(P.conj().T @ P - np.eye(N))) <= 1e-14
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(N, 3)) + 1j * rng.normal(size=(N, 3))
+        for c, Pc in zip(op.classes, bases):
+            x = c.gather(b)
+            assert x.shape == (c.size, 3) and x.flags.f_contiguous
+            assert np.max(np.abs(x - Pc.T @ b), initial=0.0) <= 1e-14 * np.max(np.abs(b))
+            got = c.scatter(x.copy(), b.copy())
+            assert np.max(np.abs(got - (b + Pc @ x))) <= 1e-14 * np.max(np.abs(b))
+        if name == "line":
+            (c,) = op.classes
+            assert np.array_equal(c.gather(b), b)
+            assert np.array_equal(c.scatter(b.copy(), np.zeros_like(b)), b)
+
     @pytest.mark.parametrize("name", list(BLOCK_MEDIA))
     def test_gathered_from_table_match_matrix(self, name):
         # the formed M is the parent assembly's T[row - col] * (-n); the blocks and
